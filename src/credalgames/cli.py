@@ -835,21 +835,10 @@ def format_report(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _startup_check() -> None:
-    for name in BUILTIN_SCENARIOS:
-        violations = validate_scenario(BUILTIN_SCENARIOS[name])
-        if violations:
-            raise RuntimeError(f"built-in scenario {name} is invalid: {violations}")
-        check = validate_perfect_recall(builtin_game(BUILTIN_SCENARIOS[name]["game"]))
-        if not check.ok:
-            raise RuntimeError(f"built-in game for {name} lacks perfect recall")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _startup_check()
         if args.command == "sweep":
             eps_list = None
             if args.eps_list:

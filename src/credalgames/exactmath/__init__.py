@@ -25,6 +25,7 @@ from .vector import (
     DimensionMismatchError,
     Vector,
     matrix_apply,
+    row_reduce,
     solve_square_system,
     unit_vector,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "polytope_equal",
     "polytope_minimize",
     "rat",
+    "row_reduce",
     "solve_square_system",
     "unit_vector",
 ]

@@ -4,6 +4,14 @@ A two-phase tableau simplex over ``Fraction`` with Bland's pivoting rule:
 every number is exact, and the fixed rule makes the returned optimum
 deterministic for a given program.  Problem sizes in this library are tiny
 (a handful of variables and rows), so clarity wins over sparse tricks.
+
+An optimal solution also carries ``duals``, one multiplier per entry of
+``LinearProgram.constraints`` (bounds get none), read off the final
+tableau.  They are shadow prices of the maximization: ``y >= 0`` on ``<=``
+rows, ``y <= 0`` on ``>=`` rows, free on ``==`` rows.  When every variable
+is bounded only by ``x >= 0`` they form an optimal dual solution:
+``A^T y >= c`` and ``b . y`` equals the optimal value.  With other bounds
+the bounds' own multipliers, which are not returned, close the gap.
 """
 
 from __future__ import annotations
@@ -81,6 +89,7 @@ class LpSolution:
     status: str
     value: Fraction | None = None
     point: Vector | None = None
+    duals: tuple[Fraction, ...] | None = None  # one per constraint when optimal
 
     @property
     def is_optimal(self) -> bool:
@@ -209,6 +218,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     slack_sign: list[Fraction | None] = []
+    flipped: list[bool] = []
     s = 0
     for row, rel, b in zip(rows_y, rels, rhs_y):
         full = row + [Fraction(0)] * nslack
@@ -217,6 +227,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
             sign = one if rel == LESS_EQUAL else -one
             full[ny + s] = sign
             s += 1
+        flipped.append(b < 0)
         if b < 0:
             full = [-a for a in full]
             b = -b
@@ -225,7 +236,8 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         rhs.append(b)
         slack_sign.append(sign)
 
-    # initial basis: slacks where they enter with +1, artificials elsewhere
+    # initial basis: slacks where they enter with +1, artificials elsewhere;
+    # either way the basic column is the row's unit column
     basis = [-1] * len(rows)
     art_cols: list[int] = []
     for i, sign in enumerate(slack_sign):
@@ -241,6 +253,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
             art_cols.append(ncols)
             ncols += 1
 
+    unit_cols = list(basis)
     tab = _Tableau(rows, rhs, basis)
     tab.ncols = ncols
 
@@ -282,7 +295,29 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         for const, terms in transforms
     )
     value = lp.objective.dot(point)
-    return LpSolution(OPTIMAL, value, point)
+    duals = _duals(tab, cost2, unit_cols, flipped, len(lp.constraints))
+    return LpSolution(OPTIMAL, value, point, duals)
+
+
+def _duals(
+    tab: _Tableau, cost: list[Fraction], unit_cols: list[int], flipped: list[bool], count: int
+) -> tuple[Fraction, ...]:
+    """Multipliers of the first ``count`` rows from the optimal tableau.
+
+    The simplex multipliers are ``pi = c_B B^-1``.  Row i's unit column
+    (its +1 slack or its artificial) has zero cost, so its reduced cost is
+    ``-pi_i`` and ``pi_i`` is the basic costs dotted with that column.  Phase
+    1 may delete redundant rows; the remaining rows still give every column's
+    reduced cost, so the formula holds for the deleted rows too.  A row whose
+    right-hand side was negated for the tableau gets its sign back.
+    """
+    basic = [(r, cost[b]) for r, b in enumerate(tab.basis) if cost[b] != 0]
+    duals = []
+    for i in range(count):
+        col = unit_cols[i]
+        pi = sum((c * tab.rows[r][col] for r, c in basic), Fraction(0))
+        duals.append(-pi if flipped[i] else pi)
+    return tuple(duals)
 
 
 def lp_feasible(constraints, n: int, bounds=None) -> Vector | None:

@@ -109,28 +109,43 @@ def matrix_apply(rows: Sequence[Sequence[int | str | Fraction]], v: Vector) -> V
     return Vector(out)
 
 
+def row_reduce(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[list[list[Fraction]], list[Fraction]] | None:
+    """Reduced row echelon form of ``rows . x = rhs``, exactly.
+
+    Returns the nonzero rows, ordered by pivot column, and their right-hand
+    sides, so the row count is the rank and the rows form an identity in
+    the pivot columns.  None when the system is inconsistent.
+    """
+    aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    ncols = len(aug[0]) - 1 if aug else 0
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
+        pivot = aug[rank][col]
+        aug[rank] = [c / pivot for c in aug[rank]]
+        for r in range(len(aug)):
+            if r != rank and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
+        rank += 1
+    if any(row[ncols] != 0 for row in aug[rank:]):
+        return None
+    return [row[:ncols] for row in aug[:rank]], [row[ncols] for row in aug[:rank]]
+
+
 def solve_square_system(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction] | None:
-    """Solve a square linear system exactly; None when singular.
-
-    Plain Gauss-Jordan with partial pivoting by first nonzero entry; sizes
-    here are tiny (strategy simplices and face systems), so no fill-in care
-    is needed.
-    """
+    """Solve a square linear system exactly; None when singular."""
     n = len(rows)
-    aug = [[Fraction(c) for c in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    if any(len(row) != n + 1 for row in aug):
+    if len(rhs) != n or any(len(row) != n for row in rows):
         raise DimensionMismatchError("system is not square")
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [c / pivot for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    reduced = row_reduce(rows, rhs)
+    if reduced is None or len(reduced[0]) < n:
+        return None
+    return reduced[1]

@@ -3,8 +3,11 @@
 A decision problem pairs a payoff matrix (pure action x state) with a credal
 set of priors.  Expected payoff is linear in the prior, so the inner minimum
 over the whole set equals the minimum over its extreme points; the outer
-maximization then becomes a small exact LP, and the full argmax face is
-recovered by enumerating the tight-constraint systems at the optimal value.
+maximization then becomes a small exact LP.  The LP's dual is nature's
+optimal mix over the priors; checked exactly, it certifies the value and
+names the constraints tight on every optimal strategy.  Usually these fix
+the optimal strategy outright; when they leave a face of positive
+dimension, its vertices are found inside that face only.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .exactmath import (
     lp_solve,
     polytope_minimize,
     rat,
+    row_reduce,
     solve_square_system,
 )
 
@@ -101,8 +105,18 @@ def maxmin_value_of(strategy: Vector, p: DecisionProblem) -> Fraction:
     return min(strategy.dot(p.action_values(v)) for v in p.beliefs.vertices)
 
 
-def _solve_value(gains: list[Vector], k: int) -> Fraction:
-    """LP for max over the k-simplex of (min over the gain vectors)."""
+def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
+    """Value and sorted optimal-face vertices of max over the k-simplex of
+    (min over the gain vectors).
+
+    The value LP's dual is nature's optimal mix y over the gain vectors.
+    Checked exactly, it proves the value and gives equalities that every
+    optimal strategy s satisfies: ``g_j . s = v`` where ``y_j > 0``, and
+    ``s_i = 0`` where ``(G^T y)_i < v``.  When they pin s down, the LP's
+    point is the whole face.  Otherwise the face is parametrized over the
+    solutions of those equalities, and its vertices come from the square
+    systems of the remaining inequalities in the reduced coordinates.
+    """
     constraints = []
     for g in gains:
         constraints.append((list(g.entries) + [Fraction(-1)], GREATER_EQUAL, 0))
@@ -112,41 +126,69 @@ def _solve_value(gains: list[Vector], k: int) -> Fraction:
         [Fraction(0)] * k + [Fraction(1)], constraints, bounds
     )
     sol = lp_solve(lp)
-    assert sol.is_optimal, "simplex-constrained maxmin is always solvable"
-    return sol.value
+    if not sol.is_optimal:
+        raise RuntimeError("simplex-constrained maxmin LP is not optimal")
+    value = sol.value
+    point = Vector(sol.point.entries[:k])
+    # a >= row's multiplier is <= 0 in a maximization
+    mix = [-y for y in sol.duals[: len(gains)]]
+    payoff = [_dot(mix, column) for column in zip(*gains)]
+    if (
+        any(y < 0 for y in mix)
+        or sum(mix) != 1
+        or max(payoff) != value
+        or not point.is_probability()
+        or min(_dot(g, point) for g in gains) != value
+    ):
+        raise RuntimeError(f"value LP solution fails its certificate at value {value}")
 
-
-def _face_vertices(gains: list[Vector], value: Fraction, k: int) -> tuple[Vector, ...]:
-    """Vertices of {s in simplex : g.s >= value for every gain vector g}.
-
-    Every vertex solves a square system made of the simplex equality plus
-    k-1 tight inequalities, so scanning those systems finds them all.
-    """
-    rows_pool: list[tuple[list[Fraction], Fraction]] = []
+    # the equalities' right-hand sides are not needed: the face runs from
+    # the LP's point along their null space
+    equalities = [[Fraction(1)] * k]
+    inequalities = []
+    for y, g in zip(mix, gains):
+        if y > 0:
+            equalities.append(list(g.entries))
+        else:
+            inequalities.append((list(g.entries), value))
     for i in range(k):
-        unit = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-        rows_pool.append((unit, Fraction(0)))
-    for g in gains:
-        rows_pool.append((list(g.entries), value))
+        unit = [Fraction(int(i == j)) for j in range(k)]
+        if payoff[i] < value:
+            equalities.append(unit)
+        else:
+            inequalities.append((unit, Fraction(0)))
+    basis, _ = row_reduce(equalities, [Fraction(0)] * len(equalities))
+    pivots = [next(j for j, c in enumerate(row) if c != 0) for row in basis]
+    free = [j for j in range(k) if j not in pivots]
+    if not free:
+        return value, (point,)
 
-    found: set[tuple[Fraction, ...]] = set()
-    ones = [Fraction(1)] * k
-    for combo in itertools.combinations(range(len(rows_pool)), k - 1):
-        rows = [ones] + [rows_pool[i][0] for i in combo]
-        rhs = [Fraction(1)] + [rows_pool[i][1] for i in combo]
-        point = solve_square_system(rows, rhs)
-        if point is None:
-            continue
-        if any(x < 0 for x in point):
-            continue
-        if any(
-            sum((c * x for c, x in zip(g.entries, point)), Fraction(0)) < value
-            for g in gains
-        ):
-            continue
-        found.add(tuple(point))
-    assert found, "the optimal face of a solved problem is nonempty"
-    return tuple(Vector(p) for p in sorted(found))
+    # the face is {point + D z : every reduced inequality holds}, where D's
+    # columns span the solutions of the homogeneous equalities
+    directions = []
+    for q in free:
+        d = [Fraction(int(j == q)) for j in range(k)]
+        for row, p in zip(basis, pivots):
+            d[p] = -row[q]
+        directions.append(d)
+    reduced = [
+        ([_dot(a, d) for d in directions], b - _dot(a, point))
+        for a, b in inequalities
+    ]
+    corners = set()
+    for combo in itertools.combinations(reduced, len(free)):
+        z = solve_square_system([c for c, _ in combo], [r for _, r in combo])
+        if z is not None and all(_dot(c, z) >= r for c, r in reduced):
+            corners.add(tuple(z))
+    face = {
+        tuple(x + _dot(z, col) for x, col in zip(point, zip(*directions)))
+        for z in corners
+    }
+    return value, tuple(Vector(p) for p in sorted(face))
+
+
+def _dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def _binding(p: DecisionProblem, strategy: Vector, value: Fraction) -> tuple[Vector, ...]:
@@ -162,8 +204,7 @@ def maxmin_solve(p: DecisionProblem) -> MaxminSolution:
     face, making results reproducible.
     """
     gains = [p.action_values(v) for v in p.beliefs.vertices]
-    value = _solve_value(gains, p.strategy_dimension)
-    face = _face_vertices(gains, value, p.strategy_dimension)
+    value, face = _solve(gains, p.strategy_dimension)
     strategy = face[0]
     return MaxminSolution(
         value,
@@ -186,8 +227,7 @@ def constrained_maxmin(p: DecisionProblem, restriction: Polytope) -> MaxminSolut
     gains = [p.action_values(v) for v in p.beliefs.vertices]
     m = len(restriction.vertices)
     lifted = [Vector(r.dot(g) for r in restriction.vertices) for g in gains]
-    value = _solve_value(lifted, m)
-    weight_face = _face_vertices(lifted, value, m)
+    value, weight_face = _solve(lifted, m)
     points = []
     for w in weight_face:
         s = Vector(

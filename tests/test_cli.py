@@ -11,6 +11,7 @@ from credalgames.cli import (
     sweep_eps,
     validate_scenario,
 )
+from credalgames.gametree import builtin_game, validate_perfect_recall
 
 F = Fraction
 
@@ -21,7 +22,9 @@ def result_for(report, analysis):
 
 def test_builtin_scenarios_pass_schema():
     for name in ("fig1", "fig4"):
-        assert validate_scenario(load_scenario(name)) == []
+        scenario = load_scenario(name)
+        assert validate_scenario(scenario) == []
+        assert validate_perfect_recall(builtin_game(scenario["game"])).ok
 
 
 def test_run_fig1_check_dc_quarter():

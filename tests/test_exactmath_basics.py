@@ -7,6 +7,7 @@ from credalgames.exactmath import (
     approx_decimal,
     format_rational,
     rat,
+    row_reduce,
     solve_square_system,
     unit_vector,
 )
@@ -69,3 +70,12 @@ def test_square_solve_and_singular():
     sol = solve_square_system([[F(2), F(1)], [F(1), F(-1)]], [F(4), F(-1)])
     assert sol == [F(1), F(2)]
     assert solve_square_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None
+
+
+def test_row_reduce_rank_and_inconsistency():
+    rows = [[F(0), F(2), F(4)], [F(1), F(1), F(1)], [F(1), F(2), F(3)]]
+    assert row_reduce(rows, [F(2), F(1), F(2)]) == (
+        [[F(1), F(0), F(-1)], [F(0), F(1), F(2)]],
+        [F(0), F(1)],
+    )
+    assert row_reduce(rows, [F(2), F(1), F(3)]) is None

@@ -193,3 +193,60 @@ def test_degenerate_cycling_guard():
     )
     assert sol.is_optimal
     assert sol.value == F(1, 20)
+
+
+def assert_dual_certificate(objective, constraints, sol):
+    """Dual signs, A^T y >= c and b . y = value for a program over x >= 0."""
+    assert sol.is_optimal and len(sol.duals) == len(constraints)
+    for (_, relation, _), y in zip(constraints, sol.duals):
+        if relation == LESS_EQUAL:
+            assert y >= 0
+        elif relation == GREATER_EQUAL:
+            assert y <= 0
+    for j, c in enumerate(objective):
+        assert sum(row[j] * y for (row, _, _), y in zip(constraints, sol.duals)) >= c
+    assert sum(F(b) * y for (_, _, b), y in zip(constraints, sol.duals)) == sol.value
+
+
+def test_duals_of_flipped_row():
+    # maximize -x subject to -x <= -3: the row is negated for the tableau
+    constraints = [([-1], LESS_EQUAL, -3)]
+    sol = solve([-1], constraints, bounds=[(F(0), None)])
+    assert sol.value == -3 and sol.duals == (1,)
+    assert_dual_certificate([-1], constraints, sol)
+
+
+def test_duals_with_redundant_equality_row():
+    # the second row repeats the first; phase 1 deletes one of them
+    constraints = [([1, 1], EQUAL, 1), ([2, 2], EQUAL, 2), ([1, 0], GREATER_EQUAL, F(1, 4))]
+    sol = solve([1, 2], constraints, bounds=[(F(0), None)] * 2)
+    assert sol.value == F(7, 4)
+    assert_dual_certificate([1, 2], constraints, sol)
+
+
+def test_random_lps_duals_certify_the_value():
+    # feasible by construction (rows are built around a point x0 >= 0) and
+    # bounded by a final sum row; entries of both signs make negative
+    # right-hand sides common, and repeated equality rows are redundant
+    rng = random.Random(1408)
+    flipped = redundant = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        x0 = [F(rng.randint(0, 4)) for _ in range(n)]
+        constraints = []
+        for _ in range(m):
+            row = [F(rng.randint(-5, 5)) for _ in range(n)]
+            relation = rng.choice([LESS_EQUAL, EQUAL, GREATER_EQUAL])
+            gap = {LESS_EQUAL: rng.randint(0, 3), EQUAL: 0, GREATER_EQUAL: -rng.randint(0, 3)}
+            rhs = sum(a * x for a, x in zip(row, x0)) + gap[relation]
+            constraints.append((row, relation, rhs))
+            if relation == EQUAL and rng.random() < 0.5:
+                scale = rng.choice([2, -1, F(1, 2)])
+                constraints.append(([scale * a for a in row], EQUAL, scale * rhs))
+                redundant += 1
+        constraints.append(([F(1)] * n, LESS_EQUAL, 20))
+        flipped += any(rhs < 0 for _, _, rhs in constraints)
+        objective = [F(rng.randint(-4, 4)) for _ in range(n)]
+        sol = solve(objective, constraints, bounds=[(F(0), None)] * n)
+        assert_dual_certificate(objective, constraints, sol)
+    assert flipped > 100 and redundant > 50

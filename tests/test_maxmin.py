@@ -1,11 +1,22 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+import credalgames.maxmin
 from credalgames.beliefs import CredalSet, StateSpace, eps_contamination
-from credalgames.exactmath import Polytope, Vector, polytope_equal
+from credalgames.exactmath import (
+    EQUAL,
+    GREATER_EQUAL,
+    LinearProgram,
+    Polytope,
+    Vector,
+    lp_solve,
+    polytope_equal,
+    polytope_minimize,
+    solve_square_system,
+)
 from credalgames.maxmin import (
     DecisionProblem,
     constrained_maxmin,
@@ -214,3 +225,163 @@ def test_validation_errors():
         maxmin_value_of(Vector([F(1, 2), F(1, 4)]), problem)
     with pytest.raises(ValueError):
         constrained_maxmin(problem, Polytope.from_vertices([Vector([1, 0, 0])]))
+
+
+# -- brute-force oracle -------------------------------------------------------
+
+
+def oracle_value(gains, k):
+    """The value LP: max t subject to g.s >= t for every gain g, s in the simplex."""
+    constraints = [(list(g) + [F(-1)], GREATER_EQUAL, 0) for g in gains]
+    constraints.append(([F(1)] * k + [F(0)], EQUAL, 1))
+    lp = LinearProgram.build(
+        [F(0)] * k + [F(1)], constraints, [(F(0), None)] * k + [(None, None)]
+    )
+    return lp_solve(lp).value
+
+
+def oracle_face(gains, value, k):
+    """Vertices of {s in simplex : g.s >= value for every gain g}.
+
+    Every vertex solves a square system made of the simplex equality plus
+    k-1 tight inequalities, so scanning all C(k + |gains|, k - 1) of those
+    systems finds them all.
+    """
+    rows_pool = [([F(int(i == j)) for j in range(k)], F(0)) for i in range(k)]
+    rows_pool += [(list(g), value) for g in gains]
+    found = set()
+    for combo in combinations(rows_pool, k - 1):
+        point = solve_square_system(
+            [[F(1)] * k] + [r for r, _ in combo], [F(1)] + [b for _, b in combo]
+        )
+        if point is None or any(x < 0 for x in point):
+            continue
+        if all(sum(c * x for c, x in zip(g, point)) >= value for g in gains):
+            found.add(tuple(point))
+    return tuple(Vector(p) for p in sorted(found))
+
+
+def oracle_solve(problem, restriction=None):
+    """(value, face vertices, strategy, binding priors) by brute force."""
+    gains = [problem.action_values(v) for v in problem.beliefs.vertices]
+    if restriction is None:
+        value = oracle_value(gains, problem.strategy_dimension)
+        face = oracle_face(gains, value, problem.strategy_dimension)
+    else:
+        corners = restriction.vertices
+        lifted = [Vector(r.dot(g) for r in corners) for g in gains]
+        value = oracle_value(lifted, len(corners))
+        points = [
+            Vector(sum(wi * r[j] for wi, r in zip(w, corners)) for j in range(len(corners[0])))
+            for w in oracle_face(lifted, value, len(corners))
+        ]
+        face = polytope_minimize(Polytope.from_vertices(points)).vertices
+    binding = tuple(
+        v for v in problem.beliefs.vertices if face[0].dot(problem.action_values(v)) == value
+    )
+    return value, face, face[0], binding
+
+
+def assert_matches_oracle(sol, problem, restriction=None):
+    value, face, strategy, binding = oracle_solve(problem, restriction)
+    assert sol.value == value
+    assert sol.optimal_face.vertices == face
+    assert sol.strategy == strategy
+    assert sol.binding_vertices == binding
+
+
+def _tie_heavy_cases(st):
+    """Problems with k, v <= 5 whose payoffs and priors repeat small values,
+    so optimal faces are often wider than a point; some carry a restriction."""
+
+    def simplex_point(dimension):
+        weights = st.lists(st.integers(0, 2), min_size=dimension, max_size=dimension)
+        return weights.filter(any).map(lambda w: Vector(F(x, sum(w)) for x in w))
+
+    @st.composite
+    def case(draw):
+        k = draw(st.integers(1, 5))
+        n = draw(st.integers(1, 4))
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        priors = draw(st.lists(simplex_point(n), min_size=1, max_size=5))
+        payoff = draw(
+            st.lists(
+                st.lists(st.sampled_from([-1, 0, 0, 1, 2]), min_size=n, max_size=n),
+                min_size=k,
+                max_size=k,
+            )
+        )
+        # the priors are kept as drawn, redundant ones included
+        beliefs = CredalSet(space, Polytope(n, tuple(priors)))
+        problem = DecisionProblem.build(payoff, space, beliefs)
+        restriction = None
+        if draw(st.booleans()):
+            corners = draw(st.lists(simplex_point(k), min_size=1, max_size=4))
+            restriction = Polytope(k, tuple(corners))
+        return problem, restriction
+
+    return case()
+
+
+def test_face_matches_brute_force_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(_tie_heavy_cases(hypothesis.strategies))
+    def check(case):
+        problem, restriction = case
+        if restriction is None:
+            sol = maxmin_solve(problem)
+        else:
+            sol = constrained_maxmin(problem, restriction)
+        assert_matches_oracle(sol, problem, restriction)
+
+    check()
+
+
+def test_wide_face_matches_brute_force_oracle():
+    # identical actions and a prior-independent payoff make every strategy
+    # optimal, so the face is the whole simplex and enumeration must run
+    space = StateSpace.of("a", "b")
+    beliefs = CredalSet.from_vertices(space, [[1, 0], [0, 1]])
+    problem = DecisionProblem.build([[1, 1], [1, 1], [1, 1]], space, beliefs)
+    sol = maxmin_solve(problem)
+    assert sol.optimal_face.vertices == (Vector([0, 0, 1]), Vector([0, 1, 0]), Vector([1, 0, 0]))
+    assert_matches_oracle(sol, problem)
+    restriction = Polytope.from_vertices([[1, 0, 0], [0, 1, 0], [F(1, 2), F(1, 2), 0]])
+    assert_matches_oracle(constrained_maxmin(problem, restriction), problem, restriction)
+
+
+def test_wide_problem_needs_no_square_solves(monkeypatch):
+    # k=10 actions over n=8 states with 8 permutohedron priors: brute force
+    # would scan C(18, 9) = 48,620 square systems
+    rng = random.Random(1408)
+    weights = rng.sample(range(1, 13), 8)
+    space = StateSpace(tuple(f"s{i}" for i in range(8)))
+    perms = rng.sample(list(permutations(weights)), 8)
+    beliefs = CredalSet.from_vertices(space, [[F(w, sum(weights)) for w in p] for p in perms])
+    assert len(beliefs.vertices) == 8
+    rows = [[F(rng.randint(-9, 12), rng.choice((1, 2))) for _ in range(8)] for _ in range(10)]
+    problem = DecisionProblem.build(rows, space, beliefs)
+
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return solve_square_system(rows, rhs)
+
+    monkeypatch.setattr(credalgames.maxmin, "solve_square_system", counting)
+    sol = maxmin_solve(problem)
+    assert calls == []
+    assert sol.optimal_face.vertices == (sol.strategy,)
+    assert maxmin_value_of(sol.strategy, problem) == sol.value
+
+
+def test_failed_dual_certificate_raises(monkeypatch):
+    def tampered(lp):
+        sol = lp_solve(lp)
+        return type(sol)(sol.status, sol.value, sol.point, tuple(0 * y for y in sol.duals))
+
+    monkeypatch.setattr(credalgames.maxmin, "lp_solve", tampered)
+    with pytest.raises(RuntimeError, match="certificate"):
+        maxmin_solve(conditional_problem(F(3, 4)))
