@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -50,7 +48,7 @@ from .gametree import (
 from .maxmin import MaxminSolution, maxmin_solve
 from .render import TriangleLayer, TrianglePanel, render_triangle
 
-RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 
 ANALYSES = (
     "validate",
@@ -74,14 +72,6 @@ class ScenarioSchemaError(ValueError):
 
 class AnalysisError(ValueError):
     """An analysis could not be carried out on valid input."""
-
-
-def parse_cli_rational(text: str, where: str) -> Fraction:
-    if not RATIONAL_RE.match(text.strip()):
-        raise ScenarioSchemaError(
-            [f"{where}: {text!r} is not an exact rational like 1/102"]
-        )
-    return rat(text.strip())
 
 
 # -- built-in scenarios -----------------------------------------------------
@@ -134,72 +124,143 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
 # -- schema -----------------------------------------------------------------
 
 
-def _check_rational(value, path: str, out: list[str]) -> Fraction | None:
-    if isinstance(value, str) and RATIONAL_RE.match(value.strip()):
-        return rat(value.strip())
-    if isinstance(value, int):
+def _rational(value, path: str, out: list[str]) -> Fraction | None:
+    """Read an exact rational: an int, or a string like "1/102" or "-3".
+
+    The one reader for scenario files and command-line flags.  Bools, floats
+    and zero denominators are violations: they go to ``out`` and give None.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    out.append(f"{path}: {value!r} is not an exact rational string")
+    if isinstance(value, str) and RATIONAL_RE.match(value.strip()):
+        return Fraction(value.strip())
+    out.append(f"{path}: {value!r} is not an exact rational like 1/102")
     return None
 
 
-def _check_beliefs(spec, path: str, out: list[str]) -> None:
-    if not isinstance(spec, dict):
-        out.append(f"{path}: beliefs must be an object")
-        return
-    kind = spec.get("type")
-    if kind == "eps_contamination":
-        center = spec.get("center")
-        if not isinstance(center, list) or not center:
-            out.append(f"{path}.center: a probability vector is required")
+def _distribution(value, n: int | None, path: str, out: list[str]) -> Vector | None:
+    """A probability vector; ``n`` is the state count, None if the states are bad."""
+    if not isinstance(value, list) or not value:
+        out.append(f"{path}: a probability vector is required")
+        return None
+    if n is not None and len(value) != n:
+        out.append(f"{path}: expected {n} entries, one per state")
+        return None
+    entries = [_rational(x, f"{path}[{j}]", out) for j, x in enumerate(value)]
+    if None in entries:
+        return None
+    if any(e < 0 for e in entries):
+        out.append(f"{path}: negative probability")
+    elif sum(entries) != 1:
+        out.append(f"{path}: entries sum to {sum(entries)}, not 1")
+    else:
+        return Vector(entries)
+    return None
+
+
+@dataclass(frozen=True)
+class PlayerSpec:
+    """One player's entry: eps-contamination or credal beliefs, and n_interval."""
+
+    space: StateSpace
+    center: Vector | None  # set for eps_contamination beliefs
+    eps: Fraction | None
+    vertices: tuple[Vector, ...]  # set for credal beliefs
+    n_interval: tuple[Fraction, Fraction] | None
+
+    def beliefs(self, eps: Fraction | None = None) -> CredalSet:
+        """The credal set; ``eps`` overrides the contamination weight."""
+        if self.center is None:
+            return CredalSet.from_vertices(self.space, list(self.vertices))
+        return eps_contamination(self.center, self.eps if eps is None else eps, self.space)
+
+
+def _parse_player(entry, path: str, out: list[str]) -> PlayerSpec | None:
+    if not isinstance(entry, dict):
+        out.append(f"{path}: must be an object")
+        return None
+    known = len(out)
+    interval = None
+    if "n_interval" in entry:
+        iv = entry["n_interval"]
+        if not isinstance(iv, list) or len(iv) != 2:
+            out.append(f"{path}.n_interval: expected [low, high]")
         else:
-            entries = [_check_rational(c, f"{path}.center[{i}]", out) for i, c in enumerate(center)]
-            if None not in entries:
-                if any(e < 0 for e in entries) or sum(entries) != 1:
-                    out.append(f"{path}.center: entries must be nonnegative and sum to 1")
+            interval = tuple(
+                _rational(x, f"{path}.n_interval[{i}]", out) for i, x in enumerate(iv)
+            )
+            if None not in interval and not 0 <= interval[0] <= interval[1] <= 1:
+                out.append(f"{path}.n_interval: need 0 <= low <= high <= 1")
+    path += ".beliefs"
+    spec = entry.get("beliefs")
+    if not isinstance(spec, dict):
+        out.append(f"{path}: an object is required")
+        return None
+    kind = spec.get("type")
+    if kind not in ("eps_contamination", "credal"):
+        out.append(f"{path}.type: expected 'eps_contamination' or 'credal'")
+    states = spec.get("states")
+    n = None
+    if (
+        isinstance(states, list)
+        and states
+        and all(isinstance(s, str) for s in states)
+        and len(set(states)) == len(states)
+    ):
+        n = len(states)
+    else:
+        out.append(f"{path}.states: state labels must be a nonempty unique list")
+    center = eps = None
+    vertices = ()
+    if kind == "eps_contamination":
+        center = _distribution(spec.get("center"), n, f"{path}.center", out)
         if "eps" not in spec:
             out.append(f"{path}.eps: required")
         else:
-            eps = _check_rational(spec["eps"], f"{path}.eps", out)
+            eps = _rational(spec["eps"], f"{path}.eps", out)
             if eps is not None and not 0 <= eps <= 1:
                 out.append(f"{path}.eps: {eps} outside [0, 1]")
     elif kind == "credal":
-        states = spec.get("states")
-        if not isinstance(states, list) or not states or len(set(states)) != len(states):
-            out.append(f"{path}.states: state labels must be a nonempty unique list")
-            return
-        vertices = spec.get("vertices")
-        if not isinstance(vertices, list) or not vertices:
+        raw = spec.get("vertices")
+        if not isinstance(raw, list) or not raw:
             out.append(f"{path}.vertices: at least one vertex is required")
-            return
-        for i, vert in enumerate(vertices):
-            if not isinstance(vert, list) or len(vert) != len(states):
-                out.append(f"{path}.vertices[{i}]: expected {len(states)} entries")
-                continue
-            entries = [
-                _check_rational(x, f"{path}.vertices[{i}][{j}]", out)
-                for j, x in enumerate(vert)
-            ]
-            if None in entries:
-                continue
-            if any(e < 0 for e in entries):
-                out.append(f"{path}.vertices[{i}]: negative probability")
-            elif sum(entries) != 1:
-                out.append(
-                    f"{path}.vertices[{i}]: entries sum to {sum(entries)}, not 1"
-                )
-    else:
-        out.append(f"{path}.type: expected 'eps_contamination' or 'credal'")
+        else:
+            vertices = tuple(
+                _distribution(v, n, f"{path}.vertices[{i}]", out) for i, v in enumerate(raw)
+            )
+    if len(out) > known:
+        return None
+    return PlayerSpec(StateSpace(tuple(states)), center, eps, vertices, interval)
 
 
-def validate_scenario(data) -> list[str]:
-    """Every schema violation in the scenario, as 'path: problem' strings."""
-    out: list[str] = []
+@dataclass(frozen=True)
+class Scenario:
+    """A scenario read once: the game built, every number an exact Fraction."""
+
+    game: GameTree
+    player: str
+    players: dict[str, PlayerSpec]
+    bindings: dict[str, Fraction]
+    analyses: tuple[str, ...]
+    grid: tuple[Fraction, ...]
+    slots: tuple[str, ...]
+
+
+def validate_scenario(data) -> Scenario:
+    """Parse a raw scenario in one pass.
+
+    Raises ScenarioSchemaError with every violation as a 'path: problem'
+    string; otherwise returns the typed Scenario the analyses run on.
+    """
     if not isinstance(data, dict):
-        return ["scenario: must be a JSON object"]
+        raise ScenarioSchemaError(["scenario: must be a JSON object"])
+    out: list[str] = []
     game = data.get("game")
+    tree = None
     if isinstance(game, str):
-        if game not in BUILTIN_GAMES:
+        if game in BUILTIN_GAMES:
+            tree = builtin_game(game)
+        else:
             out.append(f"game: no built-in game named {game!r}")
     elif isinstance(game, dict):
         try:
@@ -209,7 +270,7 @@ def validate_scenario(data) -> list[str]:
                 out.append(
                     f"game: player {check.player!r} lacks perfect recall at {check.witness}"
                 )
-        except (MalformedGameError, UnboundParameterError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             out.append(f"game: {exc}")
     else:
         out.append("game: a built-in name or an inline game object is required")
@@ -218,40 +279,51 @@ def validate_scenario(data) -> list[str]:
     if not isinstance(players, dict):
         out.append("players: must map player ids to belief entries")
         players = {}
-    for pid, entry in players.items():
-        path = f"players.{pid}"
-        if not isinstance(entry, dict):
-            out.append(f"{path}: must be an object")
-            continue
-        if "beliefs" in entry:
-            _check_beliefs(entry["beliefs"], f"{path}.beliefs", out)
-        else:
-            out.append(f"{path}.beliefs: required")
-        if "n_interval" in entry:
-            iv = entry["n_interval"]
-            if not isinstance(iv, list) or len(iv) != 2:
-                out.append(f"{path}.n_interval: expected [low, high]")
-            else:
-                lo = _check_rational(iv[0], f"{path}.n_interval[0]", out)
-                hi = _check_rational(iv[1], f"{path}.n_interval[1]", out)
-                if lo is not None and hi is not None and not 0 <= lo <= hi <= 1:
-                    out.append(f"{path}.n_interval: need 0 <= low <= high <= 1")
+    specs = {pid: _parse_player(e, f"players.{pid}", out) for pid, e in players.items()}
 
     player = data.get("player")
     if player is not None and str(player) not in players:
         out.append(f"player: {player!r} has no entry under players")
 
-    for name, value in (data.get("bindings") or {}).items():
-        _check_rational(value, f"bindings.{name}", out)
+    bindings = data.get("bindings") or {}
+    if not isinstance(bindings, dict):
+        out.append("bindings: must map parameter names to exact rationals")
+        bindings = {}
+    bindings = {name: _rational(v, f"bindings.{name}", out) for name, v in bindings.items()}
 
     analysis = data.get("analysis", [])
     if not isinstance(analysis, list):
         out.append("analysis: must be a list")
-    else:
-        for i, a in enumerate(analysis):
-            if a not in ANALYSES:
-                out.append(f"analysis[{i}]: unknown analysis {a!r}")
-    return out
+        analysis = []
+    for i, a in enumerate(analysis):
+        if a not in ANALYSES:
+            out.append(f"analysis[{i}]: unknown analysis {a!r}")
+
+    search = data.get("payoff_search", {})
+    if not isinstance(search, dict):
+        out.append("payoff_search: must be an object with grid and slots")
+        search = {}
+    grid = search.get("grid", [])
+    if not isinstance(grid, list):
+        out.append("payoff_search.grid: must be a list of exact rationals")
+        grid = []
+    grid = tuple(_rational(g, f"payoff_search.grid[{i}]", out) for i, g in enumerate(grid))
+    slots = search.get("slots", [])
+    if not isinstance(slots, list) or not all(isinstance(s, str) for s in slots):
+        out.append("payoff_search.slots: must be a list of parameter names")
+        slots = []
+
+    if out:
+        raise ScenarioSchemaError(out)
+    return Scenario(
+        tree,
+        "" if player is None else str(player),
+        specs,
+        bindings,
+        tuple(analysis) or ("validate", "maxmin", "check-dc"),
+        grid,
+        tuple(slots),
+    )
 
 
 def load_scenario(name_or_path: str) -> dict:
@@ -315,14 +387,6 @@ class Report:
         )
 
 
-def _beliefs_from_spec(spec: dict, eps_override: Fraction | None) -> CredalSet:
-    space = StateSpace(tuple(spec["states"]))
-    if spec["type"] == "eps_contamination":
-        eps = eps_override if eps_override is not None else rat(spec["eps"])
-        return eps_contamination(Vector(spec["center"]), eps, space)
-    return CredalSet.from_vertices(space, [Vector(v) for v in spec["vertices"]])
-
-
 @dataclass
 class _Prepared:
     game: GameTree
@@ -335,21 +399,20 @@ class _Prepared:
     strategy_labels: tuple[str, ...]
 
 
-def _prepare(data: dict, flags: RunFlags) -> _Prepared:
-    game = (
-        builtin_game(data["game"]) if isinstance(data["game"], str) else game_from_json(data["game"])
-    )
-    player = str(flags.player or data.get("player") or "")
-    entry = data.get("players", {}).get(player)
-    if entry is None:
+def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
+    game = scenario.game
+    player = str(flags.player or scenario.player)
+    spec = scenario.players.get(player)
+    if spec is None:
         raise AnalysisError(f"scenario has no belief entry for player {player!r}")
-    base = _beliefs_from_spec(entry["beliefs"], flags.eps)
-    interval = flags.interval
-    if interval is None and "n_interval" in entry:
-        interval = (rat(entry["n_interval"][0]), rat(entry["n_interval"][1]))
+    if flags.eps is not None and spec.center is None:
+        raise ScenarioSchemaError(
+            [f"--eps: player {player}'s beliefs are credal, not eps_contamination"]
+        )
+    base = spec.beliefs(flags.eps)
+    interval = flags.interval or spec.n_interval
     decision = induce_downstream(base, interval) if interval else base
-    bindings = dict(data.get("bindings") or {})
-    bindings.update(flags.bindings or {})
+    bindings = {**scenario.bindings, **(flags.bindings or {})}
     problem = build_player_problem(game, player, decision, bindings)
     if flags.rectangularize:
         decision = rectangular_hull(decision, problem.filtration)
@@ -372,7 +435,7 @@ def _solution_json(sol: MaxminSolution, labels: tuple[str, ...]) -> dict:
     }
 
 
-def _run_analysis(name: str, prep: _Prepared, data: dict, flags: RunFlags) -> dict:
+def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlags) -> dict:
     pp = prep.problem
     if name == "validate":
         check = validate_perfect_recall(prep.game)
@@ -447,9 +510,8 @@ def _run_analysis(name: str, prep: _Prepared, data: dict, flags: RunFlags) -> di
             "vertices": [v.to_json() for v in induced.vertices],
         }
     if name == "find-payoffs":
-        search = data.get("payoff_search", {})
-        grid = flags.grid or tuple(rat(g) for g in search.get("grid", ()))
-        slots = flags.slots or tuple(search.get("slots", ()))
+        grid = flags.grid or scenario.grid
+        slots = flags.slots or scenario.slots
         if not grid or not slots:
             raise AnalysisError("find-payoffs needs --grid and --slots")
         found = find_dc_violation_payoffs(
@@ -469,18 +531,14 @@ def _run_analysis(name: str, prep: _Prepared, data: dict, flags: RunFlags) -> di
 def run(scenario: str | dict, flags: RunFlags = RunFlags()) -> Report:
     """Execute the scenario's analyses (or the flags' override) in order."""
     data = load_scenario(scenario) if isinstance(scenario, str) else scenario
-    violations = validate_scenario(data)
-    if violations:
-        raise ScenarioSchemaError(violations)
-    prep = _prepare(data, flags)
-    analyses = flags.analyses
-    if analyses is None:
-        analyses = tuple(data.get("analysis") or ("validate", "maxmin", "check-dc"))
+    parsed = validate_scenario(data)
+    prep = _prepare(parsed, flags)
+    analyses = parsed.analyses if flags.analyses is None else flags.analyses
     name = scenario if isinstance(scenario, str) else "(inline)"
     report = Report(scenario_hash(data), __version__, name, prep.player)
     for analysis in analyses:
         try:
-            report.results.append(_run_analysis(analysis, prep, data, flags))
+            report.results.append(_run_analysis(analysis, prep, parsed, flags))
         except (
             ZeroProbabilityReachError,
             StateSpaceError,
@@ -558,21 +616,6 @@ class SweepResult:
         }
 
 
-def _verdict_for_eps(eps: Fraction) -> str:
-    data = json.loads(json.dumps(BUILTIN_SCENARIOS["fig1"]))
-    prep = _prepare(data, RunFlags(eps=eps))
-    report = check_dynamic_consistency(prep.problem)
-    return "consistent" if report.overall else "inconsistent"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CREDALGAMES_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return min(4, os.cpu_count() or 1)
-
-
 def sweep_eps(
     eps_list=None, bisect: tuple[Fraction, Fraction] | None = None
 ) -> SweepResult:
@@ -581,16 +624,13 @@ def sweep_eps(
     Bisection runs on the integer grid over the bounds' common denominator,
     so when the true boundary lies on that grid it is returned exactly.
     """
-    entries: list[tuple[Fraction, str]] = []
-    if eps_list:
-        values = sorted(rat(e) for e in eps_list)
-        workers = _worker_count()
-        if workers > 1 and len(values) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                verdicts = list(pool.map(_verdict_for_eps, values))
-        else:
-            verdicts = [_verdict_for_eps(e) for e in values]
-        entries = list(zip(values, verdicts))
+    fig1 = validate_scenario(BUILTIN_SCENARIOS["fig1"])
+
+    def verdict(eps: Fraction) -> str:
+        report = check_dynamic_consistency(_prepare(fig1, RunFlags(eps=eps)).problem)
+        return "consistent" if report.overall else "inconsistent"
+
+    entries = [(e, verdict(e)) for e in sorted(rat(e) for e in eps_list or ())]
     threshold = None
     first_bad = None
     if bisect is not None:
@@ -599,7 +639,7 @@ def sweep_eps(
             raise AnalysisError("bisection bounds need 0 < low < high < 1")
         den = lcm(lo.denominator, hi.denominator)
         p0, p1 = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-        v_lo, v_hi = _verdict_for_eps(lo), _verdict_for_eps(hi)
+        v_lo, v_hi = verdict(lo), verdict(hi)
         entries.extend([(lo, v_lo), (hi, v_hi)])
         if v_lo != "consistent" or v_hi != "inconsistent":
             raise AnalysisError(
@@ -609,9 +649,9 @@ def sweep_eps(
         while p1 - p0 > 1:
             mid = (p0 + p1) // 2
             eps = Fraction(mid, den)
-            verdict = _verdict_for_eps(eps)
-            entries.append((eps, verdict))
-            if verdict == "consistent":
+            v_mid = verdict(eps)
+            entries.append((eps, v_mid))
+            if v_mid == "consistent":
                 p0 = mid
             else:
                 p1 = mid
@@ -703,53 +743,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _rational_pair(text: str, where: str, out: list[str]) -> tuple:
+    """Read a "low:high" flag value as two exact rationals."""
+    lo, _, hi = text.partition(":")
+    return (_rational(lo, where, out), _rational(hi, where, out))
+
+
 def _flags_from_args(args: argparse.Namespace) -> RunFlags:
+    out: list[str] = []
     flags = RunFlags()
     if getattr(args, "player", None):
         flags = replace(flags, player=args.player)
     if getattr(args, "eps", None):
-        flags = replace(flags, eps=parse_cli_rational(args.eps, "--eps"))
+        flags = replace(flags, eps=_rational(args.eps, "--eps", out))
     bindings = {}
     for item in getattr(args, "bind", []):
-        if "=" not in item:
-            raise ScenarioSchemaError([f"--bind: expected NAME=p/q, got {item!r}"])
-        name, value = item.split("=", 1)
-        bindings[name] = parse_cli_rational(value, f"--bind {name}")
+        name, sep, value = item.partition("=")
+        if sep:
+            bindings[name] = _rational(value, f"--bind {name}", out)
+        else:
+            out.append(f"--bind: expected NAME=p/q, got {item!r}")
     if bindings:
         flags = replace(flags, bindings=bindings)
     if getattr(args, "event", None):
         flags = replace(flags, event=tuple(args.event.split(",")))
     if getattr(args, "interval", None):
-        lo, _, hi = args.interval.partition(":")
-        flags = replace(
-            flags,
-            interval=(
-                parse_cli_rational(lo, "--interval"),
-                parse_cli_rational(hi, "--interval"),
-            ),
-        )
+        flags = replace(flags, interval=_rational_pair(args.interval, "--interval", out))
     if getattr(args, "grid", None):
         flags = replace(
             flags,
-            grid=tuple(parse_cli_rational(g, "--grid") for g in args.grid.split(",")),
+            grid=tuple(_rational(g, "--grid", out) for g in args.grid.split(",")),
         )
     if getattr(args, "slots", None):
         flags = replace(flags, slots=tuple(args.slots.split(",")))
     if getattr(args, "rectangularize", False):
         flags = replace(flags, rectangularize=True)
+    if out:
+        raise ScenarioSchemaError(out)
     return flags
-
-
-_COMMAND_ANALYSES = {
-    "validate": ("validate",),
-    "maxmin": ("maxmin",),
-    "update": ("update",),
-    "rect-hull": ("rect-hull",),
-    "check-rect": ("check-rect",),
-    "check-dc": ("check-dc",),
-    "induce": ("induce",),
-    "find-payoffs": ("find-payoffs",),
-}
 
 
 def format_report(report: Report) -> str:
@@ -840,52 +871,38 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "sweep":
+            bad: list[str] = []
             eps_list = None
             if args.eps_list:
-                eps_list = [
-                    parse_cli_rational(e, "--eps-list") for e in args.eps_list.split(",")
-                ]
-            bisect = None
-            if args.bisect:
-                lo, _, hi = args.bisect.partition(":")
-                bisect = (
-                    parse_cli_rational(lo, "--bisect"),
-                    parse_cli_rational(hi, "--bisect"),
-                )
+                eps_list = [_rational(e, "--eps-list", bad) for e in args.eps_list.split(",")]
+            bisect = _rational_pair(args.bisect, "--bisect", bad) if args.bisect else None
             if not eps_list and not bisect:
-                raise ScenarioSchemaError(["sweep: provide --eps-list or --bisect"])
+                bad.append("sweep: provide --eps-list or --bisect")
+            if bad:
+                raise ScenarioSchemaError(bad)
             result = sweep_eps(eps_list, bisect)
             payload = json.dumps(result.to_json(), sort_keys=True, indent=2)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-            if args.json:
-                print(payload)
-            else:
-                for eps, verdict in result.entries:
-                    print(f"eps = {eps}: {verdict}")
-                if result.threshold is not None:
-                    print(
-                        f"threshold: consistent through {result.threshold}, "
-                        f"inconsistent from {result.first_inconsistent}"
-                    )
-            return 0
-
-        flags = _flags_from_args(args)
-        if args.command == "render":
-            layer_names = tuple(args.layers.split(","))
-            out = args.out or "triangle.svg"
-            flags = replace(flags, analyses=(), layers=layer_names, svg_out=out)
-        elif args.command in _COMMAND_ANALYSES:
-            flags = replace(flags, analyses=_COMMAND_ANALYSES[args.command])
-        report = run(args.scenario, flags)
-        if getattr(args, "json", False):
-            print(report.dumps())
+            lines = [f"eps = {eps}: {verdict}" for eps, verdict in result.entries]
+            if result.threshold is not None:
+                lines.append(
+                    f"threshold: consistent through {result.threshold}, "
+                    f"inconsistent from {result.first_inconsistent}"
+                )
+            text = "\n".join(lines)
         else:
-            print(format_report(report))
-        if args.command != "render" and getattr(args, "out", None):
+            flags = _flags_from_args(args)
+            if args.command == "render":
+                layer_names = tuple(args.layers.split(","))
+                out = args.out or "triangle.svg"
+                flags = replace(flags, analyses=(), layers=layer_names, svg_out=out)
+            elif args.command in ANALYSES:
+                flags = replace(flags, analyses=(args.command,))
+            report = run(args.scenario, flags)
+            payload, text = report.dumps(), format_report(report)
+        print(payload if args.json else text)
+        if args.command != "render" and args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(report.dumps() + "\n")
+                handle.write(payload + "\n")
         return 0
     except ScenarioSchemaError as exc:
         for violation in exc.violations:

@@ -177,21 +177,27 @@ def _derive_structure(game: GameTree, player: str):
     return states, cells, relevant, sym_rows, full_pures
 
 
-def _merge_groups(states, cells, sym_rows):
-    """Indices of states to merge: identical symbolic columns, same cell."""
-    groups: list[list[int]] = []
-    for _, members in cells:
-        seen: list[tuple[tuple[PayoffEntry, ...], list[int]]] = []
+def _identical_column_groups(cells, rows):
+    """Group state indices with identical payoff columns inside each cell.
+
+    ``cells`` lists each stage-1 cell's state indices; ``rows`` may hold
+    symbolic payoff entries or Fractions.  Returns every group ordered by
+    first index, and per cell its groups in order of first appearance.
+    """
+    per_cell: list[list[list[int]]] = []
+    for members in cells:
+        seen: list[tuple[tuple, list[int]]] = []
         for i in members:
-            column = tuple(row[i] for row in sym_rows)
+            column = tuple(row[i] for row in rows)
             for key, group in seen:
                 if key == column:
                     group.append(i)
                     break
             else:
                 seen.append((column, [i]))
-        groups.extend(group for _, group in seen)
-    return sorted(groups, key=lambda g: g[0])
+        per_cell.append([group for _, group in seen])
+    groups = sorted((g for cell in per_cell for g in cell), key=lambda g: g[0])
+    return groups, per_cell
 
 
 def _assemble(
@@ -282,14 +288,13 @@ def build_player_problem(
         columns_of = {lab: i for i, lab in enumerate(raw_labels)}
         cells_by_label = [[states[i].label for i in members] for _, members in cells]
     else:
-        groups = _merge_groups(states, cells, sym_rows)
+        groups, per_cell = _identical_column_groups([m for _, m in cells], sym_rows)
         if len(groups) != len(want):
             raise StateSpaceError(
                 f"{len(groups)} aggregated states cannot match beliefs over {want}"
             )
         labels = []
         columns_of = {}
-        group_of_state: dict[int, str] = {}
         for pos, group in enumerate(groups):
             auto = cell_label(tuple(states[i].label for i in group))
             label = want[pos] if len(group) > 1 else states[group[0]].label
@@ -300,16 +305,8 @@ def build_player_problem(
                 )
             labels.append(label)
             columns_of[label] = group[0]
-            for i in group:
-                group_of_state[i] = label
-        cells_by_label = []
-        for _, members in cells:
-            cell: list[str] = []
-            for i in members:
-                lab = group_of_state[i]
-                if lab not in cell:
-                    cell.append(lab)
-            cells_by_label.append(cell)
+        label_at = {i: lab for lab, i in columns_of.items()}
+        cells_by_label = [[label_at[g[0]] for g in cell] for cell in per_cell]
 
     return _assemble(
         player,
@@ -374,20 +371,9 @@ def aggregate_identical_payoff_states(
     rows = pp.exante.payoff
     renames = {frozenset(k): v for k, v in (merged_labels or {}).items()}
 
-    groups: list[list[int]] = []
-    for cell in stage:
-        seen: list[tuple[tuple[Fraction, ...], list[int]]] = []
-        for s in cell:
-            i = space.index(s)
-            column = tuple(row[i] for row in rows)
-            for key, group in seen:
-                if key == column:
-                    group.append(i)
-                    break
-            else:
-                seen.append((column, [i]))
-        groups.extend(group for _, group in seen)
-    groups.sort(key=lambda g: g[0])
+    groups, per_cell = _identical_column_groups(
+        [[space.index(s) for s in cell] for cell in stage], rows
+    )
 
     new_labels = []
     label_of_old: dict[int, str] = {}
@@ -410,14 +396,7 @@ def aggregate_identical_payoff_states(
     new_beliefs = CredalSet(new_space, new_set)
 
     new_rows = [[row[group[0]] for group in groups] for row in rows]
-    new_stage = []
-    for cell in stage:
-        cell_labels: list[str] = []
-        for s in cell:
-            lab = label_of_old[space.index(s)]
-            if lab not in cell_labels:
-                cell_labels.append(lab)
-        new_stage.append(tuple(cell_labels))
+    new_stage = [tuple(label_of_old[g[0]] for g in cell) for cell in per_cell]
 
     exante = DecisionProblem.build(new_rows, new_space, new_beliefs)
     filtration = Filtration.build(new_space, [tuple(new_stage)])

@@ -1,9 +1,14 @@
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from credalgames.cli import (
     Report,
     RunFlags,
+    Scenario,
+    ScenarioSchemaError,
     load_scenario,
     main,
     run,
@@ -11,7 +16,7 @@ from credalgames.cli import (
     sweep_eps,
     validate_scenario,
 )
-from credalgames.gametree import builtin_game, validate_perfect_recall
+from credalgames.gametree import validate_perfect_recall
 
 F = Fraction
 
@@ -21,10 +26,13 @@ def result_for(report, analysis):
 
 
 def test_builtin_scenarios_pass_schema():
-    for name in ("fig1", "fig4"):
-        scenario = load_scenario(name)
-        assert validate_scenario(scenario) == []
-        assert validate_perfect_recall(builtin_game(scenario["game"])).ok
+    parsed = {name: validate_scenario(load_scenario(name)) for name in ("fig1", "fig4")}
+    for name, scenario in parsed.items():
+        assert isinstance(scenario, Scenario)
+        assert validate_perfect_recall(scenario.game).ok
+    assert parsed["fig1"].players["2"].eps == F(1, 4)
+    assert parsed["fig4"].players["3"].n_interval == (F(1, 3), F(1, 2))
+    assert parsed["fig4"].grid == (-1, 0, 1, 100, 101)
 
 
 def test_run_fig1_check_dc_quarter():
@@ -86,8 +94,9 @@ def test_scenario_schema_lists_every_violation(tmp_path):
         },
         "analysis": ["maxmin", "mystery"],
     }
-    violations = validate_scenario(bad)
-    joined = "\n".join(violations)
+    with pytest.raises(ScenarioSchemaError) as caught:
+        validate_scenario(bad)
+    joined = "\n".join(caught.value.violations)
     assert "game: no built-in game named 'fig9'" in joined
     assert "vertices[0]" in joined and "sum to 5/6" in joined
     assert "vertices[2]" in joined
@@ -170,8 +179,7 @@ def test_sweep_bisect_hits_exact_boundary():
     assert result.first_inconsistent > F(1, 102)
 
 
-def test_sweep_respects_worker_env(monkeypatch):
-    monkeypatch.setenv("CREDALGAMES_WORKERS", "2")
+def test_sweep_returns_entries_in_eps_order():
     result = sweep_eps(["1/4", "1/200"])
     assert [str(e) for e, _ in result.entries] == ["1/200", "1/4"]
     assert [v for _, v in result.entries] == ["consistent", "inconsistent"]
@@ -192,3 +200,75 @@ def test_inline_scenario_runs():
     data["players"]["2"]["beliefs"]["eps"] = "1/200"
     report = run(data, RunFlags(analyses=("check-dc",)))
     assert result_for(report, "check-dc")["overall"] is True
+
+
+def _scenario_file(tmp_path, name, path, value):
+    """Write the built-in scenario with the entry at ``path`` set (None: deleted)."""
+    data = load_scenario(name)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    out = tmp_path / "scenario.json"
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "argv, edit",
+    [
+        (["maxmin", "fig1", "--eps", "1/0"], None),
+        (["sweep", "--eps-list", "1/4,1/0"], None),
+        (["sweep", "--bisect", "1/0:1/2"], None),
+        (["maxmin"], ("fig1", ("players", "2", "beliefs", "eps"), "1/0")),
+        (["induce"], ("fig4", ("players", "3", "n_interval", 0), "1/0")),
+        (["maxmin"], ("fig1", ("players", "2", "beliefs", "eps"), True)),
+        (["maxmin"], ("fig1", ("bindings",), {"x": False})),
+    ],
+    ids=["flag-eps", "flag-eps-list", "flag-bisect", "file-eps", "file-n-interval",
+         "file-bool-eps", "file-bool-binding"],
+)
+def test_zero_denominators_and_bools_are_schema_errors(argv, edit, tmp_path, capsys):
+    if edit is not None:
+        argv = argv + [_scenario_file(tmp_path, *edit)]
+    assert main(argv) == 1
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, path, value, where",
+    [
+        ("fig1", ("players", "2", "beliefs", "states"), None, "players.2.beliefs.states"),
+        ("fig1", ("bindings",), ["x"], "bindings"),
+        ("fig1", ("players", "2", "beliefs", "center"), ["0", "1"], "players.2.beliefs.center"),
+        ("fig4", ("payoff_search", "grid", 0), "0.5", "payoff_search.grid[0]"),
+    ],
+    ids=["eps-without-states", "bindings-list", "center-length", "grid-entry"],
+)
+def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tmp_path, capsys):
+    assert main(["validate", _scenario_file(tmp_path, name, path, value)]) == 1
+    assert f"schema error: {where}" in capsys.readouterr().err
+
+
+def test_eps_flag_rejected_on_credal_beliefs(capsys):
+    assert main(["maxmin", "fig4", "--eps", "1/2"]) == 1
+    assert "schema error: --eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["analyze", "fig1"], "0355e99e2e0c8199"),
+        (["analyze", "fig4"], "ce7de69cc66840c8"),
+        (["sweep", "--bisect", "1/204:1/51"], "eb28db906deb3a92"),
+        (["check-dc", "fig1", "--eps", "1/4", "--rectangularize"], "b0ab18fece3857e2"),
+    ],
+    ids=["analyze-fig1", "analyze-fig4", "sweep-bisect", "check-dc-rect"],
+)
+def test_json_reports_match_golden_digests(argv, digest, capsys):
+    assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
