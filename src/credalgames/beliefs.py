@@ -2,9 +2,10 @@
 
 A credal set is a convex polytope of probability vectors, stored by its
 extreme points.  Conditioning, one-step-ahead marginals, and rectangular
-hulls all work vertex-wise: the maps involved carry extreme points onto a
-superset of the image's extreme points, so minimizing the mapped vertices is
-exact.
+hulls all work vertex-wise.  Conditioning and marginals carry extreme points
+onto a superset of the image's extreme points, so their mapped vertices are
+minimized.  Composing a rectangular hull needs no minimizing: every product
+of an extreme marginal with extreme conditionals is already extreme.
 """
 
 from __future__ import annotations
@@ -62,7 +63,13 @@ def cell_label(cell: Cell) -> str:
 
 @dataclass(frozen=True)
 class CredalSet:
-    """A minimized polytope of probability vectors over a state space."""
+    """A minimized polytope of probability vectors over a state space.
+
+    Invariant: ``set.vertices`` are exactly the extreme points, without
+    repeats, in sorted order.  ``from_vertices`` establishes it by
+    minimizing; code that builds the polytope directly must already know
+    every point is extreme (as ``compose`` does).
+    """
 
     space: StateSpace
     set: Polytope
@@ -223,6 +230,15 @@ def compose(
 
     Cells missing from ``conditionals`` must carry zero marginal mass at
     every extreme point; their states get probability zero.
+
+    Precondition: ``marginal`` and every conditional are minimized, so their
+    vertices are extreme (every CredalSet built by this module is).  Then
+    each product ``p = m x q`` is extreme in the hull, so the products are
+    deduplicated and sorted, not minimized.  Proof: if ``p`` is the midpoint
+    of two hull points, both have marginal ``m``, since the cell masses are
+    linear and ``m`` is extreme; on each cell with ``m_c > 0`` both have
+    conditional ``q_c``, since ``q_c`` is extreme; cells with ``m_c = 0``
+    hold zeros.  So both points equal ``p``.
     """
     cells = tuple(tuple(sorted(cell, key=space.index)) for cell in stage)
     active = [cell for cell in cells if cell in conditionals]
@@ -235,7 +251,7 @@ def compose(
                 raise ValueError(
                     f"cell {cell} has marginal mass but no conditional"
                 )
-    points = []
+    points = set()
     for m in marginal.vertices:
         pools = [conditionals[cell].vertices for cell in active]
         for combo in itertools.product(*pools):
@@ -244,8 +260,8 @@ def compose(
                 mass = m[cells.index(cell)]
                 for j, s in enumerate(cell):
                     entries[space.index(s)] = mass * cond[j]
-            points.append(Vector(entries))
-    return CredalSet.from_vertices(space, points)
+            points.add(Vector(entries))
+    return CredalSet(space, Polytope(len(space), tuple(sorted(points))))
 
 
 def _hull_over_stages(c: CredalSet, stages: tuple[Partition, ...]) -> CredalSet:

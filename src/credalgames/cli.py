@@ -38,6 +38,7 @@ from .dynamics import (
 from .exactmath import Vector, approx_decimal, rat
 from .gametree import (
     BUILTIN_GAMES,
+    GameJsonError,
     GameTree,
     MalformedGameError,
     UnboundParameterError,
@@ -138,6 +139,22 @@ def _rational(value, path: str, out: list[str]) -> Fraction | None:
     return None
 
 
+def _weight(value, path: str, out: list[str]) -> Fraction | None:
+    """Read a contamination weight: an exact rational in [0, 1]."""
+    eps = _rational(value, path, out)
+    if eps is not None and not 0 <= eps <= 1:
+        out.append(f"{path}: {eps} outside [0, 1]")
+        return None
+    return eps
+
+
+def _chance_interval(pair: tuple, path: str, out: list[str]) -> tuple:
+    """Check a second-mover chance interval read as (low, high)."""
+    if None not in pair and not 0 <= pair[0] <= pair[1] <= 1:
+        out.append(f"{path}: need 0 <= low <= high <= 1")
+    return pair
+
+
 def _distribution(value, n: int | None, path: str, out: list[str]) -> Vector | None:
     """A probability vector; ``n`` is the state count, None if the states are bad."""
     if not isinstance(value, list) or not value:
@@ -186,11 +203,11 @@ def _parse_player(entry, path: str, out: list[str]) -> PlayerSpec | None:
         if not isinstance(iv, list) or len(iv) != 2:
             out.append(f"{path}.n_interval: expected [low, high]")
         else:
-            interval = tuple(
-                _rational(x, f"{path}.n_interval[{i}]", out) for i, x in enumerate(iv)
+            interval = _chance_interval(
+                tuple(_rational(x, f"{path}.n_interval[{i}]", out) for i, x in enumerate(iv)),
+                f"{path}.n_interval",
+                out,
             )
-            if None not in interval and not 0 <= interval[0] <= interval[1] <= 1:
-                out.append(f"{path}.n_interval: need 0 <= low <= high <= 1")
     path += ".beliefs"
     spec = entry.get("beliefs")
     if not isinstance(spec, dict):
@@ -217,9 +234,7 @@ def _parse_player(entry, path: str, out: list[str]) -> PlayerSpec | None:
         if "eps" not in spec:
             out.append(f"{path}.eps: required")
         else:
-            eps = _rational(spec["eps"], f"{path}.eps", out)
-            if eps is not None and not 0 <= eps <= 1:
-                out.append(f"{path}.eps: {eps} outside [0, 1]")
+            eps = _weight(spec["eps"], f"{path}.eps", out)
     elif kind == "credal":
         raw = spec.get("vertices")
         if not isinstance(raw, list) or not raw:
@@ -270,6 +285,8 @@ def validate_scenario(data) -> Scenario:
                 out.append(
                     f"game: player {check.player!r} lacks perfect recall at {check.witness}"
                 )
+        except GameJsonError as exc:  # the message starts with the path
+            out.append(str(exc))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             out.append(f"game: {exc}")
     else:
@@ -755,7 +772,7 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
     if getattr(args, "player", None):
         flags = replace(flags, player=args.player)
     if getattr(args, "eps", None):
-        flags = replace(flags, eps=_rational(args.eps, "--eps", out))
+        flags = replace(flags, eps=_weight(args.eps, "--eps", out))
     bindings = {}
     for item in getattr(args, "bind", []):
         name, sep, value = item.partition("=")
@@ -768,7 +785,8 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
     if getattr(args, "event", None):
         flags = replace(flags, event=tuple(args.event.split(",")))
     if getattr(args, "interval", None):
-        flags = replace(flags, interval=_rational_pair(args.interval, "--interval", out))
+        pair = _rational_pair(args.interval, "--interval", out)
+        flags = replace(flags, interval=_chance_interval(pair, "--interval", out))
     if getattr(args, "grid", None):
         flags = replace(
             flags,
@@ -874,8 +892,10 @@ def main(argv=None) -> int:
             bad: list[str] = []
             eps_list = None
             if args.eps_list:
-                eps_list = [_rational(e, "--eps-list", bad) for e in args.eps_list.split(",")]
+                eps_list = [_weight(e, "--eps-list", bad) for e in args.eps_list.split(",")]
             bisect = _rational_pair(args.bisect, "--bisect", bad) if args.bisect else None
+            if bisect and None not in bisect and not 0 < bisect[0] < bisect[1] < 1:
+                bad.append("--bisect: need 0 < low < high < 1")
             if not eps_list and not bisect:
                 bad.append("sweep: provide --eps-list or --bisect")
             if bad:

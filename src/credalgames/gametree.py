@@ -27,6 +27,14 @@ class MalformedGameError(ValueError):
     """The tree or its information sets violate a structural invariant."""
 
 
+class GameJsonError(MalformedGameError):
+    """A game object read from JSON lacks a field or has one of the wrong kind.
+
+    The message starts with the entry's path, such as
+    ``game.root.actions[0].child``.
+    """
+
+
 class MissingStrategyError(KeyError):
     """A strategy profile does not cover some player or information set."""
 
@@ -474,10 +482,21 @@ def _node_to_json(node: Node) -> dict:
     }
 
 
-def _node_from_json(data: dict, parameters: dict) -> Node:
+def _field(data: dict, key: str, path: str, kind: type = object):
+    """``data[key]``, which must be present and an instance of ``kind``."""
+    if key not in data:
+        raise GameJsonError(f"{path}.{key}: required")
+    if not isinstance(data[key], kind):
+        raise GameJsonError(f"{path}.{key}: must be a {kind.__name__}")
+    return data[key]
+
+
+def _node_from_json(data, parameters: dict, path: str) -> Node:
+    if not isinstance(data, dict):
+        raise GameJsonError(f"{path}: must be an object")
     if "payoffs" in data:
         entries = []
-        for raw in data["payoffs"]:
+        for raw in _field(data, "payoffs", path, list):
             if isinstance(raw, str) and raw in parameters:
                 entries.append(raw)
             else:
@@ -488,8 +507,17 @@ def _node_from_json(data: dict, parameters: dict) -> Node:
                         f"payoff {raw!r} is neither a rational nor a declared parameter"
                     )
         return TerminalNode(tuple(entries))
-    moves = [(a["label"], _node_from_json(a["child"], parameters)) for a in data["actions"]]
-    return decision(data["player"], moves)
+    player = _field(data, "player", path)
+    moves = []
+    for i, action in enumerate(_field(data, "actions", path, list)):
+        where = f"{path}.actions[{i}]"
+        if not isinstance(action, dict):
+            raise GameJsonError(f"{where}: must be an object")
+        child = _field(action, "child", where)
+        moves.append(
+            (_field(action, "label", where), _node_from_json(child, parameters, f"{where}.child"))
+        )
+    return decision(player, moves)
 
 
 def game_to_json(game: GameTree) -> dict:
@@ -508,11 +536,19 @@ def game_to_json(game: GameTree) -> dict:
 
 
 def game_from_json(data: dict) -> GameTree:
+    """Build a game from its JSON object (see ``game_to_json``).
+
+    A missing or mistyped field raises GameJsonError naming its path, which
+    starts at ``game``; structural faults raise MalformedGameError.
+    """
+    if not isinstance(data, dict):
+        raise GameJsonError("game: must be an object")
+    players = _field(data, "players", "game", list)
     parameters = data.get("parameters", {})
-    root = _node_from_json(data["root"], parameters)
-    return GameTree(
-        data["players"], root, data.get("information_sets", ()), parameters
-    )
+    if not isinstance(parameters, dict):
+        raise GameJsonError("game.parameters: must be an object")
+    root = _node_from_json(_field(data, "root", "game"), parameters, "game.root")
+    return GameTree(players, root, data.get("information_sets", ()), parameters)
 
 
 _FIG1 = {

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import credalgames.beliefs
 from credalgames.beliefs import (
     CredalSet,
     Filtration,
@@ -15,7 +17,7 @@ from credalgames.beliefs import (
     one_step_ahead,
     rectangular_hull,
 )
-from credalgames.exactmath import Vector
+from credalgames.exactmath import Polytope, Vector, polytope_minimize
 
 F = Fraction
 
@@ -271,3 +273,117 @@ def test_credal_json_round_trip():
     assert clone.to_json() == data
     f = Filtration.from_json(LRO, FILTRATION.to_json())
     assert f == FILTRATION
+
+
+def _products(space, stage, marginal, conditionals):
+    """Every product compose recombines, built here as the oracle's input."""
+    cells = [tuple(sorted(cell, key=space.index)) for cell in stage]
+    live = [i for i, cell in enumerate(cells) if cell in conditionals]
+    points = []
+    for m in marginal.vertices:
+        for combo in itertools.product(*(conditionals[cells[i]].vertices for i in live)):
+            entries = [F(0)] * len(space)
+            for i, q in zip(live, combo):
+                for s, x in zip(cells[i], q):
+                    entries[space.index(s)] = m[i] * x
+            points.append(Vector(entries))
+    return points
+
+
+def _hull_cases(st):
+    """Credal sets over 3-7 states in 2-3 cells, with one-state cells, a dead
+    (zero-mass) cell or a second stage splitting one cell in some draws."""
+
+    @st.composite
+    def case(draw):
+        sizes = draw(
+            st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(
+                lambda s: 3 <= sum(s) <= 7
+            )
+        )
+        labels = tuple(f"s{i}" for i in range(sum(sizes)))
+        cuts = list(itertools.accumulate(sizes))
+        cells = [labels[a:b] for a, b in zip([0] + cuts, cuts)]
+        dead = draw(st.sampled_from([None, None, None, *range(len(cells))]))
+        stages = [cells]
+        # every prior gives each live part positive mass, where a part is a
+        # cell or, when the second stage splits that cell, one of its halves
+        parts = [cell for i, cell in enumerate(cells) if i != dead]
+        wide = [cell for cell in parts if len(cell) > 1]
+        if wide and draw(st.booleans()):
+            split = draw(st.sampled_from(wide))
+            cut = draw(st.integers(1, len(split) - 1))
+            i = cells.index(split)
+            stages.append(cells[:i] + [split[:cut], split[cut:]] + cells[i + 1 :])
+            parts[parts.index(split) : parts.index(split) + 1] = [split[:cut], split[cut:]]
+        priors = []
+        for _ in range(draw(st.integers(1, 4))):
+            w = dict.fromkeys(labels, 0)
+            for part in parts:
+                # zeros inside a part put priors on the faces of its simplex
+                draws = st.lists(st.integers(0, 3), min_size=len(part), max_size=len(part))
+                w.update(zip(part, draw(draws.filter(any))))
+            priors.append([F(w[s], sum(w.values())) for s in labels])
+        space = StateSpace(labels)
+        return CredalSet.from_vertices(space, priors), Filtration.build(space, stages)
+
+    return case()
+
+
+def test_hull_products_match_polytope_minimize(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    calls = []
+
+    def recording(space, stage, marginal, conditionals):
+        built = compose(space, stage, marginal, conditionals)
+        calls.append((built, _products(space, stage, marginal, conditionals)))
+        return built
+
+    monkeypatch.setattr(credalgames.beliefs, "compose", recording)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(_hull_cases(hypothesis.strategies))
+    def check(case):
+        c, f = case
+        calls.clear()
+        hull = rectangular_hull(c, f)
+        assert calls[-1][0] is hull  # the outermost stage composes last
+        for built, candidates in calls:
+            oracle = polytope_minimize(Polytope(len(built.space), tuple(candidates)))
+            assert built.vertices == oracle.vertices
+
+    check()
+
+
+def test_nine_state_hull_makes_no_minimize_call_in_compose(monkeypatch):
+    rng = random.Random(9)
+    space = StateSpace(tuple(f"s{i}" for i in range(9)))
+    f = Filtration.build(space, [(space.labels[:3], space.labels[3:6], space.labels[6:])])
+    priors = []
+    for _ in range(3):
+        w = [rng.randint(1, 9) for _ in range(9)]
+        priors.append([F(x, sum(w)) for x in w])
+    c = CredalSet.from_vertices(space, priors)
+
+    inside = []
+    minimized = []
+
+    def tracked(*args):
+        inside.append(True)
+        try:
+            return compose(*args)
+        finally:
+            inside.pop()
+
+    def counting(p):
+        if inside:
+            minimized.append(len(p.vertices))
+        return polytope_minimize(p)
+
+    monkeypatch.setattr(credalgames.beliefs, "compose", tracked)
+    monkeypatch.setattr(credalgames.beliefs, "polytope_minimize", counting)
+    hull = rectangular_hull(c, f)
+    assert minimized == []
+    assert len(hull.vertices) == 3**4  # every marginal times every conditional choice
+    check = is_rectangular(c, f)
+    assert not check and check.witness in hull.vertices and not c.contains(check.witness)

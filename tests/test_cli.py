@@ -16,7 +16,7 @@ from credalgames.cli import (
     sweep_eps,
     validate_scenario,
 )
-from credalgames.gametree import validate_perfect_recall
+from credalgames.gametree import builtin_game, game_to_json, validate_perfect_recall
 
 F = Fraction
 
@@ -203,8 +203,15 @@ def test_inline_scenario_runs():
 
 
 def _scenario_file(tmp_path, name, path, value):
-    """Write the built-in scenario with the entry at ``path`` set (None: deleted)."""
-    data = load_scenario(name)
+    """Write the built-in scenario with the entry at ``path`` set (None: deleted).
+
+    The name "inline" gives fig1 with its game written out inline.
+    """
+    if name == "inline":
+        data = load_scenario("fig1")
+        data["game"] = game_to_json(builtin_game("fig1"))
+    else:
+        data = load_scenario(name)
     node = data
     for key in path[:-1]:
         node = node[key]
@@ -245,11 +252,29 @@ def test_zero_denominators_and_bools_are_schema_errors(argv, edit, tmp_path, cap
         ("fig1", ("bindings",), ["x"], "bindings"),
         ("fig1", ("players", "2", "beliefs", "center"), ["0", "1"], "players.2.beliefs.center"),
         ("fig4", ("payoff_search", "grid", 0), "0.5", "payoff_search.grid[0]"),
+        ("inline", ("game", "root", "actions", 0, "child"), None,
+         "game.root.actions[0].child: required"),
+        ("inline", ("game", "root"), [], "game.root: must be an object"),
     ],
-    ids=["eps-without-states", "bindings-list", "center-length", "grid-entry"],
+    ids=["eps-without-states", "bindings-list", "center-length", "grid-entry",
+         "game-action-without-child", "game-list-root"],
 )
 def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tmp_path, capsys):
     assert main(["validate", _scenario_file(tmp_path, name, path, value)]) == 1
+    assert f"schema error: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["maxmin", "fig1", "--eps", "2"], "--eps: 2 outside [0, 1]"),
+        (["induce", "fig4", "--interval", "1/2:1/3"], "--interval: need 0 <= low <= high <= 1"),
+        (["sweep", "--bisect", "1/2:1/3"], "--bisect: need 0 < low < high < 1"),
+    ],
+    ids=["eps", "interval", "bisect"],
+)
+def test_out_of_range_flags_are_schema_errors(argv, where, capsys):
+    assert main(argv) == 1
     assert f"schema error: {where}" in capsys.readouterr().err
 
 
