@@ -21,6 +21,7 @@ from .exactmath import (
     polytope_equal,
     polytope_minimize,
     rat,
+    unit_vector,
 )
 
 Cell = tuple[str, ...]
@@ -179,12 +180,10 @@ def eps_contamination(
         raise ValueError("center must be a probability vector")
     if space is None:
         space = StateSpace(tuple(f"s{i}" for i in range(center.dimension)))
-    verts = []
-    for s in range(center.dimension):
-        unit = Vector(
-            Fraction(1) if i == s else Fraction(0) for i in range(center.dimension)
-        )
-        verts.append(center.scale(1 - e) + unit.scale(e))
+    verts = [
+        center.scale(1 - e) + unit_vector(center.dimension, s).scale(e)
+        for s in range(center.dimension)
+    ]
     return CredalSet.from_vertices(space, verts)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import re
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -35,7 +34,7 @@ from .dynamics import (
     find_dc_violation_payoffs,
     induce_downstream,
 )
-from .exactmath import Vector, approx_decimal, rat
+from .exactmath import Vector, affine_image, approx_decimal, rat, read_rational
 from .gametree import (
     BUILTIN_GAMES,
     GameJsonError,
@@ -48,8 +47,6 @@ from .gametree import (
 )
 from .maxmin import MaxminSolution, maxmin_solve
 from .render import TriangleLayer, TrianglePanel, render_triangle
-
-RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 
 ANALYSES = (
     "validate",
@@ -125,23 +122,9 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
 # -- schema -----------------------------------------------------------------
 
 
-def _rational(value, path: str, out: list[str]) -> Fraction | None:
-    """Read an exact rational: an int, or a string like "1/102" or "-3".
-
-    The one reader for scenario files and command-line flags.  Bools, floats
-    and zero denominators are violations: they go to ``out`` and give None.
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str) and RATIONAL_RE.match(value.strip()):
-        return Fraction(value.strip())
-    out.append(f"{path}: {value!r} is not an exact rational like 1/102")
-    return None
-
-
 def _weight(value, path: str, out: list[str]) -> Fraction | None:
     """Read a contamination weight: an exact rational in [0, 1]."""
-    eps = _rational(value, path, out)
+    eps = read_rational(value, path, out)
     if eps is not None and not 0 <= eps <= 1:
         out.append(f"{path}: {eps} outside [0, 1]")
         return None
@@ -163,7 +146,7 @@ def _distribution(value, n: int | None, path: str, out: list[str]) -> Vector | N
     if n is not None and len(value) != n:
         out.append(f"{path}: expected {n} entries, one per state")
         return None
-    entries = [_rational(x, f"{path}[{j}]", out) for j, x in enumerate(value)]
+    entries = [read_rational(x, f"{path}[{j}]", out) for j, x in enumerate(value)]
     if None in entries:
         return None
     if any(e < 0 for e in entries):
@@ -204,7 +187,7 @@ def _parse_player(entry, path: str, out: list[str]) -> PlayerSpec | None:
             out.append(f"{path}.n_interval: expected [low, high]")
         else:
             interval = _chance_interval(
-                tuple(_rational(x, f"{path}.n_interval[{i}]", out) for i, x in enumerate(iv)),
+                tuple(read_rational(x, f"{path}.n_interval[{i}]", out) for i, x in enumerate(iv)),
                 f"{path}.n_interval",
                 out,
             )
@@ -287,7 +270,7 @@ def validate_scenario(data) -> Scenario:
                 )
         except GameJsonError as exc:  # the message starts with the path
             out.append(str(exc))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             out.append(f"game: {exc}")
     else:
         out.append("game: a built-in name or an inline game object is required")
@@ -306,7 +289,7 @@ def validate_scenario(data) -> Scenario:
     if not isinstance(bindings, dict):
         out.append("bindings: must map parameter names to exact rationals")
         bindings = {}
-    bindings = {name: _rational(v, f"bindings.{name}", out) for name, v in bindings.items()}
+    bindings = {name: read_rational(v, f"bindings.{name}", out) for name, v in bindings.items()}
 
     analysis = data.get("analysis", [])
     if not isinstance(analysis, list):
@@ -324,7 +307,7 @@ def validate_scenario(data) -> Scenario:
     if not isinstance(grid, list):
         out.append("payoff_search.grid: must be a list of exact rationals")
         grid = []
-    grid = tuple(_rational(g, f"payoff_search.grid[{i}]", out) for i, g in enumerate(grid))
+    grid = tuple(read_rational(g, f"payoff_search.grid[{i}]", out) for i, g in enumerate(grid))
     slots = search.get("slots", [])
     if not isinstance(slots, list) or not all(isinstance(s, str) for s in slots):
         out.append("payoff_search.slots: must be a list of parameter names")
@@ -409,6 +392,7 @@ class _Prepared:
     game: GameTree
     player: str
     base_beliefs: CredalSet
+    induced: CredalSet | None  # base beliefs pushed through the n_interval
     decision_beliefs: CredalSet
     problem: PlayerProblem
     interval: tuple[Fraction, Fraction] | None
@@ -428,18 +412,20 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
         )
     base = spec.beliefs(flags.eps)
     interval = flags.interval or spec.n_interval
-    decision = induce_downstream(base, interval) if interval else base
+    induced = induce_downstream(base, interval) if interval else None
+    decision = base if induced is None else induced
     bindings = {**scenario.bindings, **(flags.bindings or {})}
     problem = build_player_problem(game, player, decision, bindings)
     if flags.rectangularize:
+        # the hull lives on the same states, so only the beliefs change
         decision = rectangular_hull(decision, problem.filtration)
-        problem = build_player_problem(game, player, decision, bindings)
+        problem = replace(problem, exante=replace(problem.exante, beliefs=decision))
     sets = game.information_sets_for(player)
     labels = tuple(
         "".join(sets[i].actions[a] for i, a in enumerate(pure)) or "(none)"
         for pure in game.pure_strategies(player)
     )
-    return _Prepared(game, player, base, decision, problem, interval, bindings, labels)
+    return _Prepared(game, player, base, induced, decision, problem, interval, bindings, labels)
 
 
 def _solution_json(sol: MaxminSolution, labels: tuple[str, ...]) -> dict:
@@ -517,14 +503,13 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlag
             result["conditional_strategy"] = face.vertices[0].to_json()
         return result
     if name == "induce":
-        if prep.interval is None:
+        if prep.induced is None:
             raise AnalysisError("induce needs an n_interval (scenario or --interval)")
-        induced = induce_downstream(prep.base_beliefs, prep.interval)
         return {
             "analysis": name,
             "interval": [str(prep.interval[0]), str(prep.interval[1])],
-            "states": list(induced.space.labels),
-            "vertices": [v.to_json() for v in induced.vertices],
+            "states": list(prep.induced.space.labels),
+            "vertices": [v.to_json() for v in prep.induced.vertices],
         }
     if name == "find-payoffs":
         grid = flags.grid or scenario.grid
@@ -580,26 +565,22 @@ def _render(prep: _Prepared, flags: RunFlags) -> dict:
         elif kind == "update":
             for slot in pp.conditionals:
                 post = full_bayes_update(pp.exante.beliefs, slot.cell)
-                space = pp.space
-                embedded = []
-                for v in post.vertices:
-                    entries = [Fraction(0)] * len(space)
-                    for lab, x in zip(post.space.labels, v):
-                        entries[space.index(lab)] = x
-                    embedded.append(Vector(entries))
+                # embed the posterior in the full simplex: zero off the cell
+                embed = [
+                    [Fraction(int(s == c)) for c in post.space.labels] for s in pp.space.labels
+                ]
                 layers.append(
                     TriangleLayer(
-                        CredalSet.from_vertices(space, embedded),
+                        CredalSet(pp.space, affine_image(post.set, embed)),
                         label="conditional",
                         stroke="#000000",
                     )
                 )
         elif kind == "induced":
-            if prep.interval is None:
+            if prep.induced is None:
                 raise AnalysisError("the induced layer needs an n_interval")
-            induced = induce_downstream(prep.base_beliefs, prep.interval)
             panels.append(
-                TrianglePanel((TriangleLayer(induced, label="induced"),), "induced")
+                TrianglePanel((TriangleLayer(prep.induced, label="induced"),), "induced")
             )
         else:
             raise AnalysisError(f"unknown render layer {kind!r}")
@@ -763,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _rational_pair(text: str, where: str, out: list[str]) -> tuple:
     """Read a "low:high" flag value as two exact rationals."""
     lo, _, hi = text.partition(":")
-    return (_rational(lo, where, out), _rational(hi, where, out))
+    return (read_rational(lo, where, out), read_rational(hi, where, out))
 
 
 def _flags_from_args(args: argparse.Namespace) -> RunFlags:
@@ -777,7 +758,7 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
     for item in getattr(args, "bind", []):
         name, sep, value = item.partition("=")
         if sep:
-            bindings[name] = _rational(value, f"--bind {name}", out)
+            bindings[name] = read_rational(value, f"--bind {name}", out)
         else:
             out.append(f"--bind: expected NAME=p/q, got {item!r}")
     if bindings:
@@ -790,7 +771,7 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
     if getattr(args, "grid", None):
         flags = replace(
             flags,
-            grid=tuple(_rational(g, "--grid", out) for g in args.grid.split(",")),
+            grid=tuple(read_rational(g, "--grid", out) for g in args.grid.split(",")),
         )
     if getattr(args, "slots", None):
         flags = replace(flags, slots=tuple(args.slots.split(",")))
@@ -799,6 +780,10 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
     if out:
         raise ScenarioSchemaError(out)
     return flags
+
+
+def _points(vertices) -> str:
+    return "; ".join("(" + ", ".join(v) + ")" for v in vertices)
 
 
 def format_report(report: Report) -> str:
@@ -822,19 +807,15 @@ def format_report(report: Report) -> str:
         elif kind == "update":
             for cell in result["cells"]:
                 if cell["status"] == "updated":
-                    verts = "; ".join(
-                        "(" + ", ".join(v) + ")" for v in cell["vertices"]
-                    )
                     lines.append(
-                        f"[update] cell {{{','.join(cell['cell'])}}}: {verts}"
+                        f"[update] cell {{{','.join(cell['cell'])}}}: {_points(cell['vertices'])}"
                     )
                 else:
                     lines.append(
                         f"[update] cell {{{','.join(cell['cell'])}}}: unreachable"
                     )
         elif kind == "rect-hull":
-            verts = "; ".join("(" + ", ".join(v) + ")" for v in result["vertices"])
-            lines.append(f"[rect-hull] vertices {verts}")
+            lines.append(f"[rect-hull] vertices {_points(result['vertices'])}")
         elif kind == "check-rect":
             if result["rectangular"]:
                 lines.append("[check-rect] rectangular: yes")
@@ -857,18 +838,14 @@ def format_report(report: Report) -> str:
                         f"; gap {cell['value_gap']}"
                     )
                 elif tag == "consistent" and "common_face" in cell:
-                    pts = "; ".join(
-                        "(" + ", ".join(v) + ")" for v in cell["common_face"]["vertices"]
-                    )
-                    extra = f"; common optimum {pts}"
+                    extra = f"; common optimum {_points(cell['common_face']['vertices'])}"
                 lines.append(
                     f"[check-dc]   cell {{{','.join(cell['cell'])}}}: {tag}{extra}"
                 )
         elif kind == "induce":
-            verts = "; ".join("(" + ", ".join(v) + ")" for v in result["vertices"])
             lines.append(
                 f"[induce] n in [{result['interval'][0]}, {result['interval'][1]}] "
-                f"over {', '.join(result['states'])}: {verts}"
+                f"over {', '.join(result['states'])}: {_points(result['vertices'])}"
             )
         elif kind == "find-payoffs":
             if result["found"]:

@@ -21,7 +21,7 @@ from .beliefs import (
     cell_label,
     full_bayes_update,
 )
-from .exactmath import Polytope, Vector, affine_image, rat
+from .exactmath import Polytope, Vector, affine_image, rat, unit_vector
 from .gametree import (
     GameTree,
     Node,
@@ -96,54 +96,39 @@ def _derive_structure(game: GameTree, player: str):
 
     states: list[_State] = []
 
-    def scan(path, node: Node, labels: tuple[str, ...]) -> None:
+    def scan(path, node: Node) -> None:
+        name = "".join(path) or "start"
         if isinstance(node, TerminalNode):
-            states.append(_State("".join(labels) or "start", path, True, None))
+            states.append(_State(name, path, True, None))
             return
         if node.player == player:
-            _, iset = game.infoset_at(path)
-            states.append(_State("".join(labels) or "start", path, False, iset))
+            states.append(_State(name, path, False, game.infoset_at(path)[1]))
             return
         for label, child in zip(node.actions, node.children):
-            scan(path + (label,), child, labels + (label,))
+            scan(path + (label,), child)
 
-    scan((), game.root, ())
+    scan((), game.root)
     labels = [s.label for s in states]
     if len(set(labels)) != len(labels):
         raise StateSpaceError(f"ambiguous opponent-path labels: {labels}")
 
     # group states by the information set reached (None = the player never acts)
-    cells: list[tuple[int | None, list[int]]] = []
+    grouped: dict[int | None, list[int]] = {}
     for i, s in enumerate(states):
-        for key, members in cells:
-            if key == s.infoset:
-                members.append(i)
-                break
-        else:
-            cells.append((s.infoset, [i]))
+        grouped.setdefault(s.infoset, []).append(i)
+    cells = list(grouped.items())
 
-    def own_sets_below(path) -> set[int]:
-        found: set[int] = set()
-
-        def walk(p, node: Node) -> None:
-            if isinstance(node, TerminalNode):
-                return
-            if node.player == player:
-                found.add(game.infoset_at(p)[1])
-            for label, child in zip(node.actions, node.children):
-                walk(p + (label,), child)
-
-        walk(path, game.node_at(path))
-        return found
-
+    # a cell's relevant sets are the player's own sets at or below its states
+    own = game.information_sets_for(player)
     relevant: dict[int, tuple[int, ...]] = {}
     for ci, (key, members) in enumerate(cells):
-        if key is None:
-            continue
-        sets: set[int] = set()
-        for i in members:
-            sets |= own_sets_below(states[i].path)
-        relevant[ci] = tuple(sorted(sets))
+        if key is not None:
+            below = [states[i].path for i in members]
+            relevant[ci] = tuple(
+                iset.index
+                for iset in own
+                if any(p[: len(b)] == b for p in iset.paths for b in below)
+            )
 
     def follow(path, assignment: dict[int, int]) -> PayoffEntry:
         """The player's payoff below ``path`` given his own choices.
@@ -280,39 +265,37 @@ def build_player_problem(
     values = game.resolve_parameters(bindings)
     want = opponent_beliefs.space.labels
 
-    # merging keeps the cell list intact, so the acting map carries over
-    acting = relevant
-    raw_labels = [s.label for s in states]
-    if tuple(raw_labels) == want:
-        labels = raw_labels
-        columns_of = {lab: i for i, lab in enumerate(raw_labels)}
-        cells_by_label = [[states[i].label for i in members] for _, members in cells]
+    members = [m for _, m in cells]
+    if tuple(s.label for s in states) == want:  # the all-singleton grouping
+        groups = [[i] for i in range(len(states))]
+        per_cell = [[[i] for i in m] for m in members]
     else:
-        groups, per_cell = _identical_column_groups([m for _, m in cells], sym_rows)
-        if len(groups) != len(want):
+        groups, per_cell = _identical_column_groups(members, sym_rows)
+    if len(groups) != len(want):
+        raise StateSpaceError(
+            f"{len(groups)} aggregated states cannot match beliefs over {want}"
+        )
+    labels = []
+    columns_of = {}
+    for pos, group in enumerate(groups):
+        auto = cell_label(tuple(states[i].label for i in group))
+        label = want[pos] if len(group) > 1 else states[group[0]].label
+        if len(group) == 1 and label != want[pos]:
             raise StateSpaceError(
-                f"{len(groups)} aggregated states cannot match beliefs over {want}"
+                f"state {label!r} does not match belief state {want[pos]!r} "
+                f"(aggregated form would be {auto!r})"
             )
-        labels = []
-        columns_of = {}
-        for pos, group in enumerate(groups):
-            auto = cell_label(tuple(states[i].label for i in group))
-            label = want[pos] if len(group) > 1 else states[group[0]].label
-            if len(group) == 1 and label != want[pos]:
-                raise StateSpaceError(
-                    f"state {label!r} does not match belief state {want[pos]!r} "
-                    f"(aggregated form would be {auto!r})"
-                )
-            labels.append(label)
-            columns_of[label] = group[0]
-        label_at = {i: lab for lab, i in columns_of.items()}
-        cells_by_label = [[label_at[g[0]] for g in cell] for cell in per_cell]
+        labels.append(label)
+        columns_of[label] = group[0]
+    label_at = {i: lab for lab, i in columns_of.items()}
+    cells_by_label = [[label_at[g[0]] for g in cell] for cell in per_cell]
 
+    # merging keeps the cell list intact, so the acting map carries over
     return _assemble(
         player,
         labels,
         cells_by_label,
-        acting,
+        relevant,
         sym_rows,
         full_pures,
         game,
@@ -342,10 +325,7 @@ def player_problem_from_matrix(
     )
     filtration = Filtration.build(space, [stage_cells])
     k = len(rows)
-    identity = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(k))
-        for i in range(k)
-    )
+    identity = tuple(tuple(unit_vector(k, i)) for i in range(k))
     slots = []
     for cell in acting_cells:
         cell = tuple(sorted(cell, key=space.index))
@@ -508,30 +488,19 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
         conditional = maxmin_solve(problem)
         projected = affine_image(exante.optimal_face, slot.projection)
         restricted = constrained_maxmin(problem, projected)
-        if restricted.value == conditional.value:
-            verdicts.append(
-                CellVerdict(
-                    slot.cell,
-                    CONSISTENT,
-                    conditional_value=conditional.value,
-                    restricted_value=restricted.value,
-                    exante_face=projected,
-                    conditional_face=conditional.optimal_face,
-                    common_face=restricted.optimal_face,
-                )
+        consistent = restricted.value == conditional.value
+        verdicts.append(
+            CellVerdict(
+                slot.cell,
+                CONSISTENT if consistent else INCONSISTENT,
+                conditional_value=conditional.value,
+                restricted_value=restricted.value,
+                value_gap=None if consistent else conditional.value - restricted.value,
+                exante_face=projected,
+                conditional_face=conditional.optimal_face,
+                common_face=restricted.optimal_face if consistent else None,
             )
-        else:
-            verdicts.append(
-                CellVerdict(
-                    slot.cell,
-                    INCONSISTENT,
-                    conditional_value=conditional.value,
-                    restricted_value=restricted.value,
-                    value_gap=conditional.value - restricted.value,
-                    exante_face=projected,
-                    conditional_face=conditional.optimal_face,
-                )
-            )
+        )
     return ConsistencyReport(pp.player, exante, tuple(verdicts))
 
 

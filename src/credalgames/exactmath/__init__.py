@@ -20,7 +20,7 @@ from .polytope import (
     polytope_equal,
     polytope_minimize,
 )
-from .rational import Rational, approx_decimal, format_rational, rat
+from .rational import Rational, approx_decimal, format_rational, rat, read_rational
 from .vector import (
     DimensionMismatchError,
     Vector,
@@ -54,6 +54,7 @@ __all__ = [
     "polytope_equal",
     "polytope_minimize",
     "rat",
+    "read_rational",
     "row_reduce",
     "solve_square_system",
     "unit_vector",

@@ -8,12 +8,15 @@ integers) and provides the few helpers the rest of the code shares.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -27,6 +30,21 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"not an exact rational: {value!r}")
     return Fraction(value)
+
+
+def read_rational(value, path: str, out: list[str]) -> Fraction | None:
+    """Read an exact rational from outside input: an int, or "1/102", "-3".
+
+    The one reader for scenario files, inline games and command-line flags.
+    Bools, floats, decimals and zero denominators are violations: the
+    message, naming ``path``, goes to ``out`` and the result is None.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and RATIONAL_RE.match(value.strip()):
+        return Fraction(value.strip())
+    out.append(f"{path}: {value!r} is not an exact rational like 1/102")
+    return None
 
 
 def format_rational(value: Fraction) -> str:

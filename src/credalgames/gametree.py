@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exactmath import Vector, rat
+from .exactmath import Vector, rat, read_rational, unit_vector
 
 Path = tuple[str, ...]
 PayoffEntry = Union[Fraction, str]
@@ -186,12 +186,6 @@ class GameTree:
 
     # -- structure access -------------------------------------------------
 
-    def decision_node(self, path: Path) -> DecisionNode:
-        return self._decision_nodes[path]
-
-    def is_terminal(self, path: Path) -> bool:
-        return path not in self._decision_nodes
-
     def information_sets_for(self, player: str) -> tuple[InformationSet, ...]:
         return self._information_sets[player]
 
@@ -304,15 +298,10 @@ class OutcomeDistribution:
 
 def pure_behavioral(game: GameTree, player: str, pure: tuple[int, ...]) -> BehavioralStrategy:
     sets = game.information_sets_for(player)
-    choices = []
-    for iset, action in zip(sets, pure):
-        choices.append(
-            Vector(
-                Fraction(1) if i == action else Fraction(0)
-                for i in range(len(iset.actions))
-            )
-        )
-    return BehavioralStrategy(player, tuple(choices))
+    return BehavioralStrategy(
+        player,
+        tuple(unit_vector(len(iset.actions), action) for iset, action in zip(sets, pure)),
+    )
 
 
 # -- operations -----------------------------------------------------------
@@ -410,59 +399,33 @@ def behavioral_to_mixed(game: GameTree, beh: BehavioralStrategy) -> MixedStrateg
     return MixedStrategy(beh.player, Vector(weights))
 
 
-def _distribution_against(
-    game: GameTree,
-    player: str,
-    strategy: Strategy,
-    opponents: tuple[str, ...],
-    opp_pures: tuple[tuple[int, ...], ...],
-) -> tuple[Fraction, ...]:
-    """Terminal distribution of (strategy, fixed opponent pure profile)."""
-    choice = {q: pure for q, pure in zip(opponents, opp_pures)}
-
-    def walk_behavioral(beh: BehavioralStrategy) -> list[Fraction]:
-        out = [Fraction(0)] * len(game.terminals())
-        index = {path: i for i, (path, _) in enumerate(game.terminals())}
-
-        def walk(path: Path, node: Node, weight: Fraction) -> None:
-            if isinstance(node, TerminalNode):
-                out[index[path]] += weight
-                return
-            _, iset = game.infoset_at(path)
-            if node.player == player:
-                local = beh.choices[iset]
-                for i in range(len(node.actions)):
-                    if local[i] != 0:
-                        walk(path + (node.actions[i],), node.children[i], weight * local[i])
-            else:
-                i = choice[node.player][iset]
-                walk(path + (node.actions[i],), node.children[i], weight)
-
-        walk((), game.root, Fraction(1))
-        return out
-
-    if isinstance(strategy, BehavioralStrategy):
-        return tuple(walk_behavioral(strategy))
-    out = [Fraction(0)] * len(game.terminals())
-    for pure, w in zip(game.pure_strategies(player), strategy.weights):
-        if w == 0:
-            continue
-        for i, mass in enumerate(walk_behavioral(pure_behavioral(game, player, pure))):
-            out[i] += w * mass
-    return tuple(out)
-
-
 def outcome_equivalent(game: GameTree, player: str, s1: Strategy, s2: Strategy) -> bool:
-    """Exact outcome equality against every profile of opponent pure strategies."""
+    """Exact outcome equality against every profile of opponent pure strategies.
+
+    A behavioral strategy's distribution is its outcome_distribution.  A mixed
+    strategy's is the weighted sum of its pure strategies' distributions, not
+    that of its Kuhn image, so comparing a mixed strategy with its image tests
+    Kuhn's theorem rather than assuming it.
+    """
     for s in (s1, s2):
         s.validate(game)
         if s.player != player:
             raise ValueError(f"strategy belongs to {s.player!r}, not {player!r}")
     opponents = tuple(q for q in game.players if q != player)
+
+    def against(strategy: Strategy, profile: dict[str, BehavioralStrategy]) -> Vector:
+        if isinstance(strategy, BehavioralStrategy):
+            return outcome_distribution(game, {**profile, player: strategy}).probabilities
+        total = [Fraction(0)] * len(game.terminals())
+        for pure, w in zip(game.pure_strategies(player), strategy.weights):
+            if w != 0:
+                for i, p in enumerate(against(pure_behavioral(game, player, pure), profile)):
+                    total[i] += w * p
+        return Vector(total)
+
     for opp_pures in itertools.product(*[game.pure_strategies(q) for q in opponents]):
-        if _distribution_against(game, player, s1, opponents, opp_pures) != (
-            _distribution_against(game, player, s2, opponents, opp_pures)
-        ):
+        profile = {q: pure_behavioral(game, q, p) for q, p in zip(opponents, opp_pures)}
+        if against(s1, profile) != against(s2, profile):
             return False
     return True
 
@@ -496,27 +459,26 @@ def _node_from_json(data, parameters: dict, path: str) -> Node:
         raise GameJsonError(f"{path}: must be an object")
     if "payoffs" in data:
         entries = []
-        for raw in _field(data, "payoffs", path, list):
+        for j, raw in enumerate(_field(data, "payoffs", path, list)):
             if isinstance(raw, str) and raw in parameters:
                 entries.append(raw)
+            elif (value := read_rational(raw, "", [])) is not None:
+                entries.append(value)
             else:
-                try:
-                    entries.append(rat(raw))
-                except (ValueError, TypeError, ZeroDivisionError):
-                    raise UnboundParameterError(
-                        f"payoff {raw!r} is neither a rational nor a declared parameter"
-                    )
+                raise GameJsonError(
+                    f"{path}.payoffs[{j}]: {raw!r} is neither an exact rational "
+                    "nor a declared parameter"
+                )
         return TerminalNode(tuple(entries))
-    player = _field(data, "player", path)
+    player = _field(data, "player", path, str)
     moves = []
     for i, action in enumerate(_field(data, "actions", path, list)):
         where = f"{path}.actions[{i}]"
         if not isinstance(action, dict):
             raise GameJsonError(f"{where}: must be an object")
         child = _field(action, "child", where)
-        moves.append(
-            (_field(action, "label", where), _node_from_json(child, parameters, f"{where}.child"))
-        )
+        label = _field(action, "label", where, str)
+        moves.append((label, _node_from_json(child, parameters, f"{where}.child")))
     return decision(player, moves)
 
 
@@ -539,16 +501,34 @@ def game_from_json(data: dict) -> GameTree:
     """Build a game from its JSON object (see ``game_to_json``).
 
     A missing or mistyped field raises GameJsonError naming its path, which
-    starts at ``game``; structural faults raise MalformedGameError.
+    starts at ``game``; structural faults raise MalformedGameError.  Payoffs
+    and parameter values are read by ``read_rational``: integers or "p/q"
+    strings, never decimals.
     """
     if not isinstance(data, dict):
         raise GameJsonError("game: must be an object")
     players = _field(data, "players", "game", list)
+    if not all(isinstance(p, str) for p in players):
+        raise GameJsonError("game.players: must be a list of player names")
     parameters = data.get("parameters", {})
     if not isinstance(parameters, dict):
         raise GameJsonError("game.parameters: must be an object")
+    bad: list[str] = []
+    values = {k: read_rational(v, f"game.parameters.{k}", bad) for k, v in parameters.items()}
+    if bad:
+        raise GameJsonError(bad[0])
+    isets = data.get("information_sets", [])
+    if not isinstance(isets, list):
+        raise GameJsonError("game.information_sets: must be a list")
+    for i, spec in enumerate(isets):
+        if not isinstance(spec, list) or not all(
+            isinstance(p, list) and all(isinstance(a, str) for a in p) for p in spec
+        ):
+            raise GameJsonError(
+                f"game.information_sets[{i}]: must be a list of paths, each a list of labels"
+            )
     root = _node_from_json(_field(data, "root", "game"), parameters, "game.root")
-    return GameTree(players, root, data.get("information_sets", ()), parameters)
+    return GameTree(players, root, isets, values)
 
 
 _FIG1 = {

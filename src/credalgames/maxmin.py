@@ -23,11 +23,12 @@ from .exactmath import (
     LinearProgram,
     Polytope,
     Vector,
+    affine_image,
     lp_solve,
-    polytope_minimize,
     rat,
     row_reduce,
     solve_square_system,
+    unit_vector,
 )
 
 
@@ -152,7 +153,7 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
         else:
             inequalities.append((list(g.entries), value))
     for i in range(k):
-        unit = [Fraction(int(i == j)) for j in range(k)]
+        unit = list(unit_vector(k, i))
         if payoff[i] < value:
             equalities.append(unit)
         else:
@@ -167,7 +168,7 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
     # columns span the solutions of the homogeneous equalities
     directions = []
     for q in free:
-        d = [Fraction(int(j == q)) for j in range(k)]
+        d = list(unit_vector(k, q))
         for row, p in zip(basis, pivots):
             d[p] = -row[q]
         directions.append(d)
@@ -228,16 +229,7 @@ def constrained_maxmin(p: DecisionProblem, restriction: Polytope) -> MaxminSolut
     m = len(restriction.vertices)
     lifted = [Vector(r.dot(g) for r in restriction.vertices) for g in gains]
     value, weight_face = _solve(lifted, m)
-    points = []
-    for w in weight_face:
-        s = Vector(
-            sum(
-                (wi * r[j] for wi, r in zip(w, restriction.vertices)),
-                Fraction(0),
-            )
-            for j in range(p.strategy_dimension)
-        )
-        points.append(s)
-    face = polytope_minimize(Polytope(p.strategy_dimension, tuple(points)))
+    # the map's column i is the restriction's vertex i
+    face = affine_image(Polytope(m, weight_face), list(zip(*restriction.vertices)))
     strategy = face.vertices[0]
     return MaxminSolution(value, strategy, face, _binding(p, strategy, value))

@@ -78,9 +78,7 @@ class _Panel:
         self.y0 = oy + size - margin
 
     def point(self, u: Fraction, v: Fraction) -> str:
-        px = self.x0 + u * self.side
-        py = self.y0 - v * self.side
-        return f"{_fmt(px)},{_fmt(py)}"
+        return ",".join(self.xy(u, v))
 
     def xy(self, u: Fraction, v: Fraction) -> tuple[str, str]:
         px = self.x0 + u * self.side

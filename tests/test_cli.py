@@ -255,9 +255,20 @@ def test_zero_denominators_and_bools_are_schema_errors(argv, edit, tmp_path, cap
         ("inline", ("game", "root", "actions", 0, "child"), None,
          "game.root.actions[0].child: required"),
         ("inline", ("game", "root"), [], "game.root: must be an object"),
+        ("inline", ("game", "information_sets"), 5, "game.information_sets: must be a list"),
+        ("inline", ("game", "root", "actions", 2, "child", "payoffs", 0), "zz",
+         "game.root.actions[2].child.payoffs[0]: 'zz' is neither"),
+        ("inline", ("game", "parameters", "x"), "1/0", "game.parameters.x: '1/0'"),
+        ("inline", ("game", "root", "actions", 2, "child", "payoffs", 1), "0.5",
+         "game.root.actions[2].child.payoffs[1]: '0.5'"),
+        ("inline", ("game", "parameters", "x"), "1e3", "game.parameters.x: '1e3'"),
+        ("inline", ("game", "root", "actions", 0, "label"), 5,
+         "game.root.actions[0].label: must be a str"),
     ],
     ids=["eps-without-states", "bindings-list", "center-length", "grid-entry",
-         "game-action-without-child", "game-list-root"],
+         "game-action-without-child", "game-list-root", "game-int-information-sets",
+         "game-undeclared-payoff", "game-zero-denominator-parameter", "game-decimal-payoff",
+         "game-exponent-parameter", "game-int-label"],
 )
 def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tmp_path, capsys):
     assert main(["validate", _scenario_file(tmp_path, name, path, value)]) == 1
@@ -283,6 +294,10 @@ def test_eps_flag_rejected_on_credal_beliefs(capsys):
     assert "schema error: --eps" in capsys.readouterr().err
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -295,5 +310,36 @@ def test_eps_flag_rejected_on_credal_beliefs(capsys):
 )
 def test_json_reports_match_golden_digests(argv, digest, capsys):
     assert main(argv + ["--json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
+    assert _digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["analyze", "fig1"], "25954a1236a3dfe7"),
+        (["analyze", "fig4"], "151fea6e37ae32ad"),
+        (["update", "fig1"], "6515e261eb7bf31f"),
+        (["check-dc", "fig1", "--eps", "1/4", "--rectangularize"], "bf675e498557d104"),
+        (["sweep", "--eps-list", "1/200,1/102,1/100,1/4"], "05a115dc9e19ebf1"),
+        (["check-dc", "fig4", "--player", "2"], "38b5f45c79f327c3"),
+    ],
+    ids=["analyze-fig1", "analyze-fig4", "update-fig1", "check-dc-rect", "sweep-list",
+         "check-dc-fig4-player-2"],
+)
+def test_text_reports_match_golden_digests(argv, digest, capsys):
+    assert main(argv) == 0
+    assert _digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["render", "fig1", "--layers", "hull,beliefs,update"], "9af3422a0cca5822"),
+        (["render", "fig4", "--layers", "beliefs,induced"], "d5a9662ba5686081"),
+    ],
+    ids=["fig1-hull-beliefs-update", "fig4-beliefs-induced"],
+)
+def test_svg_renders_match_golden_digests(argv, digest, tmp_path, capsys):
+    out = tmp_path / "figure.svg"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _digest(out.read_text(encoding="utf-8")) == digest

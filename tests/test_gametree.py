@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from credalgames.gametree import (
     GameTree,
     MalformedGameError,
     MixedStrategy,
+    TerminalNode,
     UnboundParameterError,
     behavioral_to_mixed,
     builtin_game,
@@ -18,6 +20,7 @@ from credalgames.gametree import (
     mixed_to_behavioral,
     outcome_distribution,
     outcome_equivalent,
+    pure_behavioral,
     terminal,
     validate_perfect_recall,
 )
@@ -258,3 +261,75 @@ def test_random_round_trip_small():
             behavioral = random_behavioral(rng, game, player)
             back = behavioral_to_mixed(game, behavioral)
             assert outcome_equivalent(game, player, behavioral, back)
+
+
+# -- tree-walking oracle ---------------------------------------------------------
+
+
+def oracle_distribution(game, player, strategy, opponents, opp_pures):
+    """Terminal distribution of (strategy, fixed opponent pure profile).
+
+    Walks the tree directly: opponent nodes follow their pure choice, and a
+    mixed strategy is the weighted sum of its pure strategies' walks.
+    """
+    choice = dict(zip(opponents, opp_pures))
+    index = {path: i for i, (path, _) in enumerate(game.terminals())}
+
+    def walk_behavioral(beh):
+        out = [F(0)] * len(index)
+
+        def walk(path, node, weight):
+            if isinstance(node, TerminalNode):
+                out[index[path]] += weight
+                return
+            _, iset = game.infoset_at(path)
+            if node.player == player:
+                for i, p in enumerate(beh.choices[iset]):
+                    if p != 0:
+                        walk(path + (node.actions[i],), node.children[i], weight * p)
+            else:
+                i = choice[node.player][iset]
+                walk(path + (node.actions[i],), node.children[i], weight)
+
+        walk((), game.root, F(1))
+        return out
+
+    if isinstance(strategy, BehavioralStrategy):
+        return tuple(walk_behavioral(strategy))
+    out = [F(0)] * len(index)
+    for pure, w in zip(game.pure_strategies(player), strategy.weights):
+        for i, mass in enumerate(walk_behavioral(pure_behavioral(game, player, pure))):
+            out[i] += w * mass
+    return tuple(out)
+
+
+def oracle_equivalent(game, player, s1, s2):
+    opponents = tuple(q for q in game.players if q != player)
+    return all(
+        oracle_distribution(game, player, s1, opponents, pures)
+        == oracle_distribution(game, player, s2, opponents, pures)
+        for pures in itertools.product(*[game.pure_strategies(q) for q in opponents])
+    )
+
+
+def test_outcome_equivalence_matches_tree_walking_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    verdicts = []
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(hypothesis.strategies.randoms(use_true_random=False))
+    def check(rng):
+        game = random_perfect_recall_game(rng)
+        player = rng.choice(game.players)
+        mixed = random_mixed(rng, game, player)
+        for s1, s2 in (
+            (mixed, mixed_to_behavioral(game, mixed)),  # equivalent by Kuhn
+            (mixed, random_mixed(rng, game, player)),
+            (mixed, random_behavioral(rng, game, player)),
+        ):
+            verdict = outcome_equivalent(game, player, s1, s2)
+            assert verdict == oracle_equivalent(game, player, s1, s2)
+            verdicts.append(verdict)
+
+    check()
+    assert True in verdicts and False in verdicts
