@@ -105,17 +105,6 @@ class CredalSet:
     def event_mass(self, vertex: Vector, event: Cell) -> Fraction:
         return sum((vertex[self.space.index(s)] for s in event), Fraction(0))
 
-    def to_json(self) -> dict:
-        return {
-            "states": list(self.space.labels),
-            "vertices": [v.to_json() for v in self.vertices],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CredalSet":
-        space = StateSpace(tuple(data["states"]))
-        return cls.from_vertices(space, [Vector.from_json(v) for v in data["vertices"]])
-
 
 @dataclass(frozen=True)
 class Filtration:
@@ -153,33 +142,21 @@ class Filtration:
         )
         return cls(space, norm)
 
-    def to_json(self) -> dict:
-        return {"stages": [[list(c) for c in stage] for stage in self.stages]}
-
-    @classmethod
-    def from_json(cls, space: StateSpace, data: dict) -> "Filtration":
-        return cls.build(space, [[tuple(c) for c in stage] for stage in data["stages"]])
-
 
 # -- operations -----------------------------------------------------------
 
 
-def eps_contamination(
-    center: Vector, eps: Fraction | int | str, space: StateSpace | None = None
-) -> CredalSet:
+def eps_contamination(center: Vector, eps: Fraction | int | str, space: StateSpace) -> CredalSet:
     """Mix a reference prior with every point mass at weight eps.
 
     The hull of the mixed unit vectors equals the full eps-blend of the
-    simplex around the center.  Without explicit labels the states are
-    named s0, s1, ...
+    simplex around the center.
     """
     e = rat(eps)
     if not 0 <= e <= 1:
         raise ValueError(f"contamination weight {e} outside [0, 1]")
     if not center.is_probability():
         raise ValueError("center must be a probability vector")
-    if space is None:
-        space = StateSpace(tuple(f"s{i}" for i in range(center.dimension)))
     verts = [
         center.scale(1 - e) + unit_vector(center.dimension, s).scale(e)
         for s in range(center.dimension)
@@ -193,10 +170,10 @@ def full_bayes_update(c: CredalSet, event) -> CredalSet:
     Raises ZeroProbabilityReachError when some extreme prior gives the event
     probability zero; silently taking closures would decide unstated theory.
     """
+    event = tuple(event)
+    if not event or len(set(event)) != len(event) or not set(event) <= set(c.space.labels):
+        raise ValueError(f"event {event} is not a set of the states {c.space.labels}")
     cell = tuple(sorted(event, key=c.space.index))
-    unknown = [s for s in cell if s not in c.space.labels]
-    if unknown or not cell:
-        raise ValueError(f"event {tuple(event)} is not a subset of the states")
     for v in c.vertices:
         if c.event_mass(v, cell) == 0:
             raise ZeroProbabilityReachError(cell, v)

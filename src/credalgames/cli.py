@@ -376,25 +376,13 @@ class Report:
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Report":
-        return cls(
-            data["scenario_hash"],
-            data["version"],
-            data["scenario"],
-            data["player"],
-            list(data["results"]),
-        )
-
 
 @dataclass
 class _Prepared:
-    game: GameTree
     player: str
     base_beliefs: CredalSet
     induced: CredalSet | None  # base beliefs pushed through the n_interval
-    decision_beliefs: CredalSet
-    problem: PlayerProblem
+    problem: PlayerProblem  # on the induced beliefs if any, hulled by --rectangularize
     interval: tuple[Fraction, Fraction] | None
     bindings: dict
     strategy_labels: tuple[str, ...]
@@ -413,19 +401,24 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
     base = spec.beliefs(flags.eps)
     interval = flags.interval or spec.n_interval
     induced = induce_downstream(base, interval) if interval else None
-    decision = base if induced is None else induced
     bindings = {**scenario.bindings, **(flags.bindings or {})}
-    problem = build_player_problem(game, player, decision, bindings)
+    problem = build_player_problem(game, player, induced or base, bindings)
     if flags.rectangularize:
         # the hull lives on the same states, so only the beliefs change
-        decision = rectangular_hull(decision, problem.filtration)
-        problem = replace(problem, exante=replace(problem.exante, beliefs=decision))
+        hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
+        problem = replace(problem, exante=replace(problem.exante, beliefs=hull))
+    event, states = flags.event or (), problem.space.labels
+    if len(set(event)) != len(event) or not set(event) <= set(states):
+        raise ScenarioSchemaError(
+            [f"--event: {','.join(event)} is not a set of player {player}'s states "
+             f"{','.join(states)}"]
+        )
     sets = game.information_sets_for(player)
     labels = tuple(
         "".join(sets[i].actions[a] for i, a in enumerate(pure)) or "(none)"
         for pure in game.pure_strategies(player)
     )
-    return _Prepared(game, player, base, induced, decision, problem, interval, bindings, labels)
+    return _Prepared(player, base, induced, problem, interval, bindings, labels)
 
 
 def _solution_json(sol: MaxminSolution, labels: tuple[str, ...]) -> dict:
@@ -441,12 +434,12 @@ def _solution_json(sol: MaxminSolution, labels: tuple[str, ...]) -> dict:
 def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlags) -> dict:
     pp = prep.problem
     if name == "validate":
-        check = validate_perfect_recall(prep.game)
+        check = validate_perfect_recall(scenario.game)
         return {
             "analysis": name,
             "schema": "ok",
             "perfect_recall": check.ok,
-            "players": list(prep.game.players),
+            "players": list(scenario.game.players),
             "states": list(pp.space.labels),
             "filtration": [list(map(list, stage)) for stage in pp.filtration.stages],
         }
@@ -517,7 +510,7 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlag
         if not grid or not slots:
             raise AnalysisError("find-payoffs needs --grid and --slots")
         found = find_dc_violation_payoffs(
-            prep.game, prep.player, prep.decision_beliefs, grid, slots, prep.bindings
+            scenario.game, prep.player, pp.exante.beliefs, grid, slots, prep.bindings
         )
         if found is None:
             return {"analysis": name, "found": False}

@@ -18,6 +18,7 @@ from .beliefs import (
     CredalSet,
     Filtration,
     StateSpace,
+    ZeroProbabilityReachError,
     cell_label,
     full_bayes_update,
 )
@@ -64,13 +65,6 @@ class PlayerProblem:
     @property
     def space(self) -> StateSpace:
         return self.exante.space
-
-    def slot_for(self, cell) -> ConditionalSlot:
-        want = tuple(cell)
-        for slot in self.conditionals:
-            if slot.cell == want:
-                return slot
-        raise KeyError(f"no conditional problem for cell {want}")
 
 
 # -- deriving the state structure from a game -------------------------------
@@ -237,16 +231,6 @@ def _assemble(
             )
         slots.append(ConditionalSlot(cell, tuple(payoff), tuple(proj)))
     return PlayerProblem(player, exante, filtration, tuple(slots))
-
-
-def opponent_states(game: GameTree, player: str) -> tuple[str, ...]:
-    """Labels and order of the player's opponent-path states.
-
-    Beliefs handed to build_player_problem must use these labels (or the
-    labels of their payoff-identical aggregation).
-    """
-    states, _, _, _, _ = _derive_structure(game, player)
-    return tuple(s.label for s in states)
 
 
 def build_player_problem(
@@ -472,14 +456,13 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
     reported, not judged.
     """
     exante = maxmin_solve(pp.exante)
-    beliefs = pp.exante.beliefs
     verdicts = []
     for slot in pp.conditionals:
-        masses = [beliefs.event_mass(v, slot.cell) for v in beliefs.vertices]
-        if any(m == 0 for m in masses):
+        try:
+            conditional_beliefs = full_bayes_update(pp.exante.beliefs, slot.cell)
+        except ZeroProbabilityReachError:
             verdicts.append(CellVerdict(slot.cell, UNREACHABLE))
             continue
-        conditional_beliefs = full_bayes_update(beliefs, slot.cell)
         order = [slot.cell.index(lab) for lab in conditional_beliefs.space.labels]
         payoff = [[row[i] for i in order] for row in slot.payoff]
         problem = DecisionProblem.build(

@@ -20,7 +20,7 @@ from .polytope import (
     polytope_equal,
     polytope_minimize,
 )
-from .rational import Rational, approx_decimal, format_rational, rat, read_rational
+from .rational import approx_decimal, rat, read_rational
 from .vector import (
     DimensionMismatchError,
     Vector,
@@ -41,12 +41,10 @@ __all__ = [
     "LpSolution",
     "OPTIMAL",
     "Polytope",
-    "Rational",
     "UNBOUNDED",
     "Vector",
     "affine_image",
     "approx_decimal",
-    "format_rational",
     "lp_feasible",
     "lp_solve",
     "matrix_apply",

@@ -5,13 +5,13 @@ every number is exact, and the fixed rule makes the returned optimum
 deterministic for a given program.  Problem sizes in this library are tiny
 (a handful of variables and rows), so clarity wins over sparse tricks.
 
-An optimal solution also carries ``duals``, one multiplier per entry of
-``LinearProgram.constraints`` (bounds get none), read off the final
-tableau.  They are shadow prices of the maximization: ``y >= 0`` on ``<=``
-rows, ``y <= 0`` on ``>=`` rows, free on ``==`` rows.  When every variable
-is bounded only by ``x >= 0`` they form an optimal dual solution:
-``A^T y >= c`` and ``b . y`` equals the optimal value.  With other bounds
-the bounds' own multipliers, which are not returned, close the gap.
+Every variable is nonnegative unless listed in ``LinearProgram.free``.  An
+optimal solution also carries ``duals``, one multiplier per entry of
+``LinearProgram.constraints``, read off the final tableau.  They are shadow
+prices of the maximization: ``y >= 0`` on ``<=`` rows, ``y <= 0`` on ``>=``
+rows, free on ``==`` rows.  They always form an optimal dual solution:
+``(A^T y)_j >= c_j`` on nonnegative variables, ``(A^T y)_j = c_j`` on free
+ones, and ``b . y`` equals the optimal value.
 """
 
 from __future__ import annotations
@@ -42,21 +42,17 @@ class Constraint:
             raise ValueError(f"unknown relation {self.relation!r}")
 
 
-Bound = tuple[Fraction | None, Fraction | None]
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """Maximize ``objective . x`` subject to linear constraints.
 
-    ``bounds`` gives one optional (lower, upper) pair per variable; a
-    variable with no bounds is free.  Convenience constructors below cover
-    the common cases.
+    Every variable is nonnegative except those whose indexes are in
+    ``free``.
     """
 
     objective: Vector
     constraints: tuple[Constraint, ...]
-    bounds: tuple[Bound, ...]
+    free: frozenset[int] = frozenset()
 
     def __post_init__(self):
         n = self.objective.dimension
@@ -65,23 +61,17 @@ class LinearProgram:
                 raise DimensionMismatchError(
                     f"constraint has {c.coefficients.dimension} coefficients, expected {n}"
                 )
-        if len(self.bounds) != n:
-            raise DimensionMismatchError("one bound pair needed per variable")
+        if not all(0 <= j < n for j in self.free):
+            raise DimensionMismatchError(f"free variable index outside 0..{n - 1}")
 
     @classmethod
-    def build(cls, objective, constraints, bounds=None) -> "LinearProgram":
+    def build(cls, objective, constraints, free=()) -> "LinearProgram":
         obj = objective if isinstance(objective, Vector) else Vector(objective)
         rows = []
         for coeffs, rel, rhs in constraints:
             vec = coeffs if isinstance(coeffs, Vector) else Vector(coeffs)
             rows.append(Constraint(vec, rel, rat(rhs)))
-        if bounds is None:
-            bounds = [(None, None)] * obj.dimension
-        norm = tuple(
-            (None if lo is None else rat(lo), None if up is None else rat(up))
-            for lo, up in bounds
-        )
-        return cls(obj, tuple(rows), norm)
+        return cls(obj, tuple(rows), frozenset(free))
 
 
 @dataclass(frozen=True)
@@ -161,70 +151,34 @@ class _Tableau:
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve exactly; deterministic for a fixed program (Bland's rule)."""
-    n = lp.objective.dimension
-
-    # shift/split variables so every tableau variable is >= 0
-    transforms: list[tuple[Fraction, list[tuple[int, Fraction]]]] = []
-    extra_rows: list[tuple[list[tuple[int, Fraction]], Fraction]] = []
-    ny = 0
+    # a free variable becomes the difference of two nonnegative columns
+    split = [j in lp.free for j in range(lp.objective.dimension)]
+    ny = len(split) + sum(split)
     one = Fraction(1)
-    for lo, up in lp.bounds:
-        if lo is not None and up is not None and up < lo:
-            return LpSolution(INFEASIBLE)
-        if lo is not None:
-            transforms.append((lo, [(ny, one)]))
-            if up is not None:
-                extra_rows.append(([(ny, one)], up - lo))
-            ny += 1
-        elif up is not None:
-            transforms.append((up, [(ny, -one)]))
-            ny += 1
-        else:
-            transforms.append((Fraction(0), [(ny, one), (ny + 1, -one)]))
-            ny += 2
 
-    def to_y(coeffs) -> tuple[list[Fraction], Fraction]:
-        """Rewrite a row over x as a row over y plus the constant shift."""
-        row = [Fraction(0)] * ny
-        shift = Fraction(0)
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            const, terms = transforms[j]
-            shift += c * const
-            for k, f in terms:
-                row[k] += c * f
-        return row, shift
-
-    rows_y: list[list[Fraction]] = []
-    rels: list[str] = []
-    rhs_y: list[Fraction] = []
-    for con in lp.constraints:
-        row, shift = to_y(con.coefficients)
-        rows_y.append(row)
-        rels.append(con.relation if con.relation != GREATER_EQUAL else GREATER_EQUAL)
-        rhs_y.append(con.rhs - shift)
-    for terms, ub in extra_rows:
-        row = [Fraction(0)] * ny
-        for k, f in terms:
-            row[k] += f
-        rows_y.append(row)
-        rels.append(LESS_EQUAL)
-        rhs_y.append(ub)
+    def to_y(coeffs) -> list[Fraction]:
+        """Rewrite a row over x as a row over the nonnegative columns."""
+        row = []
+        for c, free in zip(coeffs, split):
+            row.append(c)
+            if free:
+                row.append(-c)
+        return row
 
     # equality standard form: one slack per inequality, rhs made nonnegative
-    nslack = sum(1 for r in rels if r != EQUAL)
+    nslack = sum(1 for con in lp.constraints if con.relation != EQUAL)
     ncols = ny + nslack
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     slack_sign: list[Fraction | None] = []
     flipped: list[bool] = []
     s = 0
-    for row, rel, b in zip(rows_y, rels, rhs_y):
-        full = row + [Fraction(0)] * nslack
+    for con in lp.constraints:
+        full = to_y(con.coefficients) + [Fraction(0)] * nslack
+        b = con.rhs
         sign = None
-        if rel != EQUAL:
-            sign = one if rel == LESS_EQUAL else -one
+        if con.relation != EQUAL:
+            sign = one if con.relation == LESS_EQUAL else -one
             full[ny + s] = sign
             s += 1
         flipped.append(b < 0)
@@ -280,8 +234,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
                 else:
                     tab.pivot(r, col)
 
-    obj_row, obj_shift = to_y(lp.objective)
-    cost2 = obj_row + [Fraction(0)] * (ncols - ny)
+    cost2 = to_y(lp.objective) + [Fraction(0)] * (ncols - ny)
     allowed = [j < ny + nslack for j in range(ncols)]
     status = tab.run(cost2, allowed)
     if status == UNBOUNDED:
@@ -290,10 +243,11 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     y = [Fraction(0)] * ncols
     for r, b in enumerate(tab.basis):
         y[b] = tab.rhs[r]
-    point = Vector(
-        const + sum((f * y[k] for k, f in terms), Fraction(0))
-        for const, terms in transforms
-    )
+    entries, col = [], 0
+    for free in split:
+        entries.append(y[col] - y[col + 1] if free else y[col])
+        col += 1 + free
+    point = Vector(entries)
     value = lp.objective.dot(point)
     duals = _duals(tab, cost2, unit_cols, flipped, len(lp.constraints))
     return LpSolution(OPTIMAL, value, point, duals)
@@ -320,8 +274,8 @@ def _duals(
     return tuple(duals)
 
 
-def lp_feasible(constraints, n: int, bounds=None) -> Vector | None:
-    """A feasible point of the system, or None (phase-1 only: zero objective)."""
-    lp = LinearProgram.build([Fraction(0)] * n, constraints, bounds)
+def lp_feasible(constraints, n: int) -> Vector | None:
+    """A nonnegative feasible point of the system, or None (phase 1 only)."""
+    lp = LinearProgram.build([Fraction(0)] * n, constraints)
     sol = lp_solve(lp)
     return sol.point if sol.is_optimal else None

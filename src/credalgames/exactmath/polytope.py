@@ -40,13 +40,6 @@ class Polytope:
             "vertices": [v.to_json() for v in self.vertices],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Polytope":
-        p = cls.from_vertices([Vector.from_json(v) for v in data["vertices"]])
-        if p.ambient_dimension != data["dimension"]:
-            raise DimensionMismatchError("vertex length disagrees with dimension")
-        return p
-
 
 def polytope_contains(p: Polytope, x: Vector) -> bool:
     """Exact test that x is a convex combination of p's vertices."""
@@ -65,8 +58,7 @@ def polytope_contains(p: Polytope, x: Vector) -> bool:
         row = [v[coord] for v in verts]
         constraints.append((row, EQUAL, x[coord]))
     constraints.append(([Fraction(1)] * n, EQUAL, Fraction(1)))
-    bounds = [(Fraction(0), None)] * n
-    return lp_feasible(constraints, n, bounds) is not None
+    return lp_feasible(constraints, n) is not None
 
 
 def polytope_minimize(p: Polytope) -> Polytope:

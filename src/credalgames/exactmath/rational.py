@@ -11,16 +11,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, a "p/q"/"n" string, or a Fraction to an exact Rational.
+    """Coerce an int, a "p/q"/"n" string, or a Fraction to an exact Fraction.
 
     Floats are rejected: silently admitting binary floats would smuggle
     rounding into a library whose contract is exactness.
@@ -45,11 +40,6 @@ def read_rational(value, path: str, out: list[str]) -> Fraction | None:
         return Fraction(value.strip())
     out.append(f"{path}: {value!r} is not an exact rational like 1/102")
     return None
-
-
-def format_rational(value: Fraction) -> str:
-    """Render as "p/q", or "n" when the denominator is 1. Round-trips via rat()."""
-    return str(value)
 
 
 def approx_decimal(value: Fraction, digits: int = 6) -> str:

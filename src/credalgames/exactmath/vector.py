@@ -88,10 +88,6 @@ class Vector:
     def to_json(self) -> list[str]:
         return [str(e) for e in self.entries]
 
-    @classmethod
-    def from_json(cls, data: Sequence[int | str]) -> "Vector":
-        return cls(data)
-
 
 def unit_vector(dimension: int, index: int) -> Vector:
     return Vector(Fraction(1) if i == index else Fraction(0) for i in range(dimension))

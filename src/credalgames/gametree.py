@@ -331,6 +331,11 @@ def outcome_distribution(game: GameTree, profile: dict[str, BehavioralStrategy])
         if player not in profile:
             raise MissingStrategyError(f"profile misses player {player!r}")
         profile[player].validate(game)
+    return _distribution(game, profile)
+
+
+def _distribution(game: GameTree, profile: dict[str, BehavioralStrategy]) -> OutcomeDistribution:
+    """outcome_distribution of a profile that is already validated."""
     probs: dict[Path, Fraction] = {}
 
     def walk(path: Path, node: Node, weight: Fraction) -> None:
@@ -405,7 +410,8 @@ def outcome_equivalent(game: GameTree, player: str, s1: Strategy, s2: Strategy) 
     A behavioral strategy's distribution is its outcome_distribution.  A mixed
     strategy's is the weighted sum of its pure strategies' distributions, not
     that of its Kuhn image, so comparing a mixed strategy with its image tests
-    Kuhn's theorem rather than assuming it.
+    Kuhn's theorem rather than assuming it.  Both strategies are validated
+    once here; the opponents' pure strategies are valid by construction.
     """
     for s in (s1, s2):
         s.validate(game)
@@ -415,7 +421,7 @@ def outcome_equivalent(game: GameTree, player: str, s1: Strategy, s2: Strategy) 
 
     def against(strategy: Strategy, profile: dict[str, BehavioralStrategy]) -> Vector:
         if isinstance(strategy, BehavioralStrategy):
-            return outcome_distribution(game, {**profile, player: strategy}).probabilities
+            return _distribution(game, {**profile, player: strategy}).probabilities
         total = [Fraction(0)] * len(game.terminals())
         for pure, w in zip(game.pure_strategies(player), strategy.weights):
             if w != 0:

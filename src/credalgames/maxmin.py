@@ -62,18 +62,6 @@ class DecisionProblem:
             for row in self.payoff
         )
 
-    def to_json(self) -> dict:
-        return {
-            "strategy_dimension": self.strategy_dimension,
-            "payoff": [[str(x) for x in row] for row in self.payoff],
-            "beliefs": self.beliefs.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DecisionProblem":
-        beliefs = CredalSet.from_json(data["beliefs"])
-        return cls.build(data["payoff"], beliefs.space, beliefs)
-
 
 @dataclass(frozen=True)
 class MaxminSolution:
@@ -122,11 +110,8 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
     for g in gains:
         constraints.append((list(g.entries) + [Fraction(-1)], GREATER_EQUAL, 0))
     constraints.append(([Fraction(1)] * k + [Fraction(0)], EQUAL, 1))
-    bounds = [(Fraction(0), None)] * k + [(None, None)]
-    lp = LinearProgram.build(
-        [Fraction(0)] * k + [Fraction(1)], constraints, bounds
-    )
-    sol = lp_solve(lp)
+    # the strategy is nonnegative, the value variable free
+    sol = lp_solve(LinearProgram.build([Fraction(0)] * k + [Fraction(1)], constraints, [k]))
     if not sol.is_optimal:
         raise RuntimeError("simplex-constrained maxmin LP is not optimal")
     value = sol.value

@@ -25,8 +25,6 @@ class TriangleLayer:
     label: str = ""
     fill: str | None = None
     stroke: str = "#404040"
-    coords: tuple[int, int] = (0, 1)
-    label_vertices: bool = True
 
 
 @dataclass(frozen=True)
@@ -93,13 +91,8 @@ def _panel_svg(panel: TrianglePanel, geom: _Panel) -> list[str]:
     parts.append(f'<line x1="{geom.xy(one, zero)[0]}" y1="{geom.xy(one, zero)[1]}" x2="{geom.xy(zero, one)[0]}" y2="{geom.xy(zero, one)[1]}" stroke-dasharray="4 3" />')
     parts.append("</g>")
 
-    first_space = panel.layers[0].credal.space if panel.layers else None
-    if first_space is not None:
-        ci, cj = panel.layers[0].coords
-        x_axis, y_axis = first_space.labels[ci], first_space.labels[cj]
-        others = [
-            lab for k, lab in enumerate(first_space.labels) if k not in (ci, cj)
-        ]
+    if panel.layers:
+        x_axis, y_axis, *others = panel.layers[0].credal.space.labels
         origin = ",".join(others)
         ax, ay = geom.xy(one + Fraction(3, 100), zero)
         parts.append(f'<text x="{ax}" y="{ay}" font-size="12" dx="4">{x_axis}</text>')
@@ -113,8 +106,7 @@ def _panel_svg(panel: TrianglePanel, geom: _Panel) -> list[str]:
 
     for i, layer in enumerate(panel.layers):
         fill = layer.fill or PALETTE[i % len(PALETTE)]
-        ci, cj = layer.coords
-        pts = [Vector([v[ci], v[cj]]) for v in layer.credal.vertices]
+        pts = [Vector(v.entries[:2]) for v in layer.credal.vertices]
         if len(pts) == 1:
             x, y = geom.xy(pts[0][0], pts[0][1])
             parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="{layer.stroke}" />')
@@ -134,14 +126,13 @@ def _panel_svg(panel: TrianglePanel, geom: _Panel) -> list[str]:
             parts.append(
                 f'<text x="{x}" y="{y}" font-size="11" dx="6" dy="-8" font-weight="bold">{layer.label}</text>'
             )
-        if layer.label_vertices:
-            for p in sorted(pts):
-                x, y = geom.xy(p[0], p[1])
-                label = f"({p[0]},{p[1]})"
-                parts.append(
-                    f'<circle cx="{x}" cy="{y}" r="2" fill="{layer.stroke}" />'
-                    f'<text x="{x}" y="{y}" font-size="8" dx="3" dy="-3">{label}</text>'
-                )
+        for p in sorted(pts):
+            x, y = geom.xy(p[0], p[1])
+            label = f"({p[0]},{p[1]})"
+            parts.append(
+                f'<circle cx="{x}" cy="{y}" r="2" fill="{layer.stroke}" />'
+                f'<text x="{x}" y="{y}" font-size="8" dx="3" dy="-3">{label}</text>'
+            )
     if panel.title:
         x, y = geom.xy(Fraction(1, 2), one + Fraction(12, 100))
         parts.append(
@@ -150,27 +141,17 @@ def _panel_svg(panel: TrianglePanel, geom: _Panel) -> list[str]:
     return parts
 
 
-def render_triangle(panels, output_path: str | None = None) -> str:
-    """Render one or more panels into a fixed 512x512 SVG document.
+def render_triangle(panels: list[TrianglePanel], output_path: str | None = None) -> str:
+    """Render a list of panels into a fixed 512x512 SVG document.
 
-    Accepts a single panel, a list of panels, or a bare list of layers.
-    Two panels sit side by side; up to four fill a 2x2 grid.
+    Two panels sit side by side; three or four fill a 2x2 grid.
     """
-    if isinstance(panels, TrianglePanel):
-        panels = [panels]
-    elif panels and isinstance(panels[0], TriangleLayer):
-        panels = [TrianglePanel(tuple(panels))]
-    panels = list(panels)
-    if not panels or len(panels) > 4:
+    if not 1 <= len(panels) <= 4:
         raise ValueError("render_triangle draws between 1 and 4 panels")
     for panel in panels:
         for layer in panel.layers:
-            ci, cj = layer.coords
-            n = len(layer.credal.space)
-            if not (0 <= ci < n and 0 <= cj < n and ci != cj):
-                raise ValueError(
-                    f"cannot project a {n}-state space onto coordinates {layer.coords}"
-                )
+            if len(layer.credal.space) < 2:
+                raise ValueError("a triangle needs a space of at least two states")
 
     whole = Fraction(VIEW)
     if len(panels) == 1:

@@ -94,7 +94,8 @@ def test_02_conditional_optimum():
     pp = fig1_problem(F(1, 4))
     post = full_bayes_update(pp.exante.beliefs, ("L", "R"))
     assert set(post.vertices) == {Vector([0, 1]), Vector([F(1, 4), F(3, 4)])}
-    slot = pp.slot_for(("L", "R"))
+    (slot,) = pp.conditionals
+    assert slot.cell == ("L", "R")
     problem = DecisionProblem.build(slot.payoff, post.space, post)
     sol = maxmin_solve(problem)
     assert sol.strategy == Vector([F(1, 102), F(101, 102)])

@@ -96,6 +96,16 @@ def test_update_zero_probability_raises():
     assert info.value.vertex == Vector([0, 0, 1])
 
 
+@pytest.mark.parametrize(
+    "event", [("L", "L"), ("X",), ("O", "X"), ()], ids=["repeated", "unknown", "one-unknown", "empty"]
+)
+def test_update_rejects_events_that_are_not_sets_of_states(event):
+    # checked before sorting: an unknown label is not left to tuple.index,
+    # and a repeated one is not summed twice
+    with pytest.raises(ValueError, match="is not a set of the states"):
+        full_bayes_update(contamination("1/4"), event)
+
+
 def test_one_step_ahead_contamination():
     marg = one_step_ahead(contamination("1/4"), STAGE)
     assert marg.space.labels == ("{L,R}", "O")
@@ -264,15 +274,6 @@ def test_filtration_validation():
         Filtration.build(
             LRO, [(("L", "R"), ("O",)), (("L", "O"), ("R",))]
         )  # second stage does not refine the first
-
-
-def test_credal_json_round_trip():
-    data = QUAD.to_json()
-    clone = CredalSet.from_json(data)
-    assert clone.equals(QUAD)
-    assert clone.to_json() == data
-    f = Filtration.from_json(LRO, FILTRATION.to_json())
-    assert f == FILTRATION
 
 
 def _products(space, stage, marginal, conditionals):

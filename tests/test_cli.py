@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from credalgames.cli import (
-    Report,
     RunFlags,
     Scenario,
     ScenarioSchemaError,
@@ -72,8 +71,7 @@ def test_run_reports_exact_strings_and_marked_decimals():
 
 def test_report_json_round_trip_and_hash_stability():
     report = run("fig1", RunFlags(analyses=("maxmin",)))
-    clone = Report.from_json(json.loads(report.dumps()))
-    assert clone.dumps() == report.dumps()
+    assert json.loads(report.dumps()) == report.to_json()
     data = load_scenario("fig1")
     reordered = {k: data[k] for k in reversed(list(data))}
     assert scenario_hash(data) == scenario_hash(reordered)
@@ -281,8 +279,10 @@ def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tm
         (["maxmin", "fig1", "--eps", "2"], "--eps: 2 outside [0, 1]"),
         (["induce", "fig4", "--interval", "1/2:1/3"], "--interval: need 0 <= low <= high <= 1"),
         (["sweep", "--bisect", "1/2:1/3"], "--bisect: need 0 < low < high < 1"),
+        (["update", "fig1", "--event", "L,L"], "--event: L,L is not a set of player 2's states L,R,O"),
+        (["update", "fig1", "--event", "X"], "--event: X is not a set of player 2's states L,R,O"),
     ],
-    ids=["eps", "interval", "bisect"],
+    ids=["eps", "interval", "bisect", "event-repeated", "event-unknown"],
 )
 def test_out_of_range_flags_are_schema_errors(argv, where, capsys):
     assert main(argv) == 1

@@ -516,7 +516,7 @@ def test_derived_matrix_agrees_with_outcome_semantics():
     # for a fixed opponent behavioral profile, the strategic matrix dotted
     # with the induced state distribution must equal the tree's expected
     # payoff, computed independently through outcome_distribution
-    from credalgames.dynamics import _derive_structure, opponent_states
+    from credalgames.dynamics import _derive_structure
     from credalgames.gametree import (
         DecisionNode,
         outcome_distribution,
@@ -530,7 +530,7 @@ def test_derived_matrix_agrees_with_outcome_semantics():
         game = random_perfect_recall_game(rng)
         player = rng.choice(game.players)
         try:
-            labels = opponent_states(game, player)
+            states, _, _, _, _ = _derive_structure(game, player)
         except StateSpaceError:
             continue  # an opponent moves below the player with varying payoffs
         profile = {q: random_behavioral(rng, game, q) for q in game.players}
@@ -548,10 +548,9 @@ def test_derived_matrix_agrees_with_outcome_semantics():
                 walked = walked + (label,)
             return prob
 
-        states, _, _, _, _ = _derive_structure(game, player)
         point = [state_probability(s.path) for s in states]
         assert sum(point) == 1  # opponent paths partition the play
-        space = StateSpace(labels)
+        space = StateSpace(tuple(s.label for s in states))
         beliefs = CredalSet.singleton(space, point)
         pp = build_player_problem(game, player, beliefs)
         pidx = game.players.index(player)

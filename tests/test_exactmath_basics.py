@@ -5,7 +5,6 @@ import pytest
 from credalgames.exactmath import (
     Vector,
     approx_decimal,
-    format_rational,
     rat,
     row_reduce,
     solve_square_system,
@@ -22,7 +21,7 @@ F = Fraction
 def test_parse_and_format_round_trip(text, expected):
     value = rat(text)
     assert value == expected
-    assert rat(format_rational(value)) == value
+    assert rat(str(value)) == value  # the wire format is str()
 
 
 def test_lowest_terms_and_positive_denominator():

@@ -11,68 +11,62 @@ from credalgames.exactmath import (
     UNBOUNDED,
     Vector,
     lp_solve,
+    unit_vector,
 )
 
 F = Fraction
 
 
-def solve(objective, constraints, bounds=None):
-    return lp_solve(LinearProgram.build(objective, constraints, bounds))
+def solve(objective, constraints, free=()):
+    return lp_solve(LinearProgram.build(objective, constraints, free))
 
 
 def test_single_variable_identity():
-    sol = solve([1], [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 0)])
+    sol = solve([1], [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 0)], free=[0])
     assert sol.is_optimal
     assert sol.value == 1
     assert sol.point == Vector([1])
 
 
 def test_contradictory_bounds_infeasible():
-    sol = solve([1], [([1], GREATER_EQUAL, 2), ([1], LESS_EQUAL, 1)])
+    sol = solve([1], [([1], GREATER_EQUAL, 2), ([1], LESS_EQUAL, 1)], free=[0])
     assert sol.status == INFEASIBLE
 
 
 def test_unbounded():
-    sol = solve([1], [([1], GREATER_EQUAL, 0)])
+    sol = solve([1], [([1], GREATER_EQUAL, 0)], free=[0])
     assert sol.status == UNBOUNDED
 
 
 def test_equality_constraint():
-    sol = solve(
-        [2, 3],
-        [([1, 1], EQUAL, 1)],
-        bounds=[(F(0), None), (F(0), None)],
-    )
+    sol = solve([2, 3], [([1, 1], EQUAL, 1)])
     assert sol.is_optimal
     assert sol.value == 3
     assert sol.point == Vector([0, 1])
 
 
 def test_variable_bounds_both_sides():
-    sol = solve([-1], [], bounds=[(F(1, 3), F(2))])
+    sol = solve([-1], [([1], GREATER_EQUAL, F(1, 3)), ([1], LESS_EQUAL, 2)], free=[0])
     assert sol.is_optimal
     assert sol.value == F(-1, 3)
     assert sol.point == Vector([F(1, 3)])
 
 
 def test_upper_bound_only():
-    sol = solve([1], [], bounds=[(None, F(7, 2))])
+    sol = solve([1], [([1], LESS_EQUAL, F(7, 2))], free=[0])
     assert sol.is_optimal
     assert sol.point == Vector([F(7, 2)])
 
 
 def test_crossed_bounds_infeasible():
-    sol = solve([1], [], bounds=[(F(2), F(1))])
+    # the free-variable case is test_contradictory_bounds_infeasible
+    sol = solve([1], [([1], GREATER_EQUAL, 2), ([1], LESS_EQUAL, 1)])
     assert sol.status == INFEASIBLE
 
 
 def test_free_variable_with_equalities():
     # x free, y >= 0: maximize x subject to x + y = -3, y <= 1
-    sol = solve(
-        [1, 0],
-        [([1, 1], EQUAL, -3), ([0, 1], LESS_EQUAL, 1)],
-        bounds=[(None, None), (F(0), None)],
-    )
+    sol = solve([1, 0], [([1, 1], EQUAL, -3), ([0, 1], LESS_EQUAL, 1)], free=[0])
     assert sol.is_optimal
     assert sol.value == -3
     assert sol.point == Vector([-3, 0])
@@ -96,7 +90,8 @@ def exante_strategic_lp(eps):
         slope = r - 101 * l
         # t - slope*m <= const
         constraints.append(([-slope, F(1)], LESS_EQUAL, const))
-    return LinearProgram.build([0, 1], constraints, bounds=[(F(0), F(1)), (None, None)])
+    constraints.append(([1, 0], LESS_EQUAL, 1))  # m in [0, 1], t free
+    return LinearProgram.build([0, 1], constraints, free=[1])
 
 
 def test_exante_strategic_form_at_eps_one_fiftieth():
@@ -139,8 +134,8 @@ def test_random_lps_match_vertex_enumeration():
         rhs = sum(c * u for c, u in zip(cut, ub)) * F(rng.randint(1, 4), 4)
         objective = [F(rng.randint(-3, 5)) for _ in range(n)]
         constraints = [(cut, LESS_EQUAL, rhs)]
-        bounds = [(F(0), u) for u in ub]
-        sol = lp_solve(LinearProgram.build(objective, constraints, bounds))
+        constraints += [(unit_vector(n, j), LESS_EQUAL, u) for j, u in enumerate(ub)]
+        sol = solve(objective, constraints)
         assert sol.is_optimal
         corners = []
         for point in product(*[(F(0), u) for u in ub]):
@@ -172,9 +167,9 @@ def test_random_box_lps_equal_best_vertex_exactly():
         lo = [F(rng.randint(-3, 0)) for _ in range(n)]
         hi = [l + F(rng.randint(1, 5), rng.choice([1, 2])) for l in lo]
         objective = [F(rng.randint(-4, 4), rng.choice([1, 3])) for _ in range(n)]
-        sol = lp_solve(
-            LinearProgram.build(objective, [], [(l, h) for l, h in zip(lo, hi)])
-        )
+        box = [(unit_vector(n, j), GREATER_EQUAL, l) for j, l in enumerate(lo)]
+        box += [(unit_vector(n, j), LESS_EQUAL, h) for j, h in enumerate(hi)]
+        sol = solve(objective, box, free=range(n))
         assert sol.is_optimal
         best = brute_force_max(objective, list(product(*zip(lo, hi))))
         assert sol.value == best
@@ -189,14 +184,13 @@ def test_degenerate_cycling_guard():
             ([F(1, 2), -90, F(-1, 50), 3], LESS_EQUAL, 0),
             ([0, 0, 1, 0], LESS_EQUAL, 1),
         ],
-        bounds=[(F(0), None)] * 4,
     )
     assert sol.is_optimal
     assert sol.value == F(1, 20)
 
 
-def assert_dual_certificate(objective, constraints, sol):
-    """Dual signs, A^T y >= c and b . y = value for a program over x >= 0."""
+def assert_dual_certificate(objective, constraints, sol, free=()):
+    """Dual signs, (A^T y)_j >= c_j (= c_j on free variables) and b . y = value."""
     assert sol.is_optimal and len(sol.duals) == len(constraints)
     for (_, relation, _), y in zip(constraints, sol.duals):
         if relation == LESS_EQUAL:
@@ -204,14 +198,15 @@ def assert_dual_certificate(objective, constraints, sol):
         elif relation == GREATER_EQUAL:
             assert y <= 0
     for j, c in enumerate(objective):
-        assert sum(row[j] * y for (row, _, _), y in zip(constraints, sol.duals)) >= c
+        column = sum(row[j] * y for (row, _, _), y in zip(constraints, sol.duals))
+        assert column == c if j in free else column >= c
     assert sum(F(b) * y for (_, _, b), y in zip(constraints, sol.duals)) == sol.value
 
 
 def test_duals_of_flipped_row():
     # maximize -x subject to -x <= -3: the row is negated for the tableau
     constraints = [([-1], LESS_EQUAL, -3)]
-    sol = solve([-1], constraints, bounds=[(F(0), None)])
+    sol = solve([-1], constraints)
     assert sol.value == -3 and sol.duals == (1,)
     assert_dual_certificate([-1], constraints, sol)
 
@@ -219,7 +214,7 @@ def test_duals_of_flipped_row():
 def test_duals_with_redundant_equality_row():
     # the second row repeats the first; phase 1 deletes one of them
     constraints = [([1, 1], EQUAL, 1), ([2, 2], EQUAL, 2), ([1, 0], GREATER_EQUAL, F(1, 4))]
-    sol = solve([1, 2], constraints, bounds=[(F(0), None)] * 2)
+    sol = solve([1, 2], constraints)
     assert sol.value == F(7, 4)
     assert_dual_certificate([1, 2], constraints, sol)
 
@@ -227,9 +222,12 @@ def test_duals_with_redundant_equality_row():
 def test_random_lps_duals_certify_the_value():
     # feasible by construction (rows are built around a point x0 >= 0) and
     # bounded by a final sum row; entries of both signs make negative
-    # right-hand sides common, and repeated equality rows are redundant
+    # right-hand sides common, and repeated equality rows are redundant.
+    # Each program is solved again with some variables free, each held
+    # above -20 so that the program stays bounded.
     rng = random.Random(1408)
-    flipped = redundant = 0
+    free_rng = random.Random(1409)
+    flipped = redundant = negative = 0
     for _ in range(300):
         n, m = rng.randint(1, 4), rng.randint(1, 5)
         x0 = [F(rng.randint(0, 4)) for _ in range(n)]
@@ -247,6 +245,11 @@ def test_random_lps_duals_certify_the_value():
         constraints.append(([F(1)] * n, LESS_EQUAL, 20))
         flipped += any(rhs < 0 for _, _, rhs in constraints)
         objective = [F(rng.randint(-4, 4)) for _ in range(n)]
-        sol = solve(objective, constraints, bounds=[(F(0), None)] * n)
+        sol = solve(objective, constraints)
         assert_dual_certificate(objective, constraints, sol)
-    assert flipped > 100 and redundant > 50
+        free = [j for j in range(n) if free_rng.random() < 0.5]
+        held = constraints + [(unit_vector(n, j), GREATER_EQUAL, -20) for j in free]
+        sol = solve(objective, held, free)
+        assert_dual_certificate(objective, held, sol, free)
+        negative += any(sol.point[j] < 0 for j in free)
+    assert flipped > 100 and redundant > 50 and negative > 50

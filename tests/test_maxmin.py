@@ -207,12 +207,8 @@ def test_redundant_belief_vertex_changes_nothing():
     assert polytope_equal(sol.optimal_face, base.optimal_face)
 
 
-def test_problem_json_round_trip():
-    problem = exante_problem(F(1, 4))
-    clone = DecisionProblem.from_json(problem.to_json())
-    assert clone.payoff == problem.payoff
-    assert clone.beliefs.equals(problem.beliefs)
-    sol = maxmin_solve(problem)
+def test_solution_json_carries_exact_strings():
+    sol = maxmin_solve(exante_problem(F(1, 4)))
     data = sol.to_json()
     assert data["value"] == str(sol.value)
 
@@ -234,10 +230,7 @@ def oracle_value(gains, k):
     """The value LP: max t subject to g.s >= t for every gain g, s in the simplex."""
     constraints = [(list(g) + [F(-1)], GREATER_EQUAL, 0) for g in gains]
     constraints.append(([F(1)] * k + [F(0)], EQUAL, 1))
-    lp = LinearProgram.build(
-        [F(0)] * k + [F(1)], constraints, [(F(0), None)] * k + [(None, None)]
-    )
-    return lp_solve(lp).value
+    return lp_solve(LinearProgram.build([F(0)] * k + [F(1)], constraints, [k])).value
 
 
 def oracle_face(gains, value, k):

@@ -23,18 +23,22 @@ SEGMENT = CredalSet.from_vertices(LRO, [[0, 1, 0], ["1/4", "3/4", 0]])
 DOT = CredalSet.singleton(LRO, ["1/3", "1/3", "1/3"])
 
 
+def panel(*layers):
+    return [TrianglePanel(layers)]
+
+
 def test_byte_identical_across_runs(tmp_path):
-    layers = [TriangleLayer(QUAD, label="P"), TriangleLayer(SEGMENT, label="cond")]
-    first = render_triangle(layers)
-    second = render_triangle(layers)
+    panels = panel(TriangleLayer(QUAD, label="P"), TriangleLayer(SEGMENT, label="cond"))
+    first = render_triangle(panels)
+    second = render_triangle(panels)
     assert first == second
     out = tmp_path / "triangle.svg"
-    render_triangle(layers, str(out))
+    render_triangle(panels, str(out))
     assert out.read_text() == first
 
 
 def test_document_structure():
-    doc = render_triangle([TriangleLayer(QUAD)])
+    doc = render_triangle(panel(TriangleLayer(QUAD)))
     assert doc.startswith('<?xml version="1.0"')
     assert 'viewBox="0 0 512 512"' in doc
     assert doc.count("<polygon") == 1
@@ -43,13 +47,13 @@ def test_document_structure():
 
 
 def test_segment_drawn_as_thick_line():
-    doc = render_triangle([TriangleLayer(SEGMENT)])
+    doc = render_triangle(panel(TriangleLayer(SEGMENT)))
     assert 'stroke-width="4"' in doc
     assert "<polygon" not in doc
 
 
 def test_singleton_drawn_as_labeled_dot():
-    doc = render_triangle([TriangleLayer(DOT, label="point")])
+    doc = render_triangle(panel(TriangleLayer(DOT, label="point")))
     assert '<circle' in doc and 'r="4"' in doc
     assert ">point<" in doc
     assert "(1/3,1/3)" in doc
@@ -77,14 +81,15 @@ def test_two_panels_side_by_side():
 
 
 def test_rejects_bad_projection():
-    with pytest.raises(ValueError):
-        render_triangle([TriangleLayer(QUAD, coords=(0, 3))])
+    lone = CredalSet.singleton(StateSpace.of("A"), [1])
+    with pytest.raises(ValueError, match="at least two states"):
+        render_triangle(panel(TriangleLayer(lone)))
 
 
 def test_vertex_order_is_a_simple_polygon():
     # the polygon path must trace the hull boundary, never crossing itself:
     # for the quadrilateral the four corners appear in circular order
-    doc = render_triangle([TriangleLayer(QUAD, label_vertices=False)])
+    doc = render_triangle(panel(TriangleLayer(QUAD)))
     start = doc.index("<polygon")
     points = doc[start:].split('points="')[1].split('"')[0].split()
     assert len(points) == 4
