@@ -4,8 +4,9 @@ A credal set is a convex polytope of probability vectors, stored by its
 extreme points.  Conditioning, one-step-ahead marginals, and rectangular
 hulls all work vertex-wise.  Conditioning and marginals carry extreme points
 onto a superset of the image's extreme points, so their mapped vertices are
-minimized.  Composing a rectangular hull needs no minimizing: every product
-of an extreme marginal with extreme conditionals is already extreme.
+minimized.  Composing a rectangular hull and contaminating a prior need no
+minimizing: every product of an extreme marginal with extreme conditionals,
+and every eps-mixed unit vector, is already extreme.
 """
 
 from __future__ import annotations
@@ -150,18 +151,21 @@ def eps_contamination(center: Vector, eps: Fraction | int | str, space: StateSpa
     """Mix a reference prior with every point mass at weight eps.
 
     The hull of the mixed unit vectors equals the full eps-blend of the
-    simplex around the center.
+    simplex around the center.  Every mixed point is extreme: for eps > 0
+    they are the unit vectors' images under the injective affine map
+    x -> (1 - eps) center + eps x, and for eps = 0 they are all the center.
+    So the points are deduplicated and sorted, not minimized.
     """
     e = rat(eps)
     if not 0 <= e <= 1:
         raise ValueError(f"contamination weight {e} outside [0, 1]")
     if not center.is_probability():
         raise ValueError("center must be a probability vector")
-    verts = [
+    points = {
         center.scale(1 - e) + unit_vector(center.dimension, s).scale(e)
         for s in range(center.dimension)
-    ]
-    return CredalSet.from_vertices(space, verts)
+    }
+    return CredalSet(space, Polytope(len(space), tuple(sorted(points))))
 
 
 def full_bayes_update(c: CredalSet, event) -> CredalSet:

@@ -58,6 +58,7 @@ ANALYSES = (
     "induce",
     "find-payoffs",
 )
+LAYERS = ("beliefs", "update", "hull", "induced")
 
 
 class ScenarioSchemaError(ValueError):
@@ -156,6 +157,15 @@ def _distribution(value, n: int | None, path: str, out: list[str]) -> Vector | N
     else:
         return Vector(entries)
     return None
+
+
+def _undeclared(game: GameTree, named) -> list[str]:
+    """A violation for each (path, name) pair naming no parameter of the game."""
+    return [
+        f"{path}: not a declared parameter of the game"
+        for path, name in named
+        if name not in game.parameters
+    ]
 
 
 @dataclass(frozen=True)
@@ -312,6 +322,10 @@ def validate_scenario(data) -> Scenario:
     if not isinstance(slots, list) or not all(isinstance(s, str) for s in slots):
         out.append("payoff_search.slots: must be a list of parameter names")
         slots = []
+    if tree is not None:
+        named = [(f"bindings.{name}", name) for name in bindings]
+        named += [(f"payoff_search.slots[{i}]", s) for i, s in enumerate(slots)]
+        out.extend(_undeclared(tree, named))
 
     if out:
         raise ScenarioSchemaError(out)
@@ -392,12 +406,18 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
     game = scenario.game
     player = str(flags.player or scenario.player)
     spec = scenario.players.get(player)
+    named = [(f"--bind {name}", name) for name in flags.bindings or ()]
+    out = _undeclared(game, named + [(f"--slots {s}", s) for s in flags.slots or ()])
     if spec is None:
-        raise AnalysisError(f"scenario has no belief entry for player {player!r}")
-    if flags.eps is not None and spec.center is None:
-        raise ScenarioSchemaError(
-            [f"--eps: player {player}'s beliefs are credal, not eps_contamination"]
+        out.append(
+            f"--player: {player!r} has no entry under players"
+            if flags.player
+            else "player: required, in the scenario or as --player"
         )
+    elif flags.eps is not None and spec.center is None:
+        out.append(f"--eps: player {player}'s beliefs are credal, not eps_contamination")
+    if out:
+        raise ScenarioSchemaError(out)
     base = spec.beliefs(flags.eps)
     interval = flags.interval or spec.n_interval
     induced = induce_downstream(base, interval) if interval else None
@@ -666,9 +686,8 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioSchemaError([f"arguments: {message}"])
 
 
-def _add_common(sub: argparse.ArgumentParser, scenario: bool = True) -> None:
-    if scenario:
-        sub.add_argument("scenario", help="built-in name (fig1, fig4) or JSON path")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("scenario", help="built-in name (fig1, fig4) or JSON path")
     sub.add_argument("--player", help="analyze this player instead of the default")
     sub.add_argument("--eps", help="contamination weight, as an exact rational")
     sub.add_argument(
@@ -728,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--layers",
         default="beliefs,update",
-        help="comma list of beliefs,update,hull,induced",
+        help="comma list of " + ",".join(LAYERS),
     )
     sub.add_argument("--interval", metavar="a:b")
     return parser
@@ -770,6 +789,10 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
         flags = replace(flags, slots=tuple(args.slots.split(",")))
     if getattr(args, "rectangularize", False):
         flags = replace(flags, rectangularize=True)
+    if getattr(args, "layers", None):
+        layers = tuple(args.layers.split(","))
+        out.extend(f"--layers: unknown layer {k!r}" for k in layers if k not in LAYERS)
+        flags = replace(flags, layers=layers)
     if out:
         raise ScenarioSchemaError(out)
     return flags
@@ -882,9 +905,8 @@ def main(argv=None) -> int:
         else:
             flags = _flags_from_args(args)
             if args.command == "render":
-                layer_names = tuple(args.layers.split(","))
                 out = args.out or "triangle.svg"
-                flags = replace(flags, analyses=(), layers=layer_names, svg_out=out)
+                flags = replace(flags, analyses=(), svg_out=out)
             elif args.command in ANALYSES:
                 flags = replace(flags, analyses=(args.command,))
             report = run(args.scenario, flags)

@@ -45,13 +45,16 @@ class StateSpaceError(ValueError):
 class ConditionalSlot:
     """One stage-1 cell where the player acts.
 
-    ``payoff`` is the cell restriction of the strategic-form matrix, with
-    one row per joint action at the information sets reachable inside the
-    cell; ``projection`` marginalizes full mixed strategies onto those rows.
+    ``projection`` has one row per joint action at the player's information
+    sets reachable inside the cell and one column per strategy coordinate;
+    each column holds exactly one 1, at the joint action that pure strategy
+    takes inside the cell.  It marginalizes full mixed strategies onto the
+    cell's joint actions (Kuhn's construction).  Payoffs on the cell's
+    states depend only on those actions, so the cell matrix is derived from
+    the strategic one, never stored.
     """
 
     cell: tuple[str, ...]
-    payoff: tuple[tuple[Fraction, ...], ...]
     projection: tuple[tuple[Fraction, ...], ...]
 
 
@@ -74,11 +77,12 @@ class PlayerProblem:
 class _State:
     label: str
     path: tuple[str, ...]
-    terminal: bool
     infoset: int | None  # the player's information set reached, if any
 
 
 def _derive_structure(game: GameTree, player: str):
+    """States, stage-1 cells as state indices, each acting cell's projection
+    (keyed by cell index) and the symbolic strategic rows."""
     if player not in game.players:
         raise StateSpaceError(f"unknown player {player!r}")
     recall = validate_perfect_recall(game)
@@ -93,10 +97,10 @@ def _derive_structure(game: GameTree, player: str):
     def scan(path, node: Node) -> None:
         name = "".join(path) or "start"
         if isinstance(node, TerminalNode):
-            states.append(_State(name, path, True, None))
+            states.append(_State(name, path, None))
             return
         if node.player == player:
-            states.append(_State(name, path, False, game.infoset_at(path)[1]))
+            states.append(_State(name, path, game.infoset_at(path)[1]))
             return
         for label, child in zip(node.actions, node.children):
             scan(path + (label,), child)
@@ -110,19 +114,25 @@ def _derive_structure(game: GameTree, player: str):
     grouped: dict[int | None, list[int]] = {}
     for i, s in enumerate(states):
         grouped.setdefault(s.infoset, []).append(i)
-    cells = list(grouped.items())
 
-    # a cell's relevant sets are the player's own sets at or below its states
-    own = game.information_sets_for(player)
-    relevant: dict[int, tuple[int, ...]] = {}
-    for ci, (key, members) in enumerate(cells):
-        if key is not None:
-            below = [states[i].path for i in members]
-            relevant[ci] = tuple(
-                iset.index
-                for iset in own
-                if any(p[: len(b)] == b for p in iset.paths for b in below)
-            )
+    # an acting cell's projection keeps the joint action at the player's own
+    # sets at or below its states
+    full_pures = game.pure_strategies(player)
+    projections: dict[int, list[list[Fraction]]] = {}
+    for ci, (key, members) in enumerate(grouped.items()):
+        if key is None:
+            continue
+        below = [states[i].path for i in members]
+        sets = [
+            iset
+            for iset in game.information_sets_for(player)
+            if any(p[: len(b)] == b for p in iset.paths for b in below)
+        ]
+        joint = itertools.product(*(range(len(iset.actions)) for iset in sets))
+        projections[ci] = [
+            [Fraction(int(all(p[s.index] == a for s, a in zip(sets, cp)))) for p in full_pures]
+            for cp in joint
+        ]
 
     def follow(path, assignment: dict[int, int]) -> PayoffEntry:
         """The player's payoff below ``path`` given his own choices.
@@ -147,13 +157,12 @@ def _derive_structure(game: GameTree, player: str):
             )
         return first
 
-    full_pures = game.pure_strategies(player)
     sym_rows: list[list[PayoffEntry]] = []
     for pure in full_pures:
         assignment = dict(enumerate(pure))
         sym_rows.append([follow(s.path, assignment) for s in states])
 
-    return states, cells, relevant, sym_rows, full_pures
+    return states, list(grouped.values()), projections, sym_rows
 
 
 def _identical_column_groups(cells, rows):
@@ -165,71 +174,30 @@ def _identical_column_groups(cells, rows):
     """
     per_cell: list[list[list[int]]] = []
     for members in cells:
-        seen: list[tuple[tuple, list[int]]] = []
+        by_column: dict[tuple, list[int]] = {}
         for i in members:
-            column = tuple(row[i] for row in rows)
-            for key, group in seen:
-                if key == column:
-                    group.append(i)
-                    break
-            else:
-                seen.append((column, [i]))
-        per_cell.append([group for _, group in seen])
+            by_column.setdefault(tuple(row[i] for row in rows), []).append(i)
+        per_cell.append(list(by_column.values()))
     groups = sorted((g for cell in per_cell for g in cell), key=lambda g: g[0])
     return groups, per_cell
 
 
-def _assemble(
-    player: str,
-    labels: list[str],
-    cells_by_label: list[list[str]],
-    acting: dict[int, tuple[int, ...]],
-    sym_rows,
-    full_pures,
-    game: GameTree,
-    values: dict[str, Fraction],
-    beliefs: CredalSet,
-    columns_of: dict[str, int],
+def _player_problem(
+    player: str, rows, space: StateSpace, beliefs: CredalSet, stage, acting
 ) -> PlayerProblem:
-    space = StateSpace(tuple(labels))
-    if beliefs.space != space:
-        raise StateSpaceError(
-            f"beliefs over {beliefs.space.labels} do not match states {space.labels}"
-        )
+    """Assemble a player problem from its strategic matrix.
 
-    def resolve(entry: PayoffEntry) -> Fraction:
-        return game.payoff_value(entry, values)
-
-    exante_rows = [
-        [resolve(row[columns_of[lab]]) for lab in labels] for row in sym_rows
-    ]
-    exante = DecisionProblem.build(exante_rows, space, beliefs)
-
-    stage = tuple(tuple(cell) for cell in cells_by_label)
+    ``stage`` lists the stage-1 cells; ``acting`` pairs each cell where the
+    player acts with its projection.
+    """
+    exante = DecisionProblem.build(rows, space, beliefs)
     filtration = Filtration.build(space, [stage])
-
     slots = []
-    for ci, sets in acting.items():
-        cell = tuple(cells_by_label[ci])
-        arities = [len(game.information_sets_for(player)[i].actions) for i in sets]
-        cell_pures = list(itertools.product(*[range(a) for a in arities]))
-        proj = []
-        for cp in cell_pures:
-            row = []
-            for pure in full_pures:
-                match = all(pure[s] == cp[j] for j, s in enumerate(sets))
-                row.append(Fraction(1) if match else Fraction(0))
-            proj.append(tuple(row))
-        # cell payoff rows: reuse the strategic rows of any matching pure
-        payoff = []
-        for cp, prow in zip(cell_pures, proj):
-            full_index = prow.index(Fraction(1))
-            payoff.append(
-                tuple(
-                    resolve(sym_rows[full_index][columns_of[lab]]) for lab in cell
-                )
-            )
-        slots.append(ConditionalSlot(cell, tuple(payoff), tuple(proj)))
+    for cell, projection in acting:
+        cell = tuple(sorted(cell, key=space.index))
+        if cell not in filtration.stages[0]:
+            raise StateSpaceError(f"acting cell {cell} is not a stage-1 cell")
+        slots.append(ConditionalSlot(cell, tuple(tuple(row) for row in projection)))
     return PlayerProblem(player, exante, filtration, tuple(slots))
 
 
@@ -245,48 +213,34 @@ def build_player_problem(
     over their payoff-identical aggregation (in which case the merged states
     adopt the beliefs' labels, as with a combined state named Z).
     """
-    states, cells, relevant, sym_rows, full_pures = _derive_structure(game, player)
+    states, cells, projections, sym_rows = _derive_structure(game, player)
     values = game.resolve_parameters(bindings)
     want = opponent_beliefs.space.labels
 
-    members = [m for _, m in cells]
     if tuple(s.label for s in states) == want:  # the all-singleton grouping
         groups = [[i] for i in range(len(states))]
-        per_cell = [[[i] for i in m] for m in members]
+        per_cell = [[[i] for i in m] for m in cells]
     else:
-        groups, per_cell = _identical_column_groups(members, sym_rows)
+        groups, per_cell = _identical_column_groups(cells, sym_rows)
     if len(groups) != len(want):
         raise StateSpaceError(
             f"{len(groups)} aggregated states cannot match beliefs over {want}"
         )
-    labels = []
-    columns_of = {}
-    for pos, group in enumerate(groups):
-        auto = cell_label(tuple(states[i].label for i in group))
-        label = want[pos] if len(group) > 1 else states[group[0]].label
-        if len(group) == 1 and label != want[pos]:
-            raise StateSpaceError(
-                f"state {label!r} does not match belief state {want[pos]!r} "
-                f"(aggregated form would be {auto!r})"
-            )
-        labels.append(label)
-        columns_of[label] = group[0]
-    label_at = {i: lab for lab, i in columns_of.items()}
-    cells_by_label = [[label_at[g[0]] for g in cell] for cell in per_cell]
+    label_of: dict[int, str] = {}  # a group's first state -> its belief label
+    for label, group in zip(want, groups):
+        name = states[group[0]].label
+        if len(group) == 1 and name != label:
+            raise StateSpaceError(f"state {name!r} does not match belief state {label!r}")
+        label_of[group[0]] = label
 
-    # merging keeps the cell list intact, so the acting map carries over
-    return _assemble(
-        player,
-        labels,
-        cells_by_label,
-        relevant,
-        sym_rows,
-        full_pures,
-        game,
-        values,
-        opponent_beliefs,
-        columns_of,
-    )
+    rows = [
+        [game.payoff_value(row[g[0]], values) for g in groups] for row in sym_rows
+    ]
+    stage = [[label_of[g[0]] for g in cell] for cell in per_cell]
+    # merging keeps the cell list intact, so each projection carries over
+    acting = [(stage[ci], projection) for ci, projection in projections.items()]
+    space = opponent_beliefs.space
+    return _player_problem(player, rows, space, opponent_beliefs, stage, acting)
 
 
 def player_problem_from_matrix(
@@ -302,23 +256,9 @@ def player_problem_from_matrix(
     The strategy coordinates double as the cell coordinates, so every
     conditional slot carries an identity projection.
     """
-    rows = tuple(tuple(rat(x) for x in row) for row in payoff_rows)
-    exante = DecisionProblem.build(rows, space, beliefs)
-    stage_cells = tuple(
-        tuple(sorted(cell, key=space.index)) for cell in stage
-    )
-    filtration = Filtration.build(space, [stage_cells])
-    k = len(rows)
-    identity = tuple(tuple(unit_vector(k, i)) for i in range(k))
-    slots = []
-    for cell in acting_cells:
-        cell = tuple(sorted(cell, key=space.index))
-        if cell not in stage_cells:
-            raise StateSpaceError(f"acting cell {cell} is not a stage-1 cell")
-        idx = [space.index(s) for s in cell]
-        payoff = tuple(tuple(row[i] for i in idx) for row in rows)
-        slots.append(ConditionalSlot(cell, payoff, identity))
-    return PlayerProblem(player, exante, filtration, tuple(slots))
+    identity = [unit_vector(len(payoff_rows), i) for i in range(len(payoff_rows))]
+    acting = [(cell, identity) for cell in acting_cells]
+    return _player_problem(player, payoff_rows, space, beliefs, stage, acting)
 
 
 def aggregate_identical_payoff_states(
@@ -329,17 +269,16 @@ def aggregate_identical_payoff_states(
     Beliefs are pushed forward by the coordinate-summing map; states in
     different cells never merge (that would coarsen the filtration).
     Merged states are labelled {A,B,...} unless ``merged_labels`` names them.
+    Projections carry over unchanged, since merging touches no strategy.
     """
     space = pp.space
-    stage = pp.filtration.stages[0]
     rows = pp.exante.payoff
     renames = {frozenset(k): v for k, v in (merged_labels or {}).items()}
 
     groups, per_cell = _identical_column_groups(
-        [[space.index(s) for s in cell] for cell in stage], rows
+        [[space.index(s) for s in cell] for cell in pp.filtration.stages[0]], rows
     )
 
-    new_labels = []
     label_of_old: dict[int, str] = {}
     for group in groups:
         olds = tuple(space.labels[i] for i in group)
@@ -347,10 +286,8 @@ def aggregate_identical_payoff_states(
             label = olds[0]
         else:
             label = renames.get(frozenset(olds), cell_label(olds))
-        new_labels.append(label)
-        for i in group:
-            label_of_old[i] = label
-    new_space = StateSpace(tuple(new_labels))
+        label_of_old.update(dict.fromkeys(group, label))
+    new_space = StateSpace(tuple(label_of_old[g[0]] for g in groups))
 
     summing = [
         [Fraction(1) if old in group else Fraction(0) for old in range(len(space))]
@@ -360,22 +297,14 @@ def aggregate_identical_payoff_states(
     new_beliefs = CredalSet(new_space, new_set)
 
     new_rows = [[row[group[0]] for group in groups] for row in rows]
-    new_stage = [tuple(label_of_old[g[0]] for g in cell) for cell in per_cell]
-
-    exante = DecisionProblem.build(new_rows, new_space, new_beliefs)
-    filtration = Filtration.build(new_space, [tuple(new_stage)])
-    slots = []
-    for slot in pp.conditionals:
-        cell_labels: list[str] = []
-        keep_cols: list[int] = []
-        for col, s in enumerate(slot.cell):
-            lab = label_of_old[space.index(s)]
-            if lab not in cell_labels:
-                cell_labels.append(lab)
-                keep_cols.append(col)
-        payoff = tuple(tuple(row[i] for i in keep_cols) for row in slot.payoff)
-        slots.append(ConditionalSlot(tuple(cell_labels), payoff, slot.projection))
-    return PlayerProblem(pp.player, exante, filtration, tuple(slots))
+    new_stage = [[label_of_old[g[0]] for g in cell] for cell in per_cell]
+    acting = [
+        ({label_of_old[space.index(s)] for s in slot.cell}, slot.projection)
+        for slot in pp.conditionals
+    ]
+    return _player_problem(
+        pp.player, new_rows, new_space, new_beliefs, new_stage, acting
+    )
 
 
 def induce_downstream(p1_beliefs: CredalSet, n_interval) -> CredalSet:
@@ -453,9 +382,14 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
 
     A cell is consistent when some ex-ante optimizer attains the updated
     problem's full optimum there; cells some prior deems unreachable are
-    reported, not judged.
+    reported, not judged.  Row j of a cell's matrix is the strategic row of
+    a pure strategy that projects onto joint action j (a column holding a 1
+    in projection row j), restricted to the cell's states.  Payoffs inside a
+    cell depend only on the actions the projection keeps, so every such pure
+    strategy gives the same row.
     """
     exante = maxmin_solve(pp.exante)
+    rows = pp.exante.payoff
     verdicts = []
     for slot in pp.conditionals:
         try:
@@ -463,8 +397,8 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
         except ZeroProbabilityReachError:
             verdicts.append(CellVerdict(slot.cell, UNREACHABLE))
             continue
-        order = [slot.cell.index(lab) for lab in conditional_beliefs.space.labels]
-        payoff = [[row[i] for i in order] for row in slot.payoff]
+        columns = [pp.space.index(s) for s in conditional_beliefs.space.labels]
+        payoff = [[rows[p.index(1)][i] for i in columns] for p in slot.projection]
         problem = DecisionProblem.build(
             payoff, conditional_beliefs.space, conditional_beliefs
         )

@@ -93,10 +93,10 @@ def polytope_equal(p: Polytope, q: Polytope) -> bool:
     )
 
 
-def affine_image(p: Polytope, matrix, offset: Vector | None = None) -> Polytope:
-    """Image of the hull under x -> matrix.x + offset, minimized.
+def affine_image(p: Polytope, matrix) -> Polytope:
+    """Image of the hull under x -> matrix.x, minimized.
 
-    Affine maps carry vertex sets onto supersets of the image's vertex set,
+    Linear maps carry vertex sets onto supersets of the image's vertex set,
     so mapping vertices and minimizing is exact.
     """
     rows = [list(r) for r in matrix]
@@ -107,6 +107,5 @@ def affine_image(p: Polytope, matrix, offset: Vector | None = None) -> Polytope:
             )
     images = []
     for v in p.vertices:
-        w = matrix_apply(rows, v)
-        images.append(w + offset if offset is not None else w)
+        images.append(matrix_apply(rows, v))
     return polytope_minimize(Polytope.from_vertices(images))

@@ -33,15 +33,16 @@ class TrianglePanel:
     title: str = ""
 
 
-def _fmt(x: Fraction, digits: int = 2) -> str:
-    scale = 10**digits
+def _fmt(x: Fraction) -> str:
+    """Round to two decimals, halves away from zero."""
+    scale = 100
     scaled = x * scale
     n = scaled.numerator
     d = scaled.denominator
     rounded = (n + d // 2) // d if n >= 0 else -((-n + d // 2) // d)
     whole, frac = divmod(abs(rounded), scale)
     sign = "-" if rounded < 0 else ""
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{frac:02d}"
 
 
 def _angular_order(points: list[Vector]) -> list[Vector]:

@@ -96,7 +96,9 @@ def test_02_conditional_optimum():
     assert set(post.vertices) == {Vector([0, 1]), Vector([F(1, 4), F(3, 4)])}
     (slot,) = pp.conditionals
     assert slot.cell == ("L", "R")
-    problem = DecisionProblem.build(slot.payoff, post.space, post)
+    # one information set: the cell matrix is the strategic matrix's columns
+    rows = [[row[pp.space.index(s)] for s in slot.cell] for row in pp.exante.payoff]
+    problem = DecisionProblem.build(rows, post.space, post)
     sol = maxmin_solve(problem)
     assert sol.strategy == Vector([F(1, 102), F(101, 102)])
     assert sol.optimal_face.vertices == (Vector([F(1, 102), F(101, 102)]),)

@@ -43,6 +43,37 @@ QUAD = CredalSet.from_vertices(
 )
 
 
+def test_contamination_is_minimized_mix_without_lp_solves(monkeypatch):
+    # every eps-mixed unit vector is extreme (one point at eps = 0), so the
+    # direct vertex set must equal what minimizing the mixed points keeps
+    import credalgames.exactmath.linprog as linprog
+
+    rng = random.Random(14)
+    real = linprog.lp_solve
+    solves = []
+
+    def counting(lp):
+        solves.append(lp)
+        return real(lp)
+
+    for trial in range(60):
+        n = rng.randint(1, 5)
+        weights = [rng.randint(0, 6) for _ in range(n)]
+        weights[rng.randrange(n)] += 1
+        center = Vector([F(w, sum(weights)) for w in weights])
+        eps = rng.choice([F(0), F(1), F(rng.randint(1, 9), 10)])
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        monkeypatch.setattr(linprog, "lp_solve", counting)
+        built = eps_contamination(center, eps, space)
+        monkeypatch.setattr(linprog, "lp_solve", real)
+        mixed = [
+            Vector([(1 - eps) * c + (eps if i == j else 0) for i, c in enumerate(center)])
+            for j in range(n)
+        ]
+        assert built.set == polytope_minimize(Polytope(n, tuple(mixed))), trial
+    assert solves == []
+
+
 def test_contamination_zero_is_singleton():
     c = contamination(0)
     assert c.vertices == (Vector([0, 1, 0]),)

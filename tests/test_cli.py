@@ -262,11 +262,16 @@ def test_zero_denominators_and_bools_are_schema_errors(argv, edit, tmp_path, cap
         ("inline", ("game", "parameters", "x"), "1e3", "game.parameters.x: '1e3'"),
         ("inline", ("game", "root", "actions", 0, "label"), 5,
          "game.root.actions[0].label: must be a str"),
+        ("fig1", ("bindings",), {"zz": "1"}, "bindings.zz: not a declared parameter"),
+        ("fig4", ("payoff_search", "slots", 1), "zz",
+         "payoff_search.slots[1]: not a declared parameter"),
+        ("fig1", ("player",), None, "player: required, in the scenario or as --player"),
     ],
     ids=["eps-without-states", "bindings-list", "center-length", "grid-entry",
          "game-action-without-child", "game-list-root", "game-int-information-sets",
          "game-undeclared-payoff", "game-zero-denominator-parameter", "game-decimal-payoff",
-         "game-exponent-parameter", "game-int-label"],
+         "game-exponent-parameter", "game-int-label", "binding-undeclared",
+         "slot-undeclared", "player-missing"],
 )
 def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tmp_path, capsys):
     assert main(["validate", _scenario_file(tmp_path, name, path, value)]) == 1
@@ -281,8 +286,13 @@ def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tm
         (["sweep", "--bisect", "1/2:1/3"], "--bisect: need 0 < low < high < 1"),
         (["update", "fig1", "--event", "L,L"], "--event: L,L is not a set of player 2's states L,R,O"),
         (["update", "fig1", "--event", "X"], "--event: X is not a set of player 2's states L,R,O"),
+        (["maxmin", "fig1", "--bind", "zz=1"], "--bind zz: not a declared parameter"),
+        (["find-payoffs", "fig4", "--slots", "uRNS,zz"], "--slots zz: not a declared parameter"),
+        (["maxmin", "fig1", "--player", "9"], "--player: '9' has no entry under players"),
+        (["render", "fig1", "--layers", "hull,foo"], "--layers: unknown layer 'foo'"),
     ],
-    ids=["eps", "interval", "bisect", "event-repeated", "event-unknown"],
+    ids=["eps", "interval", "bisect", "event-repeated", "event-unknown", "bind-undeclared",
+         "slots-undeclared", "player-unknown", "layers-unknown"],
 )
 def test_out_of_range_flags_are_schema_errors(argv, where, capsys):
     assert main(argv) == 1

@@ -68,6 +68,16 @@ def fig1_problem(fig1, eps):
     return build_player_problem(fig1, "2", contamination(eps))
 
 
+def cell_matrix(pp, slot):
+    """A slot's decision matrix: per projection row, the strategic row of a
+    pure strategy with a 1 there, restricted to the cell's states."""
+    columns = [pp.space.index(s) for s in slot.cell]
+    return tuple(
+        tuple(pp.exante.payoff[row.index(1)][i] for i in columns)
+        for row in slot.projection
+    )
+
+
 def test_build_two_player_problem(fig1):
     pp = fig1_problem(fig1, F(1, 4))
     assert pp.space.labels == ("L", "R", "O")
@@ -76,7 +86,7 @@ def test_build_two_player_problem(fig1):
     assert len(pp.conditionals) == 1
     slot = pp.conditionals[0]
     assert slot.cell == ("L", "R")
-    assert slot.payoff == ((F(0), F(101)), (F(101), F(100)))
+    assert cell_matrix(pp, slot) == ((F(0), F(101)), (F(101), F(100)))
     # single information set: the conditional matrix is the plain column
     # restriction of the strategic matrix and the projection is identity
     assert slot.projection == ((F(1), F(0)), (F(0), F(1)))
@@ -147,7 +157,7 @@ def test_aggregate_merges_identical_columns(fig4):
         Vector([F(3, 4), F(1, 8), F(1, 8)]),
     }
     assert merged.conditionals[0].cell == ("RN", "O")
-    assert merged.conditionals[0].payoff == ((1, 0), (0, 5))
+    assert cell_matrix(merged, merged.conditionals[0]) == ((1, 0), (0, 5))
 
 
 def test_aggregate_without_rename_uses_brace_label(fig4):
@@ -468,7 +478,7 @@ def test_two_stage_own_play_projects_onto_cell_coordinates():
     )  # pures (c,e), (c,f), (d,e), (d,f)
     slot = pp.conditionals[0]
     assert slot.cell == ("A",)
-    assert slot.payoff == ((4,), (0,), (1,), (1,))
+    assert cell_matrix(pp, slot) == ((4,), (0,), (1,), (1,))
     report = check_dynamic_consistency(pp)
     assert report.exante_solution.value == F(11, 2)
     assert report.exante_solution.strategy == Vector([1, 0, 0, 0])
@@ -530,7 +540,7 @@ def test_derived_matrix_agrees_with_outcome_semantics():
         game = random_perfect_recall_game(rng)
         player = rng.choice(game.players)
         try:
-            states, _, _, _, _ = _derive_structure(game, player)
+            states = _derive_structure(game, player)[0]
         except StateSpaceError:
             continue  # an opponent moves below the player with varying payoffs
         profile = {q: random_behavioral(rng, game, q) for q in game.players}
@@ -566,6 +576,41 @@ def test_derived_matrix_agrees_with_outcome_semantics():
                 expected += prob * node.payoffs[pidx]
             assert row_value == expected
         checked += 1
+
+
+def test_projections_keep_every_action_that_moves_cell_payoffs():
+    # every projection column holds exactly one 1, and pure strategies that
+    # share a projection row agree ex ante on the cell's states, so the cell
+    # matrix check_dynamic_consistency reads off the projection is well defined
+    from credalgames.dynamics import _derive_structure
+    from randtrees import random_perfect_recall_game
+
+    rng = random.Random(606)
+    checked = joint = 0
+    while checked < 60:
+        game = random_perfect_recall_game(rng)
+        player = rng.choice(game.players)
+        try:
+            states = _derive_structure(game, player)[0]
+        except StateSpaceError:
+            continue
+        space = StateSpace(tuple(s.label for s in states))
+        beliefs = CredalSet.singleton(space, [F(1, len(space))] * len(space))
+        pp = build_player_problem(game, player, beliefs)
+        for slot in pp.conditionals:
+            for column in zip(*slot.projection):
+                assert sorted(column) == [0] * (len(column) - 1) + [1]
+            columns = [pp.space.index(s) for s in slot.cell]
+            for row in slot.projection:
+                seen = {
+                    tuple(pp.exante.payoff[k][i] for i in columns)
+                    for k, mark in enumerate(row)
+                    if mark == 1
+                }
+                assert len(seen) == 1
+            joint += len(slot.projection) < len(slot.projection[0])
+        checked += 1
+    assert joint > 0  # some cells project several pure strategies onto one row
 
 
 def test_report_json_shape(fig1):
