@@ -22,17 +22,17 @@ from .beliefs import (
     StateSpace,
     ZeroProbabilityReachError,
     eps_contamination,
-    full_bayes_update,
     is_rectangular,
     rectangular_hull,
 )
 from .dynamics import (
     PlayerProblem,
+    Posteriors,
     StateSpaceError,
-    build_player_problem,
     check_dynamic_consistency,
     find_dc_violation_payoffs,
     induce_downstream,
+    player_structure,
 )
 from .exactmath import Vector, affine_image, approx_decimal, rat, read_rational
 from .gametree import (
@@ -323,6 +323,9 @@ def validate_scenario(data) -> Scenario:
         out.append("payoff_search.slots: must be a list of parameter names")
         slots = []
     if tree is not None:
+        out.extend(
+            f"players.{pid}: not a player of the game" for pid in players if pid not in tree.players
+        )
         named = [(f"bindings.{name}", name) for name in bindings]
         named += [(f"payoff_search.slots[{i}]", s) for i, s in enumerate(slots)]
         out.extend(_undeclared(tree, named))
@@ -422,22 +425,19 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
     interval = flags.interval or spec.n_interval
     induced = induce_downstream(base, interval) if interval else None
     bindings = {**scenario.bindings, **(flags.bindings or {})}
-    problem = build_player_problem(game, player, induced or base, bindings)
+    beliefs = induced or base
+    structure = player_structure(game, player, beliefs.space)
     if flags.rectangularize:
-        # the hull lives on the same states, so only the beliefs change
-        hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
-        problem = replace(problem, exante=replace(problem.exante, beliefs=hull))
+        # the hull lives on the same states; binding gives it its own posteriors
+        beliefs = rectangular_hull(beliefs, structure.filtration)
+    problem = structure.bind(Posteriors(beliefs), bindings)
     event, states = flags.event or (), problem.space.labels
     if len(set(event)) != len(event) or not set(event) <= set(states):
         raise ScenarioSchemaError(
             [f"--event: {','.join(event)} is not a set of player {player}'s states "
              f"{','.join(states)}"]
         )
-    sets = game.information_sets_for(player)
-    labels = tuple(
-        "".join(sets[i].actions[a] for i, a in enumerate(pure)) or "(none)"
-        for pure in game.pure_strategies(player)
-    )
+    labels = structure.strategy_labels
     return _Prepared(player, base, induced, problem, interval, bindings, labels)
 
 
@@ -471,7 +471,7 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlag
         out = []
         for cell in cells:
             try:
-                post = full_bayes_update(pp.exante.beliefs, cell)
+                post = pp.posterior(cell)
                 out.append(
                     {
                         "cell": list(cell),
@@ -577,7 +577,7 @@ def _render(prep: _Prepared, flags: RunFlags) -> dict:
             layers.insert(0, TriangleLayer(hull, label="hull", fill="#dcdcdc"))
         elif kind == "update":
             for slot in pp.conditionals:
-                post = full_bayes_update(pp.exante.beliefs, slot.cell)
+                post = pp.posterior(slot.cell)
                 # embed the posterior in the full simplex: zero off the cell
                 embed = [
                     [Fraction(int(s == c)) for c in post.space.labels] for s in pp.space.labels
@@ -636,10 +636,12 @@ def sweep_eps(
     so when the true boundary lies on that grid it is returned exactly.
     """
     fig1 = validate_scenario(BUILTIN_SCENARIOS["fig1"])
+    spec = fig1.players[fig1.player]
+    structure = player_structure(fig1.game, fig1.player, spec.space)
 
     def verdict(eps: Fraction) -> str:
-        report = check_dynamic_consistency(_prepare(fig1, RunFlags(eps=eps)).problem)
-        return "consistent" if report.overall else "inconsistent"
+        problem = structure.bind(Posteriors(spec.beliefs(eps)), fig1.bindings)
+        return "consistent" if check_dynamic_consistency(problem).overall else "inconsistent"
 
     entries = [(e, verdict(e)) for e in sorted(rat(e) for e in eps_list or ())]
     threshold = None

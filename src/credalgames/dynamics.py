@@ -11,7 +11,7 @@ recomputed at each reached information set after full Bayesian updating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .beliefs import (
@@ -58,12 +58,44 @@ class ConditionalSlot:
     projection: tuple[tuple[Fraction, ...], ...]
 
 
+class Posteriors:
+    """One credal set's full Bayes updates, each cell's made on first read.
+
+    Problems bound to the same beliefs share one instance, so a cell's
+    posterior is computed once however many grid points and analyses read
+    it.  A cell some prior rules out raises the same
+    ZeroProbabilityReachError on every read.
+    """
+
+    def __init__(self, beliefs: CredalSet):
+        self.beliefs = beliefs
+        self._by_cell: dict[tuple[str, ...], CredalSet | ZeroProbabilityReachError] = {}
+
+    def __call__(self, cell) -> CredalSet:
+        cell = tuple(cell)
+        if cell not in self._by_cell:
+            try:
+                self._by_cell[cell] = full_bayes_update(self.beliefs, cell)
+            except ZeroProbabilityReachError as exc:
+                self._by_cell[cell] = exc
+        found = self._by_cell[cell]
+        if isinstance(found, ZeroProbabilityReachError):
+            raise found.with_traceback(None)
+        return found
+
+
 @dataclass(frozen=True)
 class PlayerProblem:
     player: str
     exante: DecisionProblem
     filtration: Filtration
     conditionals: tuple[ConditionalSlot, ...]
+    posterior: Posteriors = field(compare=False, repr=False)  # of exante.beliefs
+
+    def __post_init__(self):
+        # swapping in other beliefs must not keep the old beliefs' posteriors
+        if self.posterior.beliefs is not self.exante.beliefs:
+            raise ValueError("the posteriors belong to other beliefs than the problem's")
 
     @property
     def space(self) -> StateSpace:
@@ -82,7 +114,8 @@ class _State:
 
 def _derive_structure(game: GameTree, player: str):
     """States, stage-1 cells as state indices, each acting cell's projection
-    (keyed by cell index) and the symbolic strategic rows."""
+    (keyed by cell index), the symbolic strategic rows and the pure
+    strategies' labels."""
     if player not in game.players:
         raise StateSpaceError(f"unknown player {player!r}")
     recall = validate_perfect_recall(game)
@@ -118,6 +151,7 @@ def _derive_structure(game: GameTree, player: str):
     # an acting cell's projection keeps the joint action at the player's own
     # sets at or below its states
     full_pures = game.pure_strategies(player)
+    own_sets = game.information_sets_for(player)
     projections: dict[int, list[list[Fraction]]] = {}
     for ci, (key, members) in enumerate(grouped.items()):
         if key is None:
@@ -125,7 +159,7 @@ def _derive_structure(game: GameTree, player: str):
         below = [states[i].path for i in members]
         sets = [
             iset
-            for iset in game.information_sets_for(player)
+            for iset in own_sets
             if any(p[: len(b)] == b for p in iset.paths for b in below)
         ]
         joint = itertools.product(*(range(len(iset.actions)) for iset in sets))
@@ -162,7 +196,11 @@ def _derive_structure(game: GameTree, player: str):
         assignment = dict(enumerate(pure))
         sym_rows.append([follow(s.path, assignment) for s in states])
 
-    return states, list(grouped.values()), projections, sym_rows
+    strategy_labels = tuple(
+        "".join(own_sets[i].actions[a] for i, a in enumerate(pure)) or "(none)"
+        for pure in full_pures
+    )
+    return states, list(grouped.values()), projections, sym_rows, strategy_labels
 
 
 def _identical_column_groups(cells, rows):
@@ -182,15 +220,12 @@ def _identical_column_groups(cells, rows):
     return groups, per_cell
 
 
-def _player_problem(
-    player: str, rows, space: StateSpace, beliefs: CredalSet, stage, acting
-) -> PlayerProblem:
-    """Assemble a player problem from its strategic matrix.
+def _layout(space: StateSpace, stage, acting):
+    """The filtration of the stage-1 cells and a slot per acting cell.
 
     ``stage`` lists the stage-1 cells; ``acting`` pairs each cell where the
     player acts with its projection.
     """
-    exante = DecisionProblem.build(rows, space, beliefs)
     filtration = Filtration.build(space, [stage])
     slots = []
     for cell, projection in acting:
@@ -198,24 +233,52 @@ def _player_problem(
         if cell not in filtration.stages[0]:
             raise StateSpaceError(f"acting cell {cell} is not a stage-1 cell")
         slots.append(ConditionalSlot(cell, tuple(tuple(row) for row in projection)))
-    return PlayerProblem(player, exante, filtration, tuple(slots))
+    return filtration, tuple(slots)
 
 
-def build_player_problem(
-    game: GameTree,
-    player: str,
-    opponent_beliefs: CredalSet,
-    bindings: dict | None = None,
+def _player_problem(
+    player: str, rows, posteriors: Posteriors, filtration: Filtration, slots
 ) -> PlayerProblem:
-    """Wire a player's strategic and conditional problems from the game.
+    """Assemble a player problem from its strategic matrix and its layout."""
+    exante = DecisionProblem.build(rows, filtration.space, posteriors.beliefs)
+    return PlayerProblem(player, exante, filtration, slots, posteriors)
 
-    The beliefs may be stated either over the raw opponent-path states or
-    over their payoff-identical aggregation (in which case the merged states
-    adopt the beliefs' labels, as with a combined state named Z).
+
+@dataclass(frozen=True)
+class PlayerStructure:
+    """The part of a player problem that no payoff value or belief changes.
+
+    ``rows`` is the strategic matrix over the filtration's states, each
+    entry an exact value or a parameter name.  A search or a sweep derives
+    the structure once and binds it per point; binding only rebuilds the
+    ex-ante matrix.
     """
-    states, cells, projections, sym_rows = _derive_structure(game, player)
-    values = game.resolve_parameters(bindings)
-    want = opponent_beliefs.space.labels
+
+    game: GameTree
+    player: str
+    filtration: Filtration
+    conditionals: tuple[ConditionalSlot, ...]
+    rows: tuple[tuple[PayoffEntry, ...], ...]
+    strategy_labels: tuple[str, ...]
+
+    def bind(self, posteriors: Posteriors, bindings: dict | None = None) -> PlayerProblem:
+        """The player problem under these beliefs and parameter bindings."""
+        values = self.game.resolve_parameters(bindings)
+        rows = [[self.game.payoff_value(e, values) for e in row] for row in self.rows]
+        return _player_problem(
+            self.player, rows, posteriors, self.filtration, self.conditionals
+        )
+
+
+def player_structure(game: GameTree, player: str, space: StateSpace) -> PlayerStructure:
+    """Derive a player's payoff-free structure over the beliefs' states.
+
+    ``space`` may be either the raw opponent-path states or their
+    payoff-identical aggregation (in which case the merged states adopt the
+    space's labels, as with a combined state named Z).
+    """
+    states, cells, projections, sym_rows, labels = _derive_structure(game, player)
+    want = space.labels
 
     if tuple(s.label for s in states) == want:  # the all-singleton grouping
         groups = [[i] for i in range(len(states))]
@@ -233,14 +296,23 @@ def build_player_problem(
             raise StateSpaceError(f"state {name!r} does not match belief state {label!r}")
         label_of[group[0]] = label
 
-    rows = [
-        [game.payoff_value(row[g[0]], values) for g in groups] for row in sym_rows
-    ]
+    rows = tuple(tuple(row[g[0]] for g in groups) for row in sym_rows)
     stage = [[label_of[g[0]] for g in cell] for cell in per_cell]
     # merging keeps the cell list intact, so each projection carries over
     acting = [(stage[ci], projection) for ci, projection in projections.items()]
-    space = opponent_beliefs.space
-    return _player_problem(player, rows, space, opponent_beliefs, stage, acting)
+    filtration, slots = _layout(space, stage, acting)
+    return PlayerStructure(game, player, filtration, slots, rows, labels)
+
+
+def build_player_problem(
+    game: GameTree,
+    player: str,
+    opponent_beliefs: CredalSet,
+    bindings: dict | None = None,
+) -> PlayerProblem:
+    """Wire a player's strategic and conditional problems from the game."""
+    structure = player_structure(game, player, opponent_beliefs.space)
+    return structure.bind(Posteriors(opponent_beliefs), bindings)
 
 
 def player_problem_from_matrix(
@@ -257,8 +329,8 @@ def player_problem_from_matrix(
     conditional slot carries an identity projection.
     """
     identity = [unit_vector(len(payoff_rows), i) for i in range(len(payoff_rows))]
-    acting = [(cell, identity) for cell in acting_cells]
-    return _player_problem(player, payoff_rows, space, beliefs, stage, acting)
+    filtration, slots = _layout(space, stage, [(cell, identity) for cell in acting_cells])
+    return _player_problem(player, payoff_rows, Posteriors(beliefs), filtration, slots)
 
 
 def aggregate_identical_payoff_states(
@@ -302,9 +374,8 @@ def aggregate_identical_payoff_states(
         ({label_of_old[space.index(s)] for s in slot.cell}, slot.projection)
         for slot in pp.conditionals
     ]
-    return _player_problem(
-        pp.player, new_rows, new_space, new_beliefs, new_stage, acting
-    )
+    filtration, slots = _layout(new_space, new_stage, acting)
+    return _player_problem(pp.player, new_rows, Posteriors(new_beliefs), filtration, slots)
 
 
 def induce_downstream(p1_beliefs: CredalSet, n_interval) -> CredalSet:
@@ -393,7 +464,7 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
     verdicts = []
     for slot in pp.conditionals:
         try:
-            conditional_beliefs = full_bayes_update(pp.exante.beliefs, slot.cell)
+            conditional_beliefs = pp.posterior(slot.cell)
         except ZeroProbabilityReachError:
             verdicts.append(CellVerdict(slot.cell, UNREACHABLE))
             continue
@@ -438,16 +509,18 @@ def find_dc_violation_payoffs(
     """Scan grid assignments of the free payoff slots, lexicographically.
 
     Returns the first assignment whose consistency report shows a violation,
-    or None when the grid is exhausted.
+    or None when the grid is exhausted.  The structure and each cell's
+    posterior are derived once; every point only rebinds the payoffs.
     """
     grid = [rat(g) for g in payoff_grid]
     slots = list(slots)
     base = dict(bindings or {})
+    structure = player_structure(game, player, beliefs.space)
+    posteriors = Posteriors(beliefs)
     for assignment in itertools.product(grid, repeat=len(slots)):
         full = dict(base)
         full.update(zip(slots, assignment))
-        pp = build_player_problem(game, player, beliefs, full)
-        report = check_dynamic_consistency(pp)
+        report = check_dynamic_consistency(structure.bind(posteriors, full))
         if not report.overall:
             return PayoffSearchResult(dict(zip(slots, assignment)), report)
     return None

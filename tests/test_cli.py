@@ -1,9 +1,11 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from credalgames.beliefs import full_bayes_update, rectangular_hull
 from credalgames.cli import (
     RunFlags,
     Scenario,
@@ -15,7 +17,9 @@ from credalgames.cli import (
     sweep_eps,
     validate_scenario,
 )
+from credalgames.dynamics import build_player_problem
 from credalgames.gametree import builtin_game, game_to_json, validate_perfect_recall
+from credalgames.maxmin import DecisionProblem, maxmin_solve
 
 F = Fraction
 
@@ -51,6 +55,26 @@ def test_run_fig1_rectangularized_restores_consistency():
     assert result["overall"] is True
     assert result["exante"]["strategy"] == {"M": "1/102", "N": "101/102"}
     assert result["cells"][0]["common_face"]["vertices"] == [["1/102", "101/102"]]
+
+
+def test_rectangularized_cells_are_judged_on_the_hulls_posteriors():
+    report = run("fig1", RunFlags(eps=F(1, 4), rectangularize=True, analyses=("check-dc",)))
+    judged = [c for c in result_for(report, "check-dc")["cells"] if "conditional_face" in c]
+    assert judged
+    spec = validate_scenario(load_scenario("fig1")).players["2"]
+    problem = build_player_problem(builtin_game("fig1"), "2", spec.beliefs(F(1, 4)))
+    hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
+    rows = problem.exante.payoff
+    for cell in judged:
+        post = full_bayes_update(hull, tuple(cell["cell"]))
+        slot = next(s for s in problem.conditionals if list(s.cell) == cell["cell"])
+        columns = [problem.space.index(s) for s in post.space.labels]
+        payoff = [[rows[p.index(1)][i] for i in columns] for p in slot.projection]
+        face = maxmin_solve(DecisionProblem.build(payoff, post.space, post)).optimal_face
+        assert cell["conditional_face"] == face.to_json()
+    # swapping beliefs in place would keep the old beliefs' posteriors
+    with pytest.raises(ValueError, match="posteriors"):
+        replace(problem, exante=replace(problem.exante, beliefs=hull))
 
 
 def test_run_update_segment():
@@ -243,6 +267,14 @@ def test_zero_denominators_and_bools_are_schema_errors(argv, edit, tmp_path, cap
     assert "schema error" in capsys.readouterr().err
 
 
+_FIG1_BELIEFS = {
+    "type": "eps_contamination",
+    "states": ["L", "R", "O"],
+    "center": ["0", "1", "0"],
+    "eps": "1/4",
+}
+
+
 @pytest.mark.parametrize(
     "name, path, value, where",
     [
@@ -266,12 +298,13 @@ def test_zero_denominators_and_bools_are_schema_errors(argv, edit, tmp_path, cap
         ("fig4", ("payoff_search", "slots", 1), "zz",
          "payoff_search.slots[1]: not a declared parameter"),
         ("fig1", ("player",), None, "player: required, in the scenario or as --player"),
+        ("fig1", ("players", "9"), {"beliefs": _FIG1_BELIEFS}, "players.9: not a player of the game"),
     ],
     ids=["eps-without-states", "bindings-list", "center-length", "grid-entry",
          "game-action-without-child", "game-list-root", "game-int-information-sets",
          "game-undeclared-payoff", "game-zero-denominator-parameter", "game-decimal-payoff",
          "game-exponent-parameter", "game-int-label", "binding-undeclared",
-         "slot-undeclared", "player-missing"],
+         "slot-undeclared", "player-missing", "player-not-in-game"],
 )
 def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tmp_path, capsys):
     assert main(["validate", _scenario_file(tmp_path, name, path, value)]) == 1

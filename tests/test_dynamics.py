@@ -1,11 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from credalgames import dynamics
 from credalgames.beliefs import (
     CredalSet,
     StateSpace,
+    ZeroProbabilityReachError,
     compose,
     eps_contamination,
     full_bayes_update,
@@ -16,6 +19,7 @@ from credalgames.dynamics import (
     CONSISTENT,
     INCONSISTENT,
     UNREACHABLE,
+    Posteriors,
     StateSpaceError,
     aggregate_identical_payoff_states,
     build_player_problem,
@@ -372,6 +376,73 @@ def test_find_dc_violation_rectangular_beliefs_not_found(fig1):
     )
     result = find_dc_violation_payoffs(fig1, "2", hulled, [0], ["x"])
     assert result is None
+
+
+@pytest.fixture
+def updates(monkeypatch):
+    """The cells the player problems update on, in call order."""
+    cells = []
+
+    def counting(beliefs, cell):
+        cells.append(cell)
+        return full_bayes_update(beliefs, cell)
+
+    monkeypatch.setattr(dynamics, "full_bayes_update", counting)
+    return cells
+
+
+def oracle_search(game, player, beliefs, grid, slots, bindings=None):
+    """The search as a loop that rebuilds the whole problem at every point."""
+    base = dict(bindings or {})
+    for assignment in itertools.product([F(g) for g in grid], repeat=len(slots)):
+        pp = build_player_problem(game, player, beliefs, {**base, **dict(zip(slots, assignment))})
+        report = check_dynamic_consistency(pp)
+        if not report.overall:
+            return dict(zip(slots, assignment)), report
+    return None
+
+
+@pytest.mark.parametrize(
+    "grid, bindings, hulled",
+    [
+        ([-1, 0, 1, 100, 101], None, False),
+        ([-1, 0, 1, 100, 101], {"y": 7}, False),
+        # rectangular beliefs are consistent at every point
+        ([-1, 0, 100], None, True),
+    ],
+    ids=["fig4-grid", "fixed-base-binding", "exhausted"],
+)
+def test_search_matches_rebuilding_oracle(fig4, grid, bindings, hulled, updates):
+    induced = induce_downstream(QUAD, (F(1, 3), F(1, 2)))
+    problem = build_player_problem(fig4, "3", induced)
+    if hulled:
+        induced = rectangular_hull(induced, problem.filtration)
+    slots = ["uRNS", "uRNT", "uOS", "uOT"]
+    want = oracle_search(fig4, "3", induced, grid, slots, bindings)
+    assert (want is None) == hulled
+    updates.clear()
+    got = find_dc_violation_payoffs(fig4, "3", induced, grid, slots, bindings)
+    if want is None:
+        assert got is None
+    else:
+        assert got.payoffs == want[0]
+        assert got.report.to_json() == want[1].to_json()
+    # one update per acting cell for the whole search, not one per grid point
+    assert sorted(updates) == sorted(slot.cell for slot in problem.conditionals)
+
+
+def test_posteriors_update_each_cell_once_and_repeat_unreachable(updates):
+    space = StateSpace.of("a", "b", "c")
+    beliefs = CredalSet.from_vertices(
+        space, [[F(1, 2), F(1, 2), 0], [F(1, 4), F(1, 4), F(1, 2)]]
+    )
+    posterior = Posteriors(beliefs)
+    assert posterior(("a", "b")) is posterior(("a", "b"))
+    for _ in range(2):
+        with pytest.raises(ZeroProbabilityReachError) as caught:
+            posterior(("c",))
+        assert caught.value.vertex == Vector([F(1, 2), F(1, 2), 0])
+    assert updates == [("a", "b"), ("c",)]
 
 
 def random_rectangular_fig1_style(rng):
