@@ -29,10 +29,10 @@ from .dynamics import (
     PlayerProblem,
     Posteriors,
     StateSpaceError,
+    build_player_problem,
     check_dynamic_consistency,
     find_dc_violation_payoffs,
     induce_downstream,
-    player_structure,
 )
 from .exactmath import Vector, affine_image, approx_decimal, rat, read_rational
 from .gametree import (
@@ -401,8 +401,6 @@ class _Prepared:
     induced: CredalSet | None  # base beliefs pushed through the n_interval
     problem: PlayerProblem  # on the induced beliefs if any, hulled by --rectangularize
     interval: tuple[Fraction, Fraction] | None
-    bindings: dict
-    strategy_labels: tuple[str, ...]
 
 
 def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
@@ -425,20 +423,18 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
     interval = flags.interval or spec.n_interval
     induced = induce_downstream(base, interval) if interval else None
     bindings = {**scenario.bindings, **(flags.bindings or {})}
-    beliefs = induced or base
-    structure = player_structure(game, player, beliefs.space)
+    problem = build_player_problem(game, player, induced or base, bindings)
     if flags.rectangularize:
-        # the hull lives on the same states; binding gives it its own posteriors
-        beliefs = rectangular_hull(beliefs, structure.filtration)
-    problem = structure.bind(Posteriors(beliefs), bindings)
+        # the hull lives on the same states and gets its own posteriors
+        hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
+        problem = replace(problem, posterior=Posteriors(hull))
     event, states = flags.event or (), problem.space.labels
     if len(set(event)) != len(event) or not set(event) <= set(states):
         raise ScenarioSchemaError(
             [f"--event: {','.join(event)} is not a set of player {player}'s states "
              f"{','.join(states)}"]
         )
-    labels = structure.strategy_labels
-    return _Prepared(player, base, induced, problem, interval, bindings, labels)
+    return _Prepared(player, base, induced, problem, interval)
 
 
 def _solution_json(sol: MaxminSolution, labels: tuple[str, ...]) -> dict:
@@ -465,7 +461,7 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlag
         }
     if name == "maxmin":
         sol = maxmin_solve(pp.exante)
-        return {"analysis": name, **_solution_json(sol, prep.strategy_labels)}
+        return {"analysis": name, **_solution_json(sol, pp.strategy_labels)}
     if name == "update":
         cells = [tuple(flags.event)] if flags.event else [s.cell for s in pp.conditionals]
         out = []
@@ -508,7 +504,7 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlag
         report = check_dynamic_consistency(pp)
         result = {"analysis": name, **report.to_json()}
         result["exante"]["strategy"] = dict(
-            zip(prep.strategy_labels, report.exante_solution.strategy.to_json())
+            zip(pp.strategy_labels, report.exante_solution.strategy.to_json())
         )
         judged = [c for c in report.cells if c.conditional_face is not None]
         if judged:
@@ -529,9 +525,7 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlag
         slots = flags.slots or scenario.slots
         if not grid or not slots:
             raise AnalysisError("find-payoffs needs --grid and --slots")
-        found = find_dc_violation_payoffs(
-            scenario.game, prep.player, pp.exante.beliefs, grid, slots, prep.bindings
-        )
+        found = find_dc_violation_payoffs(pp, grid, slots)
         if found is None:
             return {"analysis": name, "found": False}
         return {
@@ -637,11 +631,11 @@ def sweep_eps(
     """
     fig1 = validate_scenario(BUILTIN_SCENARIOS["fig1"])
     spec = fig1.players[fig1.player]
-    structure = player_structure(fig1.game, fig1.player, spec.space)
+    problem = build_player_problem(fig1.game, fig1.player, spec.beliefs(), fig1.bindings)
 
     def verdict(eps: Fraction) -> str:
-        problem = structure.bind(Posteriors(spec.beliefs(eps)), fig1.bindings)
-        return "consistent" if check_dynamic_consistency(problem).overall else "inconsistent"
+        at_eps = replace(problem, posterior=Posteriors(spec.beliefs(eps)))
+        return "consistent" if check_dynamic_consistency(at_eps).overall else "inconsistent"
 
     entries = [(e, verdict(e)) for e in sorted(rat(e) for e in eps_list or ())]
     threshold = None

@@ -11,7 +11,7 @@ recomputed at each reached information set after full Bayesian updating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .beliefs import (
@@ -19,7 +19,6 @@ from .beliefs import (
     Filtration,
     StateSpace,
     ZeroProbabilityReachError,
-    cell_label,
     full_bayes_update,
 )
 from .exactmath import Polytope, Vector, affine_image, rat, unit_vector
@@ -28,6 +27,7 @@ from .gametree import (
     Node,
     PayoffEntry,
     TerminalNode,
+    UnboundParameterError,
     validate_perfect_recall,
 )
 from .maxmin import DecisionProblem, MaxminSolution, constrained_maxmin, maxmin_solve
@@ -61,7 +61,7 @@ class ConditionalSlot:
 class Posteriors:
     """One credal set's full Bayes updates, each cell's made on first read.
 
-    Problems bound to the same beliefs share one instance, so a cell's
+    A problem rebound to other payoffs keeps its instance, so a cell's
     posterior is computed once however many grid points and analyses read
     it.  A cell some prior rules out raises the same
     ZeroProbabilityReachError on every read.
@@ -86,16 +86,29 @@ class Posteriors:
 
 @dataclass(frozen=True)
 class PlayerProblem:
+    """A player's strategic problem and the stage-1 cells where it acts.
+
+    ``rows`` is the strategic matrix over the filtration's states, each
+    entry an exact value or a parameter name that ``values`` resolves;
+    ``posterior`` holds the beliefs.  The ex-ante problem is derived from
+    the three, so a search or a sweep derives a problem once and rebinds it
+    with ``dataclasses.replace``: new ``values`` for other payoffs, a new
+    ``posterior`` for other beliefs.
+    """
+
     player: str
-    exante: DecisionProblem
     filtration: Filtration
     conditionals: tuple[ConditionalSlot, ...]
-    posterior: Posteriors = field(compare=False, repr=False)  # of exante.beliefs
+    strategy_labels: tuple[str, ...]
+    rows: tuple[tuple[PayoffEntry, ...], ...]
+    values: dict[str, Fraction] = field(hash=False)  # exante hashes the resolved rows
+    posterior: Posteriors = field(compare=False, repr=False)
+    exante: DecisionProblem = field(init=False)
 
     def __post_init__(self):
-        # swapping in other beliefs must not keep the old beliefs' posteriors
-        if self.posterior.beliefs is not self.exante.beliefs:
-            raise ValueError("the posteriors belong to other beliefs than the problem's")
+        rows = [[self.values[e] if isinstance(e, str) else e for e in row] for row in self.rows]
+        exante = DecisionProblem.build(rows, self.filtration.space, self.posterior.beliefs)
+        object.__setattr__(self, "exante", exante)
 
     @property
     def space(self) -> StateSpace:
@@ -203,23 +216,6 @@ def _derive_structure(game: GameTree, player: str):
     return states, list(grouped.values()), projections, sym_rows, strategy_labels
 
 
-def _identical_column_groups(cells, rows):
-    """Group state indices with identical payoff columns inside each cell.
-
-    ``cells`` lists each stage-1 cell's state indices; ``rows`` may hold
-    symbolic payoff entries or Fractions.  Returns every group ordered by
-    first index, and per cell its groups in order of first appearance.
-    """
-    per_cell: list[list[list[int]]] = []
-    for members in cells:
-        by_column: dict[tuple, list[int]] = {}
-        for i in members:
-            by_column.setdefault(tuple(row[i] for row in rows), []).append(i)
-        per_cell.append(list(by_column.values()))
-    groups = sorted((g for cell in per_cell for g in cell), key=lambda g: g[0])
-    return groups, per_cell
-
-
 def _layout(space: StateSpace, stage, acting):
     """The filtration of the stage-1 cells and a slot per acting cell.
 
@@ -236,55 +232,33 @@ def _layout(space: StateSpace, stage, acting):
     return filtration, tuple(slots)
 
 
-def _player_problem(
-    player: str, rows, posteriors: Posteriors, filtration: Filtration, slots
+def build_player_problem(
+    game: GameTree,
+    player: str,
+    opponent_beliefs: CredalSet,
+    bindings: dict | None = None,
 ) -> PlayerProblem:
-    """Assemble a player problem from its strategic matrix and its layout."""
-    exante = DecisionProblem.build(rows, filtration.space, posteriors.beliefs)
-    return PlayerProblem(player, exante, filtration, slots, posteriors)
+    """Wire a player's strategic and conditional problems from the game.
 
-
-@dataclass(frozen=True)
-class PlayerStructure:
-    """The part of a player problem that no payoff value or belief changes.
-
-    ``rows`` is the strategic matrix over the filtration's states, each
-    entry an exact value or a parameter name.  A search or a sweep derives
-    the structure once and binds it per point; binding only rebuilds the
-    ex-ante matrix.
-    """
-
-    game: GameTree
-    player: str
-    filtration: Filtration
-    conditionals: tuple[ConditionalSlot, ...]
-    rows: tuple[tuple[PayoffEntry, ...], ...]
-    strategy_labels: tuple[str, ...]
-
-    def bind(self, posteriors: Posteriors, bindings: dict | None = None) -> PlayerProblem:
-        """The player problem under these beliefs and parameter bindings."""
-        values = self.game.resolve_parameters(bindings)
-        rows = [[self.game.payoff_value(e, values) for e in row] for row in self.rows]
-        return _player_problem(
-            self.player, rows, posteriors, self.filtration, self.conditionals
-        )
-
-
-def player_structure(game: GameTree, player: str, space: StateSpace) -> PlayerStructure:
-    """Derive a player's payoff-free structure over the beliefs' states.
-
-    ``space`` may be either the raw opponent-path states or their
-    payoff-identical aggregation (in which case the merged states adopt the
-    space's labels, as with a combined state named Z).
+    The beliefs' states may be either the raw opponent-path states or their
+    aggregation, inside each stage-1 cell, of states with identical payoff
+    columns (the merged states adopt the beliefs' labels, as with a combined
+    state named Z).
     """
     states, cells, projections, sym_rows, labels = _derive_structure(game, player)
+    space = opponent_beliefs.space
     want = space.labels
 
     if tuple(s.label for s in states) == want:  # the all-singleton grouping
-        groups = [[i] for i in range(len(states))]
         per_cell = [[[i] for i in m] for m in cells]
     else:
-        groups, per_cell = _identical_column_groups(cells, sym_rows)
+        per_cell = []
+        for members in cells:
+            by_column: dict[tuple, list[int]] = {}
+            for i in members:
+                by_column.setdefault(tuple(row[i] for row in sym_rows), []).append(i)
+            per_cell.append(list(by_column.values()))
+    groups = sorted((g for cell in per_cell for g in cell), key=lambda g: g[0])
     if len(groups) != len(want):
         raise StateSpaceError(
             f"{len(groups)} aggregated states cannot match beliefs over {want}"
@@ -301,18 +275,10 @@ def player_structure(game: GameTree, player: str, space: StateSpace) -> PlayerSt
     # merging keeps the cell list intact, so each projection carries over
     acting = [(stage[ci], projection) for ci, projection in projections.items()]
     filtration, slots = _layout(space, stage, acting)
-    return PlayerStructure(game, player, filtration, slots, rows, labels)
-
-
-def build_player_problem(
-    game: GameTree,
-    player: str,
-    opponent_beliefs: CredalSet,
-    bindings: dict | None = None,
-) -> PlayerProblem:
-    """Wire a player's strategic and conditional problems from the game."""
-    structure = player_structure(game, player, opponent_beliefs.space)
-    return structure.bind(Posteriors(opponent_beliefs), bindings)
+    values = game.resolve_parameters(bindings)
+    return PlayerProblem(
+        player, filtration, slots, labels, rows, values, Posteriors(opponent_beliefs)
+    )
 
 
 def player_problem_from_matrix(
@@ -328,54 +294,11 @@ def player_problem_from_matrix(
     The strategy coordinates double as the cell coordinates, so every
     conditional slot carries an identity projection.
     """
-    identity = [unit_vector(len(payoff_rows), i) for i in range(len(payoff_rows))]
+    rows = tuple(tuple(rat(x) for x in row) for row in payoff_rows)
+    identity = [unit_vector(len(rows), i) for i in range(len(rows))]
     filtration, slots = _layout(space, stage, [(cell, identity) for cell in acting_cells])
-    return _player_problem(player, payoff_rows, Posteriors(beliefs), filtration, slots)
-
-
-def aggregate_identical_payoff_states(
-    pp: PlayerProblem, merged_labels: dict[frozenset, str] | None = None
-) -> PlayerProblem:
-    """Merge states with identical payoff columns inside one stage-1 cell.
-
-    Beliefs are pushed forward by the coordinate-summing map; states in
-    different cells never merge (that would coarsen the filtration).
-    Merged states are labelled {A,B,...} unless ``merged_labels`` names them.
-    Projections carry over unchanged, since merging touches no strategy.
-    """
-    space = pp.space
-    rows = pp.exante.payoff
-    renames = {frozenset(k): v for k, v in (merged_labels or {}).items()}
-
-    groups, per_cell = _identical_column_groups(
-        [[space.index(s) for s in cell] for cell in pp.filtration.stages[0]], rows
-    )
-
-    label_of_old: dict[int, str] = {}
-    for group in groups:
-        olds = tuple(space.labels[i] for i in group)
-        if len(group) == 1:
-            label = olds[0]
-        else:
-            label = renames.get(frozenset(olds), cell_label(olds))
-        label_of_old.update(dict.fromkeys(group, label))
-    new_space = StateSpace(tuple(label_of_old[g[0]] for g in groups))
-
-    summing = [
-        [Fraction(1) if old in group else Fraction(0) for old in range(len(space))]
-        for group in groups
-    ]
-    new_set = affine_image(pp.exante.beliefs.set, summing)
-    new_beliefs = CredalSet(new_space, new_set)
-
-    new_rows = [[row[group[0]] for group in groups] for row in rows]
-    new_stage = [[label_of_old[g[0]] for g in cell] for cell in per_cell]
-    acting = [
-        ({label_of_old[space.index(s)] for s in slot.cell}, slot.projection)
-        for slot in pp.conditionals
-    ]
-    filtration, slots = _layout(new_space, new_stage, acting)
-    return _player_problem(pp.player, new_rows, Posteriors(new_beliefs), filtration, slots)
+    labels = tuple(str(i) for i in range(len(rows)))
+    return PlayerProblem(player, filtration, slots, labels, rows, {}, Posteriors(beliefs))
 
 
 def induce_downstream(p1_beliefs: CredalSet, n_interval) -> CredalSet:
@@ -498,29 +421,21 @@ class PayoffSearchResult:
     report: ConsistencyReport
 
 
-def find_dc_violation_payoffs(
-    game: GameTree,
-    player: str,
-    beliefs: CredalSet,
-    payoff_grid,
-    slots,
-    bindings: dict | None = None,
-) -> PayoffSearchResult | None:
+def find_dc_violation_payoffs(pp: PlayerProblem, payoff_grid, slots) -> PayoffSearchResult | None:
     """Scan grid assignments of the free payoff slots, lexicographically.
 
     Returns the first assignment whose consistency report shows a violation,
-    or None when the grid is exhausted.  The structure and each cell's
-    posterior are derived once; every point only rebinds the payoffs.
+    or None when the grid is exhausted.  Every point rebinds ``pp``'s
+    values, so the structure and each cell's posterior are derived once.
     """
     grid = [rat(g) for g in payoff_grid]
     slots = list(slots)
-    base = dict(bindings or {})
-    structure = player_structure(game, player, beliefs.space)
-    posteriors = Posteriors(beliefs)
+    for name in slots:
+        if name not in pp.values:
+            raise UnboundParameterError(f"binding for undeclared parameter {name!r}")
     for assignment in itertools.product(grid, repeat=len(slots)):
-        full = dict(base)
-        full.update(zip(slots, assignment))
-        report = check_dynamic_consistency(structure.bind(posteriors, full))
+        payoffs = dict(zip(slots, assignment))
+        report = check_dynamic_consistency(replace(pp, values={**pp.values, **payoffs}))
         if not report.overall:
-            return PayoffSearchResult(dict(zip(slots, assignment)), report)
+            return PayoffSearchResult(payoffs, report)
     return None

@@ -232,16 +232,6 @@ class GameTree:
             values[name] = rat(v)
         return values
 
-    def payoff_value(
-        self, entry: PayoffEntry, values: dict[str, Fraction]
-    ) -> Fraction:
-        if isinstance(entry, str):
-            try:
-                return values[entry]
-            except KeyError:
-                raise UnboundParameterError(f"unbound payoff parameter {entry!r}")
-        return entry
-
 
 # -- strategies -----------------------------------------------------------
 

@@ -182,7 +182,9 @@ def test_08_counterexample_payoffs():
     game = builtin_game("fig4")
     induced = induce_downstream(QUAD, (F(1, 3), F(1, 2)))
     found = find_dc_violation_payoffs(
-        game, "3", induced, [-1, 0, 1, 100, 101], ["uRNS", "uRNT", "uOS", "uOT"]
+        build_player_problem(game, "3", induced),
+        [-1, 0, 1, 100, 101],
+        ["uRNS", "uRNT", "uOS", "uOT"],
     )
     assert found is not None
     assert any(c.status == INCONSISTENT for c in found.report.cells)

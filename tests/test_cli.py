@@ -17,7 +17,7 @@ from credalgames.cli import (
     sweep_eps,
     validate_scenario,
 )
-from credalgames.dynamics import build_player_problem
+from credalgames.dynamics import Posteriors, build_player_problem
 from credalgames.gametree import builtin_game, game_to_json, validate_perfect_recall
 from credalgames.maxmin import DecisionProblem, maxmin_solve
 
@@ -72,9 +72,8 @@ def test_rectangularized_cells_are_judged_on_the_hulls_posteriors():
         payoff = [[rows[p.index(1)][i] for i in columns] for p in slot.projection]
         face = maxmin_solve(DecisionProblem.build(payoff, post.space, post)).optimal_face
         assert cell["conditional_face"] == face.to_json()
-    # swapping beliefs in place would keep the old beliefs' posteriors
-    with pytest.raises(ValueError, match="posteriors"):
-        replace(problem, exante=replace(problem.exante, beliefs=hull))
+    # the posteriors hold the beliefs, so replacing them rebinds the ex-ante problem
+    assert replace(problem, posterior=Posteriors(hull)).exante.beliefs is hull
 
 
 def test_run_update_segment():

@@ -21,7 +21,6 @@ from credalgames.dynamics import (
     UNREACHABLE,
     Posteriors,
     StateSpaceError,
-    aggregate_identical_payoff_states,
     build_player_problem,
     check_dynamic_consistency,
     find_dc_violation_payoffs,
@@ -29,7 +28,8 @@ from credalgames.dynamics import (
     player_problem_from_matrix,
 )
 from credalgames.exactmath import Vector
-from credalgames.gametree import builtin_game
+from credalgames.cli import RunFlags, run
+from credalgames.gametree import UnboundParameterError, builtin_game
 
 F = Fraction
 
@@ -138,61 +138,6 @@ def test_constant_payoff_player_all_rows_equal(fig1):
     assert report.overall
     assert report.exante_solution.value == 3
     assert len(report.exante_solution.optimal_face.vertices) == 3
-
-
-def test_aggregate_merges_identical_columns(fig4):
-    raw_space = StateSpace.of("LM", "LN", "RM", "RN", "O")
-    beliefs = CredalSet.from_vertices(
-        raw_space,
-        [
-            [F(1, 5), F(1, 5), F(1, 5), F(1, 5), F(1, 5)],
-            [F(1, 2), F(1, 8), F(1, 8), F(1, 8), F(1, 8)],
-        ],
-    )
-    pp = build_player_problem(fig4, "3", beliefs, {"y": 7, "uRNS": 1, "uOT": 5})
-    merged = aggregate_identical_payoff_states(
-        pp, {frozenset({"LM", "LN", "RM"}): "Z"}
-    )
-    assert merged.space.labels == ("Z", "RN", "O")
-    assert merged.filtration.stages == ((("Z",), ("RN", "O")),)
-    assert merged.exante.payoff == ((7, 1, 0), (7, 0, 5))
-    assert set(merged.exante.beliefs.vertices) == {
-        Vector([F(3, 5), F(1, 5), F(1, 5)]),
-        Vector([F(3, 4), F(1, 8), F(1, 8)]),
-    }
-    assert merged.conditionals[0].cell == ("RN", "O")
-    assert cell_matrix(merged, merged.conditionals[0]) == ((1, 0), (0, 5))
-
-
-def test_aggregate_without_rename_uses_brace_label(fig4):
-    raw_space = StateSpace.of("LM", "LN", "RM", "RN", "O")
-    beliefs = CredalSet.singleton(raw_space, [F(1, 5)] * 5)
-    merged = aggregate_identical_payoff_states(
-        build_player_problem(fig4, "3", beliefs, {"uRNS": 2})
-    )
-    assert merged.space.labels == ("{LM,LN,RM}", "RN", "O")
-    # leaving every slot at its default 0 also merges RN with O
-    collapsed = aggregate_identical_payoff_states(
-        build_player_problem(fig4, "3", beliefs)
-    )
-    assert collapsed.space.labels == ("{LM,LN,RM}", "{RN,O}")
-
-
-def test_aggregate_leaves_distinct_columns_alone(fig1):
-    pp = fig1_problem(fig1, F(1, 4))
-    merged = aggregate_identical_payoff_states(pp)
-    assert merged.space.labels == pp.space.labels
-    assert merged.exante.payoff == pp.exante.payoff
-
-
-def test_aggregate_never_merges_across_cells():
-    space = StateSpace.of("a", "b")
-    beliefs = CredalSet.from_vertices(space, [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
-    pp = player_problem_from_matrix(
-        "p", [[1, 1], [0, 0]], space, beliefs, [("a",), ("b",)], [("a",), ("b",)]
-    )
-    merged = aggregate_identical_payoff_states(pp)
-    assert merged.space.labels == ("a", "b")
 
 
 def test_induce_downstream_quadrilateral():
@@ -348,7 +293,9 @@ def test_check_dc_unreachable_cell():
 def test_find_dc_violation_on_three_player_game(fig4):
     induced = induce_downstream(QUAD, (F(1, 3), F(1, 2)))
     result = find_dc_violation_payoffs(
-        fig4, "3", induced, [-1, 0, 1, 100, 101], ["uRNS", "uRNT", "uOS", "uOT"]
+        build_player_problem(fig4, "3", induced),
+        [-1, 0, 1, 100, 101],
+        ["uRNS", "uRNT", "uOS", "uOT"],
     )
     assert result is not None
     assert not result.report.overall
@@ -362,7 +309,7 @@ def test_find_dc_violation_constant_payoffs_not_found(fig4):
     induced = induce_downstream(QUAD, (F(1, 3), F(1, 2)))
     # a single grid value makes every slot constant: all strategies optimal
     result = find_dc_violation_payoffs(
-        fig4, "3", induced, [5], ["uRNS", "uRNT", "uOS", "uOT"]
+        build_player_problem(fig4, "3", induced), [5], ["uRNS", "uRNT", "uOS", "uOT"]
     )
     assert result is None
 
@@ -374,8 +321,14 @@ def test_find_dc_violation_rectangular_beliefs_not_found(fig1):
         contamination(F(1, 4)),
         Filtration.build(LRO, [(("L", "R"), ("O",))]),
     )
-    result = find_dc_violation_payoffs(fig1, "2", hulled, [0], ["x"])
+    result = find_dc_violation_payoffs(build_player_problem(fig1, "2", hulled), [0], ["x"])
     assert result is None
+
+
+def test_find_dc_violation_rejects_undeclared_slots(fig1):
+    pp = fig1_problem(fig1, F(1, 4))
+    with pytest.raises(UnboundParameterError, match="zz"):
+        find_dc_violation_payoffs(pp, [0, 1], ["zz"])
 
 
 @pytest.fixture
@@ -421,7 +374,9 @@ def test_search_matches_rebuilding_oracle(fig4, grid, bindings, hulled, updates)
     want = oracle_search(fig4, "3", induced, grid, slots, bindings)
     assert (want is None) == hulled
     updates.clear()
-    got = find_dc_violation_payoffs(fig4, "3", induced, grid, slots, bindings)
+    got = find_dc_violation_payoffs(
+        build_player_problem(fig4, "3", induced, bindings), grid, slots
+    )
     if want is None:
         assert got is None
     else:
@@ -443,6 +398,11 @@ def test_posteriors_update_each_cell_once_and_repeat_unreachable(updates):
             posterior(("c",))
         assert caught.value.vertex == Vector([F(1, 2), F(1, 2), 0])
     assert updates == [("a", "b"), ("c",)]
+
+
+def test_payoff_search_shares_the_commands_posteriors(updates):
+    run("fig4", RunFlags(analyses=("check-dc", "find-payoffs")))
+    assert updates.count(("RN", "O")) == 1
 
 
 def random_rectangular_fig1_style(rng):
