@@ -159,13 +159,21 @@ def _distribution(value, n: int | None, path: str, out: list[str]) -> Vector | N
     return None
 
 
-def _undeclared(game: GameTree, named) -> list[str]:
-    """A violation for each (path, name) pair naming no parameter of the game."""
-    return [
-        f"{path}: not a declared parameter of the game"
-        for path, name in named
-        if name not in game.parameters
-    ]
+@dataclass(frozen=True)
+class RunFlags:
+    """Command-line options; validate_scenario applies those that override the file."""
+
+    player: str | None = None
+    eps: Fraction | None = None
+    rectangularize: bool = False
+    analyses: tuple[str, ...] | None = None
+    event: tuple[str, ...] | None = None
+    interval: tuple[Fraction, Fraction] | None = None
+    grid: tuple[Fraction, ...] | None = None
+    slots: tuple[str, ...] | None = None
+    bindings: dict | None = None
+    layers: tuple[str, ...] = ("beliefs", "update")
+    svg_out: str | None = None
 
 
 @dataclass(frozen=True)
@@ -178,11 +186,10 @@ class PlayerSpec:
     vertices: tuple[Vector, ...]  # set for credal beliefs
     n_interval: tuple[Fraction, Fraction] | None
 
-    def beliefs(self, eps: Fraction | None = None) -> CredalSet:
-        """The credal set; ``eps`` overrides the contamination weight."""
+    def beliefs(self) -> CredalSet:
         if self.center is None:
             return CredalSet.from_vertices(self.space, list(self.vertices))
-        return eps_contamination(self.center, self.eps if eps is None else eps, self.space)
+        return eps_contamination(self.center, self.eps, self.space)
 
 
 def _parse_player(entry, path: str, out: list[str]) -> PlayerSpec | None:
@@ -243,7 +250,7 @@ def _parse_player(entry, path: str, out: list[str]) -> PlayerSpec | None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A scenario read once: the game built, every number an exact Fraction."""
+    """A scenario read once, flags applied: the game built, every number exact."""
 
     game: GameTree
     player: str
@@ -254,11 +261,12 @@ class Scenario:
     slots: tuple[str, ...]
 
 
-def validate_scenario(data) -> Scenario:
-    """Parse a raw scenario in one pass.
+def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
+    """Parse a raw scenario and apply the flags' overrides in one pass.
 
-    Raises ScenarioSchemaError with every violation as a 'path: problem'
-    string; otherwise returns the typed Scenario the analyses run on.
+    Raises ScenarioSchemaError with every violation of the file and of the
+    flags as a 'path: problem' string; otherwise returns the typed Scenario
+    the analyses run on, holding the values the flags leave in effect.
     """
     if not isinstance(data, dict):
         raise ScenarioSchemaError(["scenario: must be a JSON object"])
@@ -291,9 +299,16 @@ def validate_scenario(data) -> Scenario:
         players = {}
     specs = {pid: _parse_player(e, f"players.{pid}", out) for pid, e in players.items()}
 
-    player = data.get("player")
-    if player is not None and str(player) not in players:
-        out.append(f"player: {player!r} has no entry under players")
+    for where, pid in (("player", data.get("player")), ("--player", flags.player)):
+        if pid is not None and str(pid) not in players:
+            out.append(f"{where}: {pid!r} has no entry under players")
+    player = flags.player or data.get("player")
+    if player is None:
+        out.append("player: required, in the scenario or as --player")
+    player = str(player)
+    spec = specs.get(player)
+    if flags.eps is not None and spec is not None and spec.center is None:
+        out.append(f"--eps: player {player}'s beliefs are credal, not eps_contamination")
 
     bindings = data.get("bindings") or {}
     if not isinstance(bindings, dict):
@@ -308,6 +323,7 @@ def validate_scenario(data) -> Scenario:
     for i, a in enumerate(analysis):
         if a not in ANALYSES:
             out.append(f"analysis[{i}]: unknown analysis {a!r}")
+    default_analyses = tuple(analysis) or ("validate", "maxmin", "check-dc")
 
     search = data.get("payoff_search", {})
     if not isinstance(search, dict):
@@ -328,18 +344,28 @@ def validate_scenario(data) -> Scenario:
         )
         named = [(f"bindings.{name}", name) for name in bindings]
         named += [(f"payoff_search.slots[{i}]", s) for i, s in enumerate(slots)]
-        out.extend(_undeclared(tree, named))
+        named += [(f"--bind {name}", name) for name in flags.bindings or ()]
+        named += [(f"--slots {s}", s) for s in flags.slots or ()]
+        out.extend(
+            f"{path}: not a declared parameter of the game"
+            for path, name in named
+            if name not in tree.parameters
+        )
 
     if out:
         raise ScenarioSchemaError(out)
+    if flags.eps is not None:
+        spec = replace(spec, eps=flags.eps)
+    if flags.interval is not None:
+        spec = replace(spec, n_interval=flags.interval)
     return Scenario(
         tree,
-        "" if player is None else str(player),
-        specs,
-        bindings,
-        tuple(analysis) or ("validate", "maxmin", "check-dc"),
-        grid,
-        tuple(slots),
+        player,
+        {**specs, player: spec},
+        {**bindings, **(flags.bindings or {})},
+        default_analyses if flags.analyses is None else flags.analyses,
+        flags.grid or grid,
+        flags.slots or tuple(slots),
     )
 
 
@@ -356,21 +382,6 @@ def scenario_hash(data: dict) -> str:
 
 
 # -- running analyses --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunFlags:
-    player: str | None = None
-    eps: Fraction | None = None
-    rectangularize: bool = False
-    analyses: tuple[str, ...] | None = None
-    event: tuple[str, ...] | None = None
-    interval: tuple[Fraction, Fraction] | None = None
-    grid: tuple[Fraction, ...] | None = None
-    slots: tuple[str, ...] | None = None
-    bindings: dict | None = None
-    layers: tuple[str, ...] = ("beliefs", "update")
-    svg_out: str | None = None
 
 
 @dataclass
@@ -396,34 +407,18 @@ class Report:
 
 @dataclass
 class _Prepared:
-    player: str
     base_beliefs: CredalSet
     induced: CredalSet | None  # base beliefs pushed through the n_interval
     problem: PlayerProblem  # on the induced beliefs if any, hulled by --rectangularize
-    interval: tuple[Fraction, Fraction] | None
+    cells: list[tuple[str, ...]]  # the update cells: --event, else the acting cells
 
 
 def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
-    game = scenario.game
-    player = str(flags.player or scenario.player)
-    spec = scenario.players.get(player)
-    named = [(f"--bind {name}", name) for name in flags.bindings or ()]
-    out = _undeclared(game, named + [(f"--slots {s}", s) for s in flags.slots or ()])
-    if spec is None:
-        out.append(
-            f"--player: {player!r} has no entry under players"
-            if flags.player
-            else "player: required, in the scenario or as --player"
-        )
-    elif flags.eps is not None and spec.center is None:
-        out.append(f"--eps: player {player}'s beliefs are credal, not eps_contamination")
-    if out:
-        raise ScenarioSchemaError(out)
-    base = spec.beliefs(flags.eps)
-    interval = flags.interval or spec.n_interval
-    induced = induce_downstream(base, interval) if interval else None
-    bindings = {**scenario.bindings, **(flags.bindings or {})}
-    problem = build_player_problem(game, player, induced or base, bindings)
+    player = scenario.player
+    spec = scenario.players[player]
+    base = spec.beliefs()
+    induced = induce_downstream(base, spec.n_interval) if spec.n_interval else None
+    problem = build_player_problem(scenario.game, player, induced or base, scenario.bindings)
     if flags.rectangularize:
         # the hull lives on the same states and gets its own posteriors
         hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
@@ -434,7 +429,8 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
             [f"--event: {','.join(event)} is not a set of player {player}'s states "
              f"{','.join(states)}"]
         )
-    return _Prepared(player, base, induced, problem, interval)
+    cells = [event] if event else [s.cell for s in problem.conditionals]
+    return _Prepared(base, induced, problem, cells)
 
 
 def _solution_json(sol: MaxminSolution, labels: tuple[str, ...]) -> dict:
@@ -447,14 +443,14 @@ def _solution_json(sol: MaxminSolution, labels: tuple[str, ...]) -> dict:
     }
 
 
-def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlags) -> dict:
+def _run_analysis(name: str, prep: _Prepared, scenario: Scenario) -> dict:
     pp = prep.problem
     if name == "validate":
-        check = validate_perfect_recall(scenario.game)
         return {
             "analysis": name,
             "schema": "ok",
-            "perfect_recall": check.ok,
+            # constant: build_player_problem has already rejected imperfect recall
+            "perfect_recall": True,
             "players": list(scenario.game.players),
             "states": list(pp.space.labels),
             "filtration": [list(map(list, stage)) for stage in pp.filtration.stages],
@@ -463,9 +459,8 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlag
         sol = maxmin_solve(pp.exante)
         return {"analysis": name, **_solution_json(sol, pp.strategy_labels)}
     if name == "update":
-        cells = [tuple(flags.event)] if flags.event else [s.cell for s in pp.conditionals]
         out = []
-        for cell in cells:
+        for cell in prep.cells:
             try:
                 post = pp.posterior(cell)
                 out.append(
@@ -516,16 +511,14 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlag
             raise AnalysisError("induce needs an n_interval (scenario or --interval)")
         return {
             "analysis": name,
-            "interval": [str(prep.interval[0]), str(prep.interval[1])],
+            "interval": [str(x) for x in scenario.players[scenario.player].n_interval],
             "states": list(prep.induced.space.labels),
             "vertices": [v.to_json() for v in prep.induced.vertices],
         }
     if name == "find-payoffs":
-        grid = flags.grid or scenario.grid
-        slots = flags.slots or scenario.slots
-        if not grid or not slots:
+        if not scenario.grid or not scenario.slots:
             raise AnalysisError("find-payoffs needs --grid and --slots")
-        found = find_dc_violation_payoffs(pp, grid, slots)
+        found = find_dc_violation_payoffs(pp, scenario.grid, scenario.slots)
         if found is None:
             return {"analysis": name, "found": False}
         return {
@@ -540,14 +533,13 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario, flags: RunFlag
 def run(scenario: str | dict, flags: RunFlags = RunFlags()) -> Report:
     """Execute the scenario's analyses (or the flags' override) in order."""
     data = load_scenario(scenario) if isinstance(scenario, str) else scenario
-    parsed = validate_scenario(data)
+    parsed = validate_scenario(data, flags)
     prep = _prepare(parsed, flags)
-    analyses = parsed.analyses if flags.analyses is None else flags.analyses
     name = scenario if isinstance(scenario, str) else "(inline)"
-    report = Report(scenario_hash(data), __version__, name, prep.player)
-    for analysis in analyses:
+    report = Report(scenario_hash(data), __version__, name, parsed.player)
+    for analysis in parsed.analyses:
         try:
-            report.results.append(_run_analysis(analysis, prep, parsed, flags))
+            report.results.append(_run_analysis(analysis, prep, parsed))
         except (
             ZeroProbabilityReachError,
             StateSpaceError,
@@ -555,11 +547,11 @@ def run(scenario: str | dict, flags: RunFlags = RunFlags()) -> Report:
         ) as exc:
             raise AnalysisError(f"{analysis}: {exc}") from exc
     if flags.svg_out is not None:
-        report.results.append(_render(prep, flags))
+        report.results.append(_render(prep, parsed.player, flags))
     return report
 
 
-def _render(prep: _Prepared, flags: RunFlags) -> dict:
+def _render(prep: _Prepared, player: str, flags: RunFlags) -> dict:
     panels: list[TrianglePanel] = []
     layers: list[TriangleLayer] = []
     pp = prep.problem
@@ -592,7 +584,7 @@ def _render(prep: _Prepared, flags: RunFlags) -> dict:
         else:
             raise AnalysisError(f"unknown render layer {kind!r}")
     if layers:
-        panels.insert(0, TrianglePanel(tuple(layers), prep.player))
+        panels.insert(0, TrianglePanel(tuple(layers), player))
     doc = render_triangle(panels, flags.svg_out)
     return {
         "analysis": "render",
@@ -634,7 +626,7 @@ def sweep_eps(
     problem = build_player_problem(fig1.game, fig1.player, spec.beliefs(), fig1.bindings)
 
     def verdict(eps: Fraction) -> str:
-        at_eps = replace(problem, posterior=Posteriors(spec.beliefs(eps)))
+        at_eps = replace(problem, posterior=Posteriors(replace(spec, eps=eps).beliefs()))
         return "consistent" if check_dynamic_consistency(at_eps).overall else "inconsistent"
 
     entries = [(e, verdict(e)) for e in sorted(rat(e) for e in eps_list or ())]

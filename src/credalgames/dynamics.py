@@ -122,6 +122,7 @@ class PlayerProblem:
 class _State:
     label: str
     path: tuple[str, ...]
+    node: Node
     infoset: int | None  # the player's information set reached, if any
 
 
@@ -143,10 +144,10 @@ def _derive_structure(game: GameTree, player: str):
     def scan(path, node: Node) -> None:
         name = "".join(path) or "start"
         if isinstance(node, TerminalNode):
-            states.append(_State(name, path, None))
+            states.append(_State(name, path, node, None))
             return
         if node.player == player:
-            states.append(_State(name, path, game.infoset_at(path)[1]))
+            states.append(_State(name, path, node, game.infoset_at(path)[1]))
             return
         for label, child in zip(node.actions, node.children):
             scan(path + (label,), child)
@@ -181,21 +182,21 @@ def _derive_structure(game: GameTree, player: str):
             for cp in joint
         ]
 
-    def follow(path, assignment: dict[int, int]) -> PayoffEntry:
-        """The player's payoff below ``path`` given his own choices.
+    def follow(path, node: Node, assignment: dict[int, int]) -> PayoffEntry:
+        """The player's payoff at ``node`` (reached by ``path``) given their own choices.
 
         Opponent nodes below are explored on all branches; their choices
         must not matter, else the states do not determine payoffs.
         """
-        node = game.node_at(path)
         if isinstance(node, TerminalNode):
             return node.payoffs[pidx]
         if node.player == player:
             action = assignment[game.infoset_at(path)[1]]
-            return follow(path + (node.actions[action],), assignment)
-        seen: list[PayoffEntry] = []
-        for label in node.actions:
-            seen.append(follow(path + (label,), assignment))
+            return follow(path + (node.actions[action],), node.children[action], assignment)
+        seen = [
+            follow(path + (label,), child, assignment)
+            for label, child in zip(node.actions, node.children)
+        ]
         first = seen[0]
         if any(entry != first for entry in seen[1:]):
             raise StateSpaceError(
@@ -207,7 +208,7 @@ def _derive_structure(game: GameTree, player: str):
     sym_rows: list[list[PayoffEntry]] = []
     for pure in full_pures:
         assignment = dict(enumerate(pure))
-        sym_rows.append([follow(s.path, assignment) for s in states])
+        sym_rows.append([follow(s.path, s.node, assignment) for s in states])
 
     strategy_labels = tuple(
         "".join(own_sets[i].actions[a] for i, a in enumerate(pure)) or "(none)"

@@ -42,15 +42,15 @@ def read_rational(value, path: str, out: list[str]) -> Fraction | None:
     return None
 
 
-def approx_decimal(value: Fraction, digits: int = 6) -> str:
-    """Decimal rendering for display only, computed by integer arithmetic.
+def approx_decimal(value: Fraction) -> str:
+    """Six-decimal rendering for display only, computed by integer arithmetic.
 
     The result is marked approximate by callers; it never feeds computation.
     """
     sign = "-" if value < 0 else ""
     mag = -value if value < 0 else value
-    scale = 10**digits
+    scale = 10**6
     scaled = (mag.numerator * scale + mag.denominator // 2) // mag.denominator
     whole, frac = divmod(scaled, scale)
-    text = f"{sign}{whole}.{frac:0{digits}d}".rstrip("0")
+    text = f"{sign}{whole}.{frac:06d}".rstrip("0")
     return text + "0" if text.endswith(".") else text

@@ -199,14 +199,6 @@ class GameTree:
     def terminal_labels(self) -> tuple[str, ...]:
         return tuple("".join(path) or "(root)" for path, _ in self._terminals)
 
-    def node_at(self, path: Path) -> Node:
-        node: Node = self.root
-        for label in path:
-            if not isinstance(node, DecisionNode):
-                raise MalformedGameError(f"path {path} runs past a terminal")
-            node = node.children[node.actions.index(label)]
-        return node
-
     def pure_strategies(self, player: str) -> list[tuple[int, ...]]:
         """All pure strategies, lexicographic in (information set, action) indexes."""
         sets = self._information_sets[player]
@@ -429,18 +421,6 @@ def outcome_equivalent(game: GameTree, player: str, s1: Strategy, s2: Strategy) 
 # -- JSON format and embedded games ---------------------------------------
 
 
-def _node_to_json(node: Node) -> dict:
-    if isinstance(node, TerminalNode):
-        return {"payoffs": [p if isinstance(p, str) else str(p) for p in node.payoffs]}
-    return {
-        "player": node.player,
-        "actions": [
-            {"label": label, "child": _node_to_json(child)}
-            for label, child in zip(node.actions, node.children)
-        ],
-    }
-
-
 def _field(data: dict, key: str, path: str, kind: type = object):
     """``data[key]``, which must be present and an instance of ``kind``."""
     if key not in data:
@@ -478,23 +458,8 @@ def _node_from_json(data, parameters: dict, path: str) -> Node:
     return decision(player, moves)
 
 
-def game_to_json(game: GameTree) -> dict:
-    explicit = [
-        [list(path) for path in iset.paths]
-        for player in game.players
-        for iset in game.information_sets_for(player)
-        if len(iset.paths) > 1
-    ]
-    return {
-        "players": list(game.players),
-        "root": _node_to_json(game.root),
-        "information_sets": explicit,
-        "parameters": {k: str(v) for k, v in game.parameters.items()},
-    }
-
-
 def game_from_json(data: dict) -> GameTree:
-    """Build a game from its JSON object (see ``game_to_json``).
+    """Build a game from its JSON object (``BUILTIN_GAMES`` holds two examples).
 
     A missing or mistyped field raises GameJsonError naming its path, which
     starts at ``game``; structural faults raise MalformedGameError.  Payoffs

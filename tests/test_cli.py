@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from credalgames import cli, dynamics, gametree
 from credalgames.beliefs import full_bayes_update, rectangular_hull
 from credalgames.cli import (
     RunFlags,
@@ -18,7 +19,7 @@ from credalgames.cli import (
     validate_scenario,
 )
 from credalgames.dynamics import Posteriors, build_player_problem
-from credalgames.gametree import builtin_game, game_to_json, validate_perfect_recall
+from credalgames.gametree import BUILTIN_GAMES, builtin_game, validate_perfect_recall
 from credalgames.maxmin import DecisionProblem, maxmin_solve
 
 F = Fraction
@@ -36,6 +37,20 @@ def test_builtin_scenarios_pass_schema():
     assert parsed["fig1"].players["2"].eps == F(1, 4)
     assert parsed["fig4"].players["3"].n_interval == (F(1, 3), F(1, 2))
     assert parsed["fig4"].grid == (-1, 0, 1, 100, 101)
+
+
+def test_validate_checks_perfect_recall_once(monkeypatch):
+    games = []
+
+    def counting(game):
+        games.append(game)
+        return validate_perfect_recall(game)
+
+    for module in (cli, dynamics, gametree):
+        monkeypatch.setattr(module, "validate_perfect_recall", counting)
+    report = run("fig1", RunFlags(analyses=("validate",)))
+    assert result_for(report, "validate")["perfect_recall"] is True
+    assert len(games) == 1
 
 
 def test_run_fig1_check_dc_quarter():
@@ -62,7 +77,7 @@ def test_rectangularized_cells_are_judged_on_the_hulls_posteriors():
     judged = [c for c in result_for(report, "check-dc")["cells"] if "conditional_face" in c]
     assert judged
     spec = validate_scenario(load_scenario("fig1")).players["2"]
-    problem = build_player_problem(builtin_game("fig1"), "2", spec.beliefs(F(1, 4)))
+    problem = build_player_problem(builtin_game("fig1"), "2", replace(spec, eps=F(1, 4)).beliefs())
     hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
     rows = problem.exante.payoff
     for cell in judged:
@@ -230,7 +245,7 @@ def _scenario_file(tmp_path, name, path, value):
     """
     if name == "inline":
         data = load_scenario("fig1")
-        data["game"] = game_to_json(builtin_game("fig1"))
+        data["game"] = json.loads(json.dumps(BUILTIN_GAMES["fig1"]))
     else:
         data = load_scenario(name)
     node = data
@@ -329,6 +344,14 @@ def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tm
 def test_out_of_range_flags_are_schema_errors(argv, where, capsys):
     assert main(argv) == 1
     assert f"schema error: {where}" in capsys.readouterr().err
+
+
+def test_file_and_flag_violations_are_listed_together(tmp_path, capsys):
+    path = _scenario_file(tmp_path, "fig1", ("bindings",), {"zz": "1"})
+    assert main(["maxmin", path, "--bind", "qq=1"]) == 1
+    err = capsys.readouterr().err
+    assert "schema error: bindings.zz: not a declared parameter" in err
+    assert "schema error: --bind qq: not a declared parameter" in err
 
 
 def test_eps_flag_rejected_on_credal_beliefs(capsys):

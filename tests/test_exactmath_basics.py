@@ -43,9 +43,9 @@ def test_exactness_of_composed_products():
 
 
 def test_approx_decimal_marks():
-    assert approx_decimal(F(1, 3), 4) == "0.3333"
-    assert approx_decimal(F(-1, 2), 2) == "-0.5"
-    assert approx_decimal(F(2474, 25), 4) == "98.96"
+    assert approx_decimal(F(1, 3)) == "0.333333"
+    assert approx_decimal(F(-1, 2)) == "-0.5"
+    assert approx_decimal(F(2474, 25)) == "98.96"
 
 
 def test_vector_arithmetic():

@@ -15,8 +15,6 @@ from credalgames.gametree import (
     behavioral_to_mixed,
     builtin_game,
     decision,
-    game_from_json,
-    game_to_json,
     mixed_to_behavioral,
     outcome_distribution,
     outcome_equivalent,
@@ -199,14 +197,6 @@ def test_distinct_commitments_not_equivalent(fig1):
     m1 = MixedStrategy("2", Vector([1, 0]))
     m2 = MixedStrategy("2", Vector([F(1, 102), F(101, 102)]))
     assert not outcome_equivalent(fig1, "2", m1, m2)
-
-
-def test_json_round_trip(fig4):
-    data = game_to_json(fig4)
-    clone = game_from_json(data)
-    assert game_to_json(clone) == data
-    assert clone.terminal_labels() == fig4.terminal_labels()
-    assert validate_perfect_recall(clone).ok
 
 
 def test_parameter_binding(fig4):
