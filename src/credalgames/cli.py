@@ -34,7 +34,7 @@ from .dynamics import (
     find_dc_violation_payoffs,
     induce_downstream,
 )
-from .exactmath import Vector, affine_image, approx_decimal, rat, read_rational
+from .exactmath import Polytope, Vector, approx_decimal, rat, read_rational
 from .gametree import (
     BUILTIN_GAMES,
     GameJsonError,
@@ -351,6 +351,10 @@ def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
             for path, name in named
             if name not in tree.parameters
         )
+        repeats = [f"payoff_search.slots[{i}]" for i, s in enumerate(slots) if s in slots[:i]]
+        flag_slots = flags.slots or ()
+        repeats += [f"--slots {s}" for i, s in enumerate(flag_slots) if s in flag_slots[:i]]
+        out.extend(f"{path}: repeats an earlier slot" for path in repeats)
 
     if out:
         raise ScenarioSchemaError(out)
@@ -563,14 +567,20 @@ def _render(prep: _Prepared, player: str, flags: RunFlags) -> dict:
             layers.insert(0, TriangleLayer(hull, label="hull", fill="#dcdcdc"))
         elif kind == "update":
             for slot in pp.conditionals:
-                post = pp.posterior(slot.cell)
-                # embed the posterior in the full simplex: zero off the cell
-                embed = [
-                    [Fraction(int(s == c)) for c in post.space.labels] for s in pp.space.labels
+                try:
+                    post = pp.posterior(slot.cell)
+                except ZeroProbabilityReachError:
+                    continue  # an unreachable cell has no posterior to draw
+                # pad each posterior vertex with zeros off the cell: the
+                # padded vertices stay extreme and sorted
+                at = {s: i for i, s in enumerate(post.space.labels)}
+                padded = [
+                    Vector(v[at[s]] if s in at else 0 for s in pp.space.labels)
+                    for v in post.vertices
                 ]
                 layers.append(
                     TriangleLayer(
-                        CredalSet(pp.space, affine_image(post.set, embed)),
+                        CredalSet(pp.space, Polytope.from_vertices(padded)),
                         label="conditional",
                         stroke="#000000",
                     )

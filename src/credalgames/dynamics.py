@@ -21,7 +21,7 @@ from .beliefs import (
     ZeroProbabilityReachError,
     full_bayes_update,
 )
-from .exactmath import Polytope, Vector, affine_image, rat, unit_vector
+from .exactmath import Polytope, Vector, polytope_minimize, rat
 from .gametree import (
     GameTree,
     Node,
@@ -45,17 +45,17 @@ class StateSpaceError(ValueError):
 class ConditionalSlot:
     """One stage-1 cell where the player acts.
 
-    ``projection`` has one row per joint action at the player's information
-    sets reachable inside the cell and one column per strategy coordinate;
-    each column holds exactly one 1, at the joint action that pure strategy
-    takes inside the cell.  It marginalizes full mixed strategies onto the
-    cell's joint actions (Kuhn's construction).  Payoffs on the cell's
-    states depend only on those actions, so the cell matrix is derived from
-    the strategic one, never stored.
+    ``projection`` maps each strategy coordinate s to the index of the joint
+    action pure strategy s takes at the player's information sets reachable
+    inside the cell (joint actions numbered in ``itertools.product`` order,
+    every index taken).  Summing a mixed strategy's weights per index
+    marginalizes it onto the cell's joint actions (Kuhn's construction).
+    Payoffs on the cell's states depend only on those actions, so the cell
+    matrix is derived from the strategic one, never stored.
     """
 
     cell: tuple[str, ...]
-    projection: tuple[tuple[Fraction, ...], ...]
+    projection: tuple[int, ...]
 
 
 class Posteriors:
@@ -166,7 +166,7 @@ def _derive_structure(game: GameTree, player: str):
     # sets at or below its states
     full_pures = game.pure_strategies(player)
     own_sets = game.information_sets_for(player)
-    projections: dict[int, list[list[Fraction]]] = {}
+    projections: dict[int, list[int]] = {}
     for ci, (key, members) in enumerate(grouped.items()):
         if key is None:
             continue
@@ -177,10 +177,8 @@ def _derive_structure(game: GameTree, player: str):
             if any(p[: len(b)] == b for p in iset.paths for b in below)
         ]
         joint = itertools.product(*(range(len(iset.actions)) for iset in sets))
-        projections[ci] = [
-            [Fraction(int(all(p[s.index] == a for s, a in zip(sets, cp)))) for p in full_pures]
-            for cp in joint
-        ]
+        index = {cp: j for j, cp in enumerate(joint)}
+        projections[ci] = [index[tuple(p[s.index] for s in sets)] for p in full_pures]
 
     def follow(path, node: Node, assignment: dict[int, int]) -> PayoffEntry:
         """The player's payoff at ``node`` (reached by ``path``) given their own choices.
@@ -229,7 +227,7 @@ def _layout(space: StateSpace, stage, acting):
         cell = tuple(sorted(cell, key=space.index))
         if cell not in filtration.stages[0]:
             raise StateSpaceError(f"acting cell {cell} is not a stage-1 cell")
-        slots.append(ConditionalSlot(cell, tuple(tuple(row) for row in projection)))
+        slots.append(ConditionalSlot(cell, tuple(projection)))
     return filtration, tuple(slots)
 
 
@@ -296,7 +294,7 @@ def player_problem_from_matrix(
     conditional slot carries an identity projection.
     """
     rows = tuple(tuple(rat(x) for x in row) for row in payoff_rows)
-    identity = [unit_vector(len(rows), i) for i in range(len(rows))]
+    identity = range(len(rows))
     filtration, slots = _layout(space, stage, [(cell, identity) for cell in acting_cells])
     labels = tuple(str(i) for i in range(len(rows)))
     return PlayerProblem(player, filtration, slots, labels, rows, {}, Posteriors(beliefs))
@@ -378,10 +376,10 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
     A cell is consistent when some ex-ante optimizer attains the updated
     problem's full optimum there; cells some prior deems unreachable are
     reported, not judged.  Row j of a cell's matrix is the strategic row of
-    a pure strategy that projects onto joint action j (a column holding a 1
-    in projection row j), restricted to the cell's states.  Payoffs inside a
-    cell depend only on the actions the projection keeps, so every such pure
-    strategy gives the same row.
+    the first pure strategy mapped to joint action j, restricted to the
+    cell's states: payoffs inside a cell depend only on the actions the
+    projection keeps.  The ex-ante face projects by summing each vertex's
+    weights per joint action.
     """
     exante = maxmin_solve(pp.exante)
     rows = pp.exante.payoff
@@ -392,13 +390,20 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
         except ZeroProbabilityReachError:
             verdicts.append(CellVerdict(slot.cell, UNREACHABLE))
             continue
+        width = max(slot.projection) + 1
         columns = [pp.space.index(s) for s in conditional_beliefs.space.labels]
-        payoff = [[rows[p.index(1)][i] for i in columns] for p in slot.projection]
+        payoff = [[rows[slot.projection.index(j)][i] for i in columns] for j in range(width)]
         problem = DecisionProblem.build(
             payoff, conditional_beliefs.space, conditional_beliefs
         )
         conditional = maxmin_solve(problem)
-        projected = affine_image(exante.optimal_face, slot.projection)
+        images = []
+        for v in exante.optimal_face.vertices:
+            image = [Fraction(0)] * width
+            for j, weight in zip(slot.projection, v):
+                image[j] += weight
+            images.append(Vector(image))
+        projected = polytope_minimize(Polytope.from_vertices(images))
         restricted = constrained_maxmin(problem, projected)
         consistent = restricted.value == conditional.value
         verdicts.append(

@@ -24,7 +24,6 @@ from .rational import approx_decimal, rat, read_rational
 from .vector import (
     DimensionMismatchError,
     Vector,
-    matrix_apply,
     row_reduce,
     solve_square_system,
     unit_vector,
@@ -47,7 +46,6 @@ __all__ = [
     "approx_decimal",
     "lp_feasible",
     "lp_solve",
-    "matrix_apply",
     "polytope_contains",
     "polytope_equal",
     "polytope_minimize",

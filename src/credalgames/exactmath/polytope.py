@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linprog import EQUAL, lp_feasible
-from .vector import DimensionMismatchError, Vector, matrix_apply
+from .rational import rat
+from .vector import DimensionMismatchError, Vector
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,11 @@ def affine_image(p: Polytope, matrix) -> Polytope:
     Linear maps carry vertex sets onto supersets of the image's vertex set,
     so mapping vertices and minimizing is exact.
     """
-    rows = [list(r) for r in matrix]
+    rows = [[rat(c) for c in r] for r in matrix]
     for row in rows:
         if len(row) != p.ambient_dimension:
             raise DimensionMismatchError(
                 f"matrix has {len(row)} columns, polytope dimension is {p.ambient_dimension}"
             )
-    images = []
-    for v in p.vertices:
-        images.append(matrix_apply(rows, v))
+    images = [Vector(sum(c * e for c, e in zip(row, v)) for row in rows) for v in p.vertices]
     return polytope_minimize(Polytope.from_vertices(images))

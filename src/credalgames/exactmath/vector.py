@@ -93,18 +93,6 @@ def unit_vector(dimension: int, index: int) -> Vector:
     return Vector(Fraction(1) if i == index else Fraction(0) for i in range(dimension))
 
 
-def matrix_apply(rows: Sequence[Sequence[int | str | Fraction]], v: Vector) -> Vector:
-    """Multiply a matrix (given as rows) by v, exactly."""
-    out = []
-    for row in rows:
-        if len(row) != v.dimension:
-            raise DimensionMismatchError(
-                f"matrix row has {len(row)} columns, vector has {v.dimension}"
-            )
-        out.append(sum((rat(c) * e for c, e in zip(row, v.entries)), Fraction(0)))
-    return Vector(out)
-
-
 def row_reduce(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[list[Fraction]], list[Fraction]] | None:

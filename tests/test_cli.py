@@ -84,7 +84,8 @@ def test_rectangularized_cells_are_judged_on_the_hulls_posteriors():
         post = full_bayes_update(hull, tuple(cell["cell"]))
         slot = next(s for s in problem.conditionals if list(s.cell) == cell["cell"])
         columns = [problem.space.index(s) for s in post.space.labels]
-        payoff = [[rows[p.index(1)][i] for i in columns] for p in slot.projection]
+        width = max(slot.projection) + 1
+        payoff = [[rows[slot.projection.index(j)][i] for i in columns] for j in range(width)]
         face = maxmin_solve(DecisionProblem.build(payoff, post.space, post)).optimal_face
         assert cell["conditional_face"] == face.to_json()
     # the posteriors hold the beliefs, so replacing them rebinds the ex-ante problem
@@ -186,6 +187,36 @@ def test_cli_render_writes_svg(tmp_path, capsys):
     out2 = tmp_path / "fig_again.svg"
     assert main(["render", "fig1", "--layers", "hull,beliefs,update", "--out", str(out2)]) == 0
     assert out2.read_text() == text
+
+
+def test_render_skips_the_update_of_an_unreachable_cell(tmp_path, capsys):
+    # a center on O with eps 0 gives the cell {L,R} probability 0
+    beliefs = {**_FIG1_BELIEFS, "center": ["0", "0", "1"], "eps": "0"}
+    path = _scenario_file(tmp_path, "fig1", ("players", "2", "beliefs"), beliefs)
+    assert main(["update", path]) == 0
+    assert "[update] cell {L,R}: unreachable" in capsys.readouterr().out
+    out = tmp_path / "fig.svg"
+    assert main(["render", path, "--layers", "beliefs,update", "--out", str(out)]) == 0
+    assert out.read_text().startswith("<?xml")
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig4"])
+def test_update_layer_pads_each_posterior_like_the_embed_matrix(name, monkeypatch):
+    from credalgames.exactmath import affine_image
+
+    drawn = []
+    monkeypatch.setattr(cli, "render_triangle", lambda panels, path: drawn.extend(panels) or "")
+    flags = RunFlags(layers=("update",), svg_out="unused.svg")
+    prep = cli._prepare(validate_scenario(load_scenario(name), flags), flags)
+    cli._render(prep, prep.problem.player, flags)
+    pp = prep.problem
+    expected = []
+    for slot in pp.conditionals:
+        post = pp.posterior(slot.cell)
+        embed = [[F(int(s == c)) for c in post.space.labels] for s in pp.space.labels]
+        expected.append(affine_image(post.set, embed))
+    assert expected
+    assert [layer.credal.set for layer in drawn[0].layers] == expected
 
 
 def test_cli_find_payoffs_on_fig4(capsys):
@@ -311,6 +342,8 @@ _FIG1_BELIEFS = {
         ("fig1", ("bindings",), {"zz": "1"}, "bindings.zz: not a declared parameter"),
         ("fig4", ("payoff_search", "slots", 1), "zz",
          "payoff_search.slots[1]: not a declared parameter"),
+        ("fig4", ("payoff_search", "slots", 2), "uRNS",
+         "payoff_search.slots[2]: repeats an earlier slot"),
         ("fig1", ("player",), None, "player: required, in the scenario or as --player"),
         ("fig1", ("players", "9"), {"beliefs": _FIG1_BELIEFS}, "players.9: not a player of the game"),
     ],
@@ -318,7 +351,7 @@ _FIG1_BELIEFS = {
          "game-action-without-child", "game-list-root", "game-int-information-sets",
          "game-undeclared-payoff", "game-zero-denominator-parameter", "game-decimal-payoff",
          "game-exponent-parameter", "game-int-label", "binding-undeclared",
-         "slot-undeclared", "player-missing", "player-not-in-game"],
+         "slot-undeclared", "slot-repeated", "player-missing", "player-not-in-game"],
 )
 def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tmp_path, capsys):
     assert main(["validate", _scenario_file(tmp_path, name, path, value)]) == 1
@@ -335,11 +368,12 @@ def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tm
         (["update", "fig1", "--event", "X"], "--event: X is not a set of player 2's states L,R,O"),
         (["maxmin", "fig1", "--bind", "zz=1"], "--bind zz: not a declared parameter"),
         (["find-payoffs", "fig4", "--slots", "uRNS,zz"], "--slots zz: not a declared parameter"),
+        (["find-payoffs", "fig4", "--slots", "uOS,uOS"], "--slots uOS: repeats an earlier slot"),
         (["maxmin", "fig1", "--player", "9"], "--player: '9' has no entry under players"),
         (["render", "fig1", "--layers", "hull,foo"], "--layers: unknown layer 'foo'"),
     ],
     ids=["eps", "interval", "bisect", "event-repeated", "event-unknown", "bind-undeclared",
-         "slots-undeclared", "player-unknown", "layers-unknown"],
+         "slots-undeclared", "slots-repeated", "player-unknown", "layers-unknown"],
 )
 def test_out_of_range_flags_are_schema_errors(argv, where, capsys):
     assert main(argv) == 1

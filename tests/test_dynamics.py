@@ -73,12 +73,12 @@ def fig1_problem(fig1, eps):
 
 
 def cell_matrix(pp, slot):
-    """A slot's decision matrix: per projection row, the strategic row of a
-    pure strategy with a 1 there, restricted to the cell's states."""
+    """A slot's decision matrix: per joint action, the strategic row of the
+    first pure strategy mapped to it, restricted to the cell's states."""
     columns = [pp.space.index(s) for s in slot.cell]
     return tuple(
-        tuple(pp.exante.payoff[row.index(1)][i] for i in columns)
-        for row in slot.projection
+        tuple(pp.exante.payoff[slot.projection.index(j)][i] for i in columns)
+        for j in range(max(slot.projection) + 1)
     )
 
 
@@ -93,7 +93,7 @@ def test_build_two_player_problem(fig1):
     assert cell_matrix(pp, slot) == ((F(0), F(101)), (F(101), F(100)))
     # single information set: the conditional matrix is the plain column
     # restriction of the strategic matrix and the projection is identity
-    assert slot.projection == ((F(1), F(0)), (F(0), F(1)))
+    assert slot.projection == (0, 1)
 
 
 def test_build_three_player_raw_states(fig4):
@@ -610,14 +610,18 @@ def test_derived_matrix_agrees_with_outcome_semantics():
 
 
 def test_projections_keep_every_action_that_moves_cell_payoffs():
-    # every projection column holds exactly one 1, and pure strategies that
-    # share a projection row agree ex ante on the cell's states, so the cell
-    # matrix check_dynamic_consistency reads off the projection is well defined
+    # every joint index up to the largest is taken, and pure strategies that
+    # share an index agree ex ante on the cell's states, so the cell matrix
+    # check_dynamic_consistency reads off the projection is well defined; the
+    # ex-ante face it reports is the image of the optimal face under the
+    # dense 0/1 selection matrix the index map encodes (checked for at most
+    # 16 pure strategies: the check's single-state ex-ante LPs grow slow)
     from credalgames.dynamics import _derive_structure
+    from credalgames.exactmath import affine_image
     from randtrees import random_perfect_recall_game
 
     rng = random.Random(606)
-    checked = joint = 0
+    checked = joint = dense_checked = 0
     while checked < 60:
         game = random_perfect_recall_game(rng)
         player = rng.choice(game.players)
@@ -628,20 +632,27 @@ def test_projections_keep_every_action_that_moves_cell_payoffs():
         space = StateSpace(tuple(s.label for s in states))
         beliefs = CredalSet.singleton(space, [F(1, len(space))] * len(space))
         pp = build_player_problem(game, player, beliefs)
-        for slot in pp.conditionals:
-            for column in zip(*slot.projection):
-                assert sorted(column) == [0] * (len(column) - 1) + [1]
+        report = check_dynamic_consistency(pp) if len(pp.strategy_labels) <= 16 else None
+        for ci, slot in enumerate(pp.conditionals):
+            width = max(slot.projection) + 1
+            assert set(slot.projection) == set(range(width))
             columns = [pp.space.index(s) for s in slot.cell]
-            for row in slot.projection:
+            for j in range(width):
                 seen = {
                     tuple(pp.exante.payoff[k][i] for i in columns)
-                    for k, mark in enumerate(row)
-                    if mark == 1
+                    for k, index in enumerate(slot.projection)
+                    if index == j
                 }
                 assert len(seen) == 1
-            joint += len(slot.projection) < len(slot.projection[0])
+            joint += width < len(slot.projection)
+            if report is not None:
+                dense = [[F(int(index == j)) for index in slot.projection] for j in range(width)]
+                face = report.exante_solution.optimal_face
+                assert affine_image(face, dense) == report.cells[ci].exante_face
+                dense_checked += width < len(slot.projection)
         checked += 1
-    assert joint > 0  # some cells project several pure strategies onto one row
+    assert joint > 0  # some cells project several pure strategies onto one index
+    assert dense_checked > 0  # and the dense oracle sees some of them
 
 
 def test_report_json_shape(fig1):

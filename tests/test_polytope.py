@@ -169,6 +169,5 @@ def test_affine_image_commutes_with_combination():
         interior = Vector(
             [sum((wi * v[i] for wi, v in zip(w, verts)), F(0)) / total for i in range(3)]
         )
-        from credalgames.exactmath import matrix_apply
-
-        assert polytope_contains(image, matrix_apply(matrix, interior))
+        mapped = Vector([sum((c * x for c, x in zip(row, interior)), F(0)) for row in matrix])
+        assert polytope_contains(image, mapped)
