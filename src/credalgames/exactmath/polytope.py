@@ -1,9 +1,11 @@
 """Vertex-represented convex polytopes with exact membership and minimization.
 
 Everything is V-representation: a polytope is the convex hull of its listed
-vertices, membership and redundancy are decided by exact LP feasibility, and
-minimization yields the unique set of extreme points (sorted, so minimized
-polytopes have a canonical form).
+vertices.  Membership solves ``[vertices; 1] . lambda = [x; 1]`` by one exact
+row reduction: when the vertices are affinely independent (a simplex) the
+weights are unique and their signs decide; only otherwise does an exact LP
+feasibility check run.  Minimization yields the unique set of extreme points
+(sorted, so minimized polytopes have a canonical form).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from .linprog import EQUAL, lp_feasible
 from .rational import rat
-from .vector import DimensionMismatchError, Vector
+from .vector import DimensionMismatchError, Vector, row_reduce
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,14 @@ class Polytope:
 
 
 def polytope_contains(p: Polytope, x: Vector) -> bool:
-    """Exact test that x is a convex combination of p's vertices."""
+    """Exact test that x is a convex combination of p's vertices.
+
+    One row reduction of ``[vertices; 1] . lambda = [x; 1]`` answers most
+    cases: an inconsistent system puts x outside the affine hull, and a
+    full-rank one (affinely independent vertices) has unique weights, which
+    contain x iff all are nonnegative.  Dependent vertices leave a family of
+    weights, and an LP feasibility check over the same system decides.
+    """
     if x.dimension != p.ambient_dimension:
         raise DimensionMismatchError(
             f"point of dimension {x.dimension} vs polytope of {p.ambient_dimension}"
@@ -51,14 +60,17 @@ def polytope_contains(p: Polytope, x: Vector) -> bool:
     verts = p.vertices
     if x in verts:
         return True
-    if len(verts) == 1:
-        return False
     n = len(verts)
-    constraints = []
-    for coord in range(p.ambient_dimension):
-        row = [v[coord] for v in verts]
-        constraints.append((row, EQUAL, x[coord]))
-    constraints.append(([Fraction(1)] * n, EQUAL, Fraction(1)))
+    rows = [[v[coord] for v in verts] for coord in range(p.ambient_dimension)]
+    rows.append([Fraction(1)] * n)
+    rhs = list(x) + [Fraction(1)]
+    reduced = row_reduce(rows, rhs)
+    if reduced is None:
+        return False
+    basis, weights = reduced
+    if len(basis) == n:
+        return all(w >= 0 for w in weights)
+    constraints = [(row, EQUAL, b) for row, b in zip(rows, rhs)]
     return lp_feasible(constraints, n) is not None
 
 
@@ -67,12 +79,18 @@ def polytope_minimize(p: Polytope) -> Polytope:
 
     The extreme-point set of a polytope is unique, so the output is a
     canonical form: two polytopes are equal iff their minimized vertex
-    tuples are equal.
+    tuples are equal.  Affinely independent points (one rank test of the
+    points lifted by a trailing 1) are all extreme and are only sorted;
+    otherwise each point is tested against the hull of the rest.
     """
     verts: list[Vector] = []
     for v in p.vertices:
         if v not in verts:
             verts.append(v)
+    lifted = [list(v) + [Fraction(1)] for v in verts]
+    basis, _ = row_reduce(lifted, [Fraction(0)] * len(lifted))
+    if len(basis) == len(verts):
+        return Polytope(p.ambient_dimension, tuple(sorted(verts)))
     i = 0
     while i < len(verts) and len(verts) > 1:
         others = verts[:i] + verts[i + 1 :]

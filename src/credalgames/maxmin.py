@@ -98,14 +98,17 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
     """Value and sorted optimal-face vertices of max over the k-simplex of
     (min over the gain vectors).
 
-    The value LP's dual is nature's optimal mix y over the gain vectors.
-    Checked exactly, it proves the value and gives equalities that every
-    optimal strategy s satisfies: ``g_j . s = v`` where ``y_j > 0``, and
+    A one-point simplex (k == 1) needs no LP: its value is the least gain.
+    Otherwise the value LP's dual is nature's optimal mix y over the gain
+    vectors.  Checked exactly, it proves the value and gives equalities that
+    every optimal strategy s satisfies: ``g_j . s = v`` where ``y_j > 0``, and
     ``s_i = 0`` where ``(G^T y)_i < v``.  When they pin s down, the LP's
     point is the whole face.  Otherwise the face is parametrized over the
     solutions of those equalities, and its vertices come from the square
     systems of the remaining inequalities in the reduced coordinates.
     """
+    if k == 1:
+        return min(g[0] for g in gains), (Vector([1]),)
     constraints = []
     for g in gains:
         constraints.append((list(g.entries) + [Fraction(-1)], GREATER_EQUAL, 0))
@@ -177,10 +180,12 @@ def _dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _binding(p: DecisionProblem, strategy: Vector, value: Fraction) -> tuple[Vector, ...]:
-    return tuple(
-        v for v in p.beliefs.vertices if strategy.dot(p.action_values(v)) == value
-    )
+def _binding(
+    p: DecisionProblem, gains: list[Vector], strategy: Vector, value: Fraction
+) -> tuple[Vector, ...]:
+    """The belief vertices whose gains (one per vertex, in order) hold the
+    strategy to the value."""
+    return tuple(v for v, g in zip(p.beliefs.vertices, gains) if strategy.dot(g) == value)
 
 
 def maxmin_solve(p: DecisionProblem) -> MaxminSolution:
@@ -196,7 +201,7 @@ def maxmin_solve(p: DecisionProblem) -> MaxminSolution:
         value,
         strategy,
         Polytope(p.strategy_dimension, face),
-        _binding(p, strategy, value),
+        _binding(p, gains, strategy, value),
     )
 
 
@@ -217,4 +222,4 @@ def constrained_maxmin(p: DecisionProblem, restriction: Polytope) -> MaxminSolut
     # the map's column i is the restriction's vertex i
     face = affine_image(Polytope(m, weight_face), list(zip(*restriction.vertices)))
     strategy = face.vertices[0]
-    return MaxminSolution(value, strategy, face, _binding(p, strategy, value))
+    return MaxminSolution(value, strategy, face, _binding(p, gains, strategy, value))

@@ -18,6 +18,7 @@ from credalgames.beliefs import (
     rectangular_hull,
 )
 from credalgames.exactmath import Polytope, Vector, polytope_minimize
+from polytope_oracle import lp_minimize
 
 F = Fraction
 
@@ -45,7 +46,7 @@ QUAD = CredalSet.from_vertices(
 
 def test_contamination_is_minimized_mix_without_lp_solves(monkeypatch):
     # every eps-mixed unit vector is extreme (one point at eps = 0), so the
-    # direct vertex set must equal what minimizing the mixed points keeps
+    # direct vertex set must equal what the LP oracle keeps of the mixed points
     import credalgames.exactmath.linprog as linprog
 
     rng = random.Random(14)
@@ -70,7 +71,7 @@ def test_contamination_is_minimized_mix_without_lp_solves(monkeypatch):
             Vector([(1 - eps) * c + (eps if i == j else 0) for i, c in enumerate(center)])
             for j in range(n)
         ]
-        assert built.set == polytope_minimize(Polytope(n, tuple(mixed))), trial
+        assert built.set == lp_minimize(Polytope(n, tuple(mixed))), trial
     assert solves == []
 
 

@@ -14,7 +14,6 @@ from credalgames.exactmath import (
     Vector,
     lp_solve,
     polytope_equal,
-    polytope_minimize,
     solve_square_system,
 )
 from credalgames.maxmin import (
@@ -23,6 +22,7 @@ from credalgames.maxmin import (
     maxmin_solve,
     maxmin_value_of,
 )
+from polytope_oracle import lp_minimize
 
 F = Fraction
 
@@ -268,7 +268,7 @@ def oracle_solve(problem, restriction=None):
             Vector(sum(wi * r[j] for wi, r in zip(w, corners)) for j in range(len(corners[0])))
             for w in oracle_face(lifted, value, len(corners))
         ]
-        face = polytope_minimize(Polytope.from_vertices(points)).vertices
+        face = lp_minimize(Polytope.from_vertices(points)).vertices
     binding = tuple(
         v for v in problem.beliefs.vertices if face[0].dot(problem.action_values(v)) == value
     )
@@ -368,6 +368,34 @@ def test_wide_problem_needs_no_square_solves(monkeypatch):
     assert calls == []
     assert sol.optimal_face.vertices == (sol.strategy,)
     assert maxmin_value_of(sol.strategy, problem) == sol.value
+
+
+def test_one_vertex_restriction_needs_no_lp(monkeypatch):
+    # over a one-point restriction the value is the least expected payoff of
+    # that strategy, so constrained_maxmin must not run the value LP
+    import credalgames.exactmath.linprog as linprog
+
+    rng = random.Random(21)
+    solves = []
+
+    def counting(lp):
+        solves.append(lp)
+        return lp_solve(lp)
+
+    for trial in range(40):
+        problem = random_problem(rng, rng.randint(1, 4), rng.randint(1, 4))
+        weights = [rng.randint(0, 3) for _ in range(problem.strategy_dimension)]
+        weights[rng.randrange(len(weights))] += 1
+        point = Vector(F(w, sum(weights)) for w in weights)
+        restriction = Polytope.from_vertices([point])
+        monkeypatch.setattr(linprog, "lp_solve", counting)
+        monkeypatch.setattr(credalgames.maxmin, "lp_solve", counting)
+        sol = constrained_maxmin(problem, restriction)
+        monkeypatch.undo()
+        assert sol.value == maxmin_value_of(point, problem), trial
+        assert sol.optimal_face.vertices == (point,)
+        assert_matches_oracle(sol, problem, restriction)
+    assert solves == []
 
 
 def test_failed_dual_certificate_raises(monkeypatch):

@@ -11,7 +11,9 @@ from credalgames.exactmath import (
     polytope_contains,
     polytope_equal,
     polytope_minimize,
+    row_reduce,
 )
+from polytope_oracle import lp_contains, lp_minimize
 
 F = Fraction
 
@@ -171,3 +173,126 @@ def test_affine_image_commutes_with_combination():
         )
         mapped = Vector([sum((c * x for c, x in zip(row, interior)), F(0)) for row in matrix])
         assert polytope_contains(image, mapped)
+
+
+def _lifted_rank(points) -> int:
+    lifted = [list(v) + [F(1)] for v in points]
+    return len(row_reduce(lifted, [F(0)] * len(lifted))[0])
+
+
+def _membership_cases(st):
+    """A vertex set and a query point in dimension 1..4.
+
+    Vertices are probability vectors or free rationals (off the simplex);
+    the set is kept as drawn (independent when small), or gets a duplicate
+    or an affine combination of its points appended.  The query is a
+    vertex, a convex combination (zero weights put it on the boundary), an
+    affine combination with negative weights (in the affine hull, often
+    outside the polytope) or a shifted convex combination (often outside
+    the affine hull).
+    """
+    small = st.integers(-3, 3)
+
+    @st.composite
+    def case(draw):
+        d = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            weights = st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(any)
+            point = weights.map(lambda w: Vector(F(x, sum(w)) for x in w))
+        else:
+            point = st.lists(small, min_size=d, max_size=d).map(Vector)
+        verts = draw(st.lists(point, min_size=1, max_size=d + 2))
+        shape = draw(st.sampled_from(["drawn", "duplicate", "dependent"]))
+        if shape == "duplicate":
+            verts.append(draw(st.sampled_from(verts)))
+        elif shape == "dependent":
+            w = draw(st.lists(small, min_size=len(verts), max_size=len(verts)))
+            w[-1] += 1 - sum(w)
+            verts.append(_combine(verts, w))
+        query = draw(st.sampled_from(["vertex", "convex", "affine", "shifted"]))
+        if query == "vertex":
+            x = draw(st.sampled_from(verts))
+        else:
+            lo = 0 if query != "affine" else -2
+            w = draw(st.lists(st.integers(lo, 3), min_size=len(verts), max_size=len(verts)))
+            if sum(w) == 0:
+                w[-1] += 1
+            x = _combine(verts, [F(c, sum(w)) for c in w])
+            if query == "shifted":
+                x = x + Vector(draw(st.lists(small, min_size=d, max_size=d)))
+        return Polytope(d, tuple(verts)), x
+
+    return case()
+
+
+def _combine(verts, weights) -> Vector:
+    return Vector(
+        sum((w * v[i] for w, v in zip(weights, verts)), F(0)) for i in range(verts[0].dimension)
+    )
+
+
+def test_membership_and_minimize_match_the_lp_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(_membership_cases(hypothesis.strategies))
+    def check(case):
+        p, x = case
+        inside = lp_contains(p, x)
+        assert polytope_contains(p, x) == inside
+        assert polytope_minimize(p) == lp_minimize(p)
+        distinct = set(p.vertices)
+        unique_weights = _lifted_rank(p.vertices) == len(p.vertices)
+        in_affine_hull = _lifted_rank(distinct | {x}) == _lifted_rank(distinct)
+        seen.add((unique_weights, in_affine_hull, inside))
+        seen.add(("duplicates", len(distinct) < len(p.vertices)))
+
+    check()
+    # the draws reach every branch: unique weights in or out, outside the
+    # affine hull, and the LP fallback in or out
+    assert {
+        (True, True, True),
+        (True, True, False),
+        (True, False, False),
+        (False, True, True),
+        (False, True, False),
+        ("duplicates", True),
+    } <= seen
+
+
+def test_simplex_shaped_questions_need_no_lp(monkeypatch):
+    # affinely independent vertices are all extreme and give unique convex
+    # weights, so neither minimizing nor membership may run the LP
+    import credalgames.exactmath.linprog as linprog
+
+    rng = random.Random(12)
+    real = linprog.lp_solve
+    solves = []
+
+    def counting(lp):
+        solves.append(lp)
+        return real(lp)
+
+    trials = 0
+    while trials < 40:
+        d = rng.randint(1, 5)
+        verts = [
+            Vector([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
+            for _ in range(rng.randint(2, d + 1))
+        ]
+        if _lifted_rank(verts) < len(verts):
+            continue
+        trials += 1
+        p = Polytope(d, tuple(verts))
+        w = [F(rng.randint(-1, 3)) for _ in verts]
+        if sum(w) == 0:
+            w[0] += 1
+        x = _combine(verts, [c / sum(w) for c in w])
+        monkeypatch.setattr(linprog, "lp_solve", counting)
+        minimized = polytope_minimize(p)
+        inside = polytope_contains(p, x)
+        monkeypatch.setattr(linprog, "lp_solve", real)
+        assert minimized == lp_minimize(p)
+        assert inside == lp_contains(p, x)
+    assert solves == []
