@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import lcm
 
 from .rational import rat
 
@@ -101,25 +102,48 @@ def row_reduce(
     Returns the nonzero rows, ordered by pivot column, and their right-hand
     sides, so the row count is the rank and the rows form an identity in
     the pivot columns.  None when the system is inconsistent.
+
+    The elimination runs on integers (fraction-free Gauss-Jordan; Edmonds
+    1967, Bareiss 1968): each row is cleared of denominators once, and a
+    pivot ``p`` updates every other row as ``(p*a - f*b) // d``, where the
+    division by the previous pivot ``d`` is exact because every entry is a
+    minor of the cleared system.  All pivot rows share the denominator
+    ``d``, so the reduced form is read off as ``a / d`` at the end.
     """
-    aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    ncols = len(aug[0]) - 1 if aug else 0
+    if len(rows) != len(rhs):
+        raise DimensionMismatchError(f"{len(rows)} rows vs {len(rhs)} right-hand sides")
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatchError("rows of the system differ in length")
+    aug = [_cleared([*row, b]) for row, b in zip(rows, rhs)]
+    d = 1
     rank = 0
     for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
+        pivot_row = next((r for r in range(rank, len(aug)) if aug[r][col]), None)
         if pivot_row is None:
             continue
         aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        pivot = aug[rank][col]
-        aug[rank] = [c / pivot for c in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
+        pivot = aug[rank]
+        p = pivot[col]
+        for r, row in enumerate(aug):
+            if r != rank:
+                f = row[col]
+                aug[r] = [(p * a - f * b) // d for a, b in zip(row, pivot)]
+        d = p
         rank += 1
-    if any(row[ncols] != 0 for row in aug[rank:]):
+    if any(row[ncols] for row in aug[rank:]):
         return None
-    return [row[:ncols] for row in aug[:rank]], [row[ncols] for row in aug[:rank]]
+    return (
+        [[Fraction(a, d) for a in row[:ncols]] for row in aug[:rank]],
+        [Fraction(row[ncols], d) for row in aug[:rank]],
+    )
+
+
+def _cleared(row: list) -> list[int]:
+    """The row times the lcm of its denominators, as ints."""
+    row = [rat(c) for c in row]
+    scale = lcm(*(c.denominator for c in row))
+    return [c.numerator * (scale // c.denominator) for c in row]
 
 
 def solve_square_system(

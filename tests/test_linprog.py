@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from credalgames.exactmath import (
     EQUAL,
     GREATER_EQUAL,
     INFEASIBLE,
     LESS_EQUAL,
+    OPTIMAL,
     LinearProgram,
     UNBOUNDED,
     Vector,
     lp_solve,
+    row_reduce,
     unit_vector,
 )
 
@@ -253,3 +257,126 @@ def test_random_lps_duals_certify_the_value():
         assert_dual_certificate(objective, held, sol, free)
         negative += any(sol.point[j] < 0 for j in free)
     assert flipped > 100 and redundant > 50 and negative > 50
+
+
+def _lps(st, certified: bool):
+    """A small LP: objective, constraints and free variables.
+
+    Rows mix ``<=``, ``==`` and ``>=`` with int or fraction coefficients,
+    and free variables take negative values, so negative right-hand sides
+    are common; an equality row may be repeated at a scale (redundant).
+    ``certified`` programs are built around a point x0 and bounded (every
+    free variable held above -5, the variables' sum below 12), so they have
+    an optimum.  Otherwise the right-hand sides are drawn freely and the
+    bounding rows may be missing, so programs are also infeasible or
+    unbounded.
+    """
+    entry = st.one_of(st.integers(-4, 4), st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
+
+    @st.composite
+    def lp(draw):
+        n = draw(st.integers(1, 4))
+        free = draw(st.frozensets(st.integers(0, n - 1)))
+        x0 = [F(draw(st.integers(-3 if j in free else 0, 3))) for j in range(n)]
+        feasible = certified or draw(st.booleans())
+        constraints = []
+        for _ in range(draw(st.integers(1, 5))):
+            row = draw(st.lists(entry, min_size=n, max_size=n))
+            relation = draw(st.sampled_from([LESS_EQUAL, EQUAL, GREATER_EQUAL]))
+            if feasible:
+                slack = F(draw(st.integers(0, 3)))
+                gap = {LESS_EQUAL: slack, EQUAL: 0, GREATER_EQUAL: -slack}[relation]
+                rhs = sum((a * x for a, x in zip(row, x0)), F(0)) + gap
+            else:
+                rhs = F(draw(entry))
+            constraints.append((row, relation, rhs))
+        equalities = [c for c in constraints if c[1] == EQUAL]
+        if equalities and draw(st.booleans()):
+            row, _, rhs = draw(st.sampled_from(equalities))
+            scale = draw(st.sampled_from([F(2), F(-1), F(1, 2)]))
+            constraints.append(([scale * a for a in row], EQUAL, scale * rhs))
+        if certified or draw(st.booleans()):
+            constraints += [(unit_vector(n, j), GREATER_EQUAL, -5) for j in sorted(free)]
+            constraints.append(([F(1)] * n, LESS_EQUAL, 12))
+        objective = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        return objective, constraints, free
+
+    return lp()
+
+
+def _highs(objective, constraints, free):
+    """scipy HiGHS on the same program: (status, value) in lp_solve's terms."""
+    from scipy.optimize import linprog
+
+    rows = {LESS_EQUAL: [], EQUAL: [], GREATER_EQUAL: []}
+    for row, relation, rhs in constraints:
+        rows[relation].append(([float(a) for a in row], float(rhs)))
+    upper = rows[LESS_EQUAL] + [([-a for a in r], -b) for r, b in rows[GREATER_EQUAL]]
+    kwargs = dict(
+        A_ub=[r for r, _ in upper] or None,
+        b_ub=[b for _, b in upper] or None,
+        A_eq=[r for r, _ in rows[EQUAL]] or None,
+        b_eq=[b for _, b in rows[EQUAL]] or None,
+        bounds=[(None, None) if j in free else (0, None) for j in range(len(objective))],
+        method="highs",
+    )
+    cost = [-float(c) for c in objective]
+    result = linprog(cost, **kwargs)
+    if result.status == 4:
+        # presolve found "infeasible or unbounded"; the simplex tells which
+        result = linprog(cost, options={"presolve": False}, **kwargs)
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[result.status]
+    return status, -result.fun if status == OPTIMAL else None
+
+
+def test_lp_solve_matches_highs():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("scipy")
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(_lps(hypothesis.strategies, certified=False))
+    def check(lp):
+        objective, constraints, free = lp
+        sol = solve(objective, constraints, free)
+        status, value = _highs(objective, constraints, free)
+        assert sol.status == status
+        if status == OPTIMAL:
+            exact = float(sol.value)
+            assert abs(value - exact) <= 1e-7 * max(1.0, abs(exact))
+        seen.add(status)
+
+    check()
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_duals_certify_every_drawn_optimum():
+    hypothesis = pytest.importorskip("hypothesis")
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(_lps(hypothesis.strategies, certified=True))
+    def check(lp):
+        objective, constraints, free = lp
+        sol = solve(objective, constraints, free)
+        assert_dual_certificate(objective, constraints, sol, free)
+        seen.update(relation for _, relation, _ in constraints)
+        if any(rhs < 0 for _, _, rhs in constraints):
+            seen.add("negative rhs")
+        if any(sol.point[j] < 0 for j in free):
+            seen.add("free variable below 0")
+        equalities = [(row, rhs) for row, relation, rhs in constraints if relation == EQUAL]
+        if equalities:
+            rank = len(row_reduce(*zip(*equalities))[0])
+            if rank < len(equalities):
+                seen.add("redundant equality")
+
+    check()
+    assert {
+        LESS_EQUAL,
+        EQUAL,
+        GREATER_EQUAL,
+        "negative rhs",
+        "free variable below 0",
+        "redundant equality",
+    } <= seen
