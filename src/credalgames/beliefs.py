@@ -19,7 +19,6 @@ from .exactmath import (
     Polytope,
     Vector,
     polytope_contains,
-    polytope_equal,
     polytope_minimize,
     rat,
     unit_vector,
@@ -68,9 +67,10 @@ class CredalSet:
     """A minimized polytope of probability vectors over a state space.
 
     Invariant: ``set.vertices`` are exactly the extreme points, without
-    repeats, in sorted order.  ``from_vertices`` establishes it by
-    minimizing; code that builds the polytope directly must already know
-    every point is extreme (as ``compose`` does).
+    repeats, in sorted order, so ``equals`` compares them directly.
+    ``from_vertices`` establishes it by minimizing; code that builds the
+    polytope directly must already know every point is extreme (as
+    ``compose`` does).
     """
 
     space: StateSpace
@@ -86,7 +86,7 @@ class CredalSet:
     @classmethod
     def from_vertices(cls, space: StateSpace, vertices) -> "CredalSet":
         verts = [v if isinstance(v, Vector) else Vector(v) for v in vertices]
-        poly = polytope_minimize(Polytope(len(space), tuple(verts)))
+        poly = polytope_minimize(Polytope(tuple(verts)))
         return cls(space, poly)
 
     @classmethod
@@ -101,7 +101,9 @@ class CredalSet:
         return polytope_contains(self.set, point)
 
     def equals(self, other: "CredalSet") -> bool:
-        return self.space == other.space and polytope_equal(self.set, other.set)
+        """Hull equality: the sorted extreme points coincide exactly when the
+        hulls do."""
+        return self.space == other.space and self.vertices == other.vertices
 
     def event_mass(self, vertex: Vector, event: Cell) -> Fraction:
         return sum((vertex[self.space.index(s)] for s in event), Fraction(0))
@@ -165,7 +167,7 @@ def eps_contamination(center: Vector, eps: Fraction | int | str, space: StateSpa
         center.scale(1 - e) + unit_vector(center.dimension, s).scale(e)
         for s in range(center.dimension)
     }
-    return CredalSet(space, Polytope(len(space), tuple(sorted(points))))
+    return CredalSet(space, Polytope(tuple(sorted(points))))
 
 
 def full_bayes_update(c: CredalSet, event) -> CredalSet:
@@ -241,7 +243,7 @@ def compose(
                 for j, s in enumerate(cell):
                     entries[space.index(s)] = mass * cond[j]
             points.add(Vector(entries))
-    return CredalSet(space, Polytope(len(space), tuple(sorted(points))))
+    return CredalSet(space, Polytope(tuple(sorted(points))))
 
 
 def _hull_over_stages(c: CredalSet, stages: tuple[Partition, ...]) -> CredalSet:
@@ -285,8 +287,11 @@ def rectangular_hull(c: CredalSet, f: Filtration) -> CredalSet:
 
 @dataclass(frozen=True)
 class RectangularityCheck:
-    rectangular: bool
-    witness: Vector | None = None
+    witness: Vector | None = None  # a hull vertex outside the set
+
+    @property
+    def rectangular(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.rectangular
@@ -295,11 +300,11 @@ class RectangularityCheck:
 def is_rectangular(c: CredalSet, f: Filtration) -> RectangularityCheck:
     """True when recombining marginals and conditionals never leaves the set.
 
-    On failure the witness is a hull vertex outside c (the first in the
-    hull's canonical vertex order).
+    On failure the witness is the first vertex of the hull, in its canonical
+    order, that lies outside c.  No membership test is needed: the hull
+    contains c, so a hull vertex lying in c is extreme in c and is one of
+    ``c.vertices``, and when every hull vertex is, the hull equals c.
     """
     hull = rectangular_hull(c, f)
-    for v in hull.vertices:
-        if not c.contains(v):
-            return RectangularityCheck(False, v)
-    return RectangularityCheck(True)
+    own = set(c.vertices)
+    return RectangularityCheck(next((v for v in hull.vertices if v not in own), None))

@@ -790,6 +790,8 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
     if getattr(args, "layers", None):
         layers = tuple(args.layers.split(","))
         out.extend(f"--layers: unknown layer {k!r}" for k in layers if k not in LAYERS)
+        if len(set(layers)) < len(layers):
+            out.append("--layers: repeats an earlier layer")
         flags = replace(flags, layers=layers)
     if out:
         raise ScenarioSchemaError(out)

@@ -316,7 +316,7 @@ def induce_downstream(p1_beliefs: CredalSet, n_interval) -> CredalSet:
     out_space = StateSpace.of("Z", "RN", "O")
     images = []
     for v in p1_beliefs.vertices:
-        l, r, o = v.entries
+        l, r, o = v
         for n in {a, b}:
             images.append(Vector([l + r * (1 - n), r * n, o]))
     return CredalSet.from_vertices(out_space, images)
@@ -331,10 +331,17 @@ class CellVerdict:
     status: str
     conditional_value: Fraction | None = None  # optimum after updating
     restricted_value: Fraction | None = None  # best ex-ante optimizer does
-    value_gap: Fraction | None = None
     exante_face: Polytope | None = None  # projected to the cell's coordinates
     conditional_face: Polytope | None = None
     common_face: Polytope | None = None  # ex-ante optimizers that stay optimal
+
+    @property
+    def value_gap(self) -> Fraction | None:
+        """How far an inconsistent cell's conditional optimum exceeds what
+        the ex-ante optimizers reach there; None for other cells."""
+        if self.status != INCONSISTENT:
+            return None
+        return self.conditional_value - self.restricted_value
 
     def to_json(self) -> dict:
         out: dict = {"cell": list(self.cell), "status": self.status}
@@ -412,7 +419,6 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
                 CONSISTENT if consistent else INCONSISTENT,
                 conditional_value=conditional.value,
                 restricted_value=restricted.value,
-                value_gap=None if consistent else conditional.value - restricted.value,
                 exante_face=projected,
                 conditional_face=conditional.optimal_face,
                 common_face=restricted.optimal_face if consistent else None,

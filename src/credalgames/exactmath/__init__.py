@@ -17,7 +17,6 @@ from .polytope import (
     Polytope,
     affine_image,
     polytope_contains,
-    polytope_equal,
     polytope_minimize,
 )
 from .rational import approx_decimal, rat, read_rational
@@ -47,7 +46,6 @@ __all__ = [
     "lp_feasible",
     "lp_solve",
     "polytope_contains",
-    "polytope_equal",
     "polytope_minimize",
     "rat",
     "read_rational",

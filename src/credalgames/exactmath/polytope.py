@@ -20,7 +20,6 @@ from .vector import DimensionMismatchError, Vector, row_reduce
 
 @dataclass(frozen=True)
 class Polytope:
-    ambient_dimension: int
     vertices: tuple[Vector, ...]
 
     def __post_init__(self):
@@ -32,10 +31,13 @@ class Polytope:
                     f"vertex of dimension {v.dimension} in {self.ambient_dimension}-d polytope"
                 )
 
+    @property
+    def ambient_dimension(self) -> int:
+        return self.vertices[0].dimension
+
     @classmethod
     def from_vertices(cls, vertices) -> "Polytope":
-        verts = tuple(v if isinstance(v, Vector) else Vector(v) for v in vertices)
-        return cls(verts[0].dimension, verts)
+        return cls(tuple(v if isinstance(v, Vector) else Vector(v) for v in vertices))
 
     def to_json(self) -> dict:
         return {
@@ -90,26 +92,15 @@ def polytope_minimize(p: Polytope) -> Polytope:
     lifted = [list(v) + [Fraction(1)] for v in verts]
     basis, _ = row_reduce(lifted, [Fraction(0)] * len(lifted))
     if len(basis) == len(verts):
-        return Polytope(p.ambient_dimension, tuple(sorted(verts)))
+        return Polytope(tuple(sorted(verts)))
     i = 0
     while i < len(verts) and len(verts) > 1:
         others = verts[:i] + verts[i + 1 :]
-        if polytope_contains(Polytope(p.ambient_dimension, tuple(others)), verts[i]):
+        if polytope_contains(Polytope(tuple(others)), verts[i]):
             verts.pop(i)
         else:
             i += 1
-    return Polytope(p.ambient_dimension, tuple(sorted(verts)))
-
-
-def polytope_equal(p: Polytope, q: Polytope) -> bool:
-    """Hull equality: every vertex of each polytope lies in the other."""
-    if p.ambient_dimension != q.ambient_dimension:
-        raise DimensionMismatchError("polytopes live in different dimensions")
-    if set(p.vertices) == set(q.vertices):
-        return True
-    return all(polytope_contains(q, v) for v in p.vertices) and all(
-        polytope_contains(p, v) for v in q.vertices
-    )
+    return Polytope(tuple(sorted(verts)))
 
 
 def affine_image(p: Polytope, matrix) -> Polytope:

@@ -13,81 +13,57 @@ class DimensionMismatchError(ValueError):
     """Operands do not share the required dimension."""
 
 
-class Vector:
+class Vector(tuple):
     """An immutable tuple of Rationals with exact componentwise arithmetic.
 
-    Vectors compare lexicographically (used for deterministic tie-breaks)
-    and hash by their entries, so they can key sets and dicts.
+    As a tuple, a vector compares lexicographically (used for deterministic
+    tie-breaks) and hashes by its entries, so it can key sets and dicts.
+    ``+`` and ``-`` are componentwise, never concatenation.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[int | str | Fraction]):
-        object.__setattr__(self, "entries", tuple(rat(e) for e in entries))
-        if not self.entries:
+    def __new__(cls, entries: Iterable[int | str | Fraction]):
+        self = super().__new__(cls, map(rat, entries))
+        if not self:
             raise ValueError("vector must have at least one entry")
+        return self
 
     @property
     def dimension(self) -> int:
-        return len(self.entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.entries[index]
+        return len(self)
 
     def _check(self, other: "Vector") -> None:
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(
-                f"dimension {self.dimension} vs {other.dimension}"
-            )
+        if len(self) != len(other):
+            raise DimensionMismatchError(f"dimension {len(self)} vs {len(other)}")
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return Vector(a + b for a, b in zip(self.entries, other.entries))
+        return Vector(a + b for a, b in zip(self, other))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return Vector(a - b for a, b in zip(self.entries, other.entries))
+        return Vector(a - b for a, b in zip(self, other))
 
     def scale(self, factor: int | str | Fraction) -> "Vector":
         f = rat(factor)
-        return Vector(f * a for a in self.entries)
+        return Vector(f * a for a in self)
 
     def dot(self, other: "Vector") -> Fraction:
         self._check(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        return sum((a * b for a, b in zip(self, other)), Fraction(0))
 
     def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
+        return sum(self, Fraction(0))
 
     def is_probability(self) -> bool:
-        return all(e >= 0 for e in self.entries) and self.total() == 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.entries == other.entries
-
-    def __lt__(self, other: "Vector") -> bool:
-        return self.entries < other.entries
-
-    def __le__(self, other: "Vector") -> bool:
-        return self.entries <= other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+        return all(e >= 0 for e in self) and self.total() == 1
 
     def __repr__(self) -> str:
-        return "Vector(%s)" % ", ".join(str(e) for e in self.entries)
+        return "Vector(%s)" % ", ".join(str(e) for e in self)
 
     def to_json(self) -> list[str]:
-        return [str(e) for e in self.entries]
+        return [str(e) for e in self]
 
 
 def unit_vector(dimension: int, index: int) -> Vector:

@@ -31,19 +31,24 @@ from .exactmath import (
     unit_vector,
 )
 
+# _solve rejects an optimal face whose equalities leave more free coordinates
+# than this (at least k minus their count, known before the row reduction):
+# with f free coordinates every candidate vertex solves an f x f system.  On
+# all-tied one-prior problems (bound k - 2) _solve took 0.08 s at k = 16,
+# 0.74 s at k = 32 and 6.5 s at k = 64 (CPython 3.11.7, shared 2-CPU x86-64
+# host), growing as k**3, so the cap admits those that finish within seconds.
+MAX_FREE_COORDINATES = 64
+
 
 @dataclass(frozen=True)
 class DecisionProblem:
     """Maximize, over the strategy simplex, the worst expected payoff."""
 
-    strategy_dimension: int
     space: StateSpace
     payoff: tuple[tuple[Fraction, ...], ...]
     beliefs: CredalSet
 
     def __post_init__(self):
-        if len(self.payoff) != self.strategy_dimension:
-            raise ValueError("one payoff row per pure action is required")
         for row in self.payoff:
             if len(row) != len(self.space):
                 raise ValueError("one payoff column per state is required")
@@ -53,7 +58,11 @@ class DecisionProblem:
     @classmethod
     def build(cls, payoff_rows, space: StateSpace, beliefs: CredalSet) -> "DecisionProblem":
         rows = tuple(tuple(rat(x) for x in row) for row in payoff_rows)
-        return cls(len(rows), space, rows, beliefs)
+        return cls(space, rows, beliefs)
+
+    @property
+    def strategy_dimension(self) -> int:
+        return len(self.payoff)
 
     def action_values(self, prior: Vector) -> Vector:
         """Expected payoff of each pure action under one prior."""
@@ -66,9 +75,13 @@ class DecisionProblem:
 @dataclass(frozen=True)
 class MaxminSolution:
     value: Fraction
-    strategy: Vector
     optimal_face: Polytope
     binding_vertices: tuple[Vector, ...]
+
+    @property
+    def strategy(self) -> Vector:
+        """The lexicographically smallest face vertex, for reproducible reports."""
+        return self.optimal_face.vertices[0]
 
     def to_json(self) -> dict:
         return {
@@ -111,14 +124,14 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
         return min(g[0] for g in gains), (Vector([1]),)
     constraints = []
     for g in gains:
-        constraints.append((list(g.entries) + [Fraction(-1)], GREATER_EQUAL, 0))
+        constraints.append((list(g) + [Fraction(-1)], GREATER_EQUAL, 0))
     constraints.append(([Fraction(1)] * k + [Fraction(0)], EQUAL, 1))
     # the strategy is nonnegative, the value variable free
     sol = lp_solve(LinearProgram.build([Fraction(0)] * k + [Fraction(1)], constraints, [k]))
     if not sol.is_optimal:
         raise RuntimeError("simplex-constrained maxmin LP is not optimal")
     value = sol.value
-    point = Vector(sol.point.entries[:k])
+    point = Vector(sol.point[:k])
     # a >= row's multiplier is <= 0 in a maximization
     mix = [-y for y in sol.duals[: len(gains)]]
     payoff = [_dot(mix, column) for column in zip(*gains)]
@@ -137,15 +150,21 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
     inequalities = []
     for y, g in zip(mix, gains):
         if y > 0:
-            equalities.append(list(g.entries))
+            equalities.append(list(g))
         else:
-            inequalities.append((list(g.entries), value))
+            inequalities.append((list(g), value))
     for i in range(k):
         unit = list(unit_vector(k, i))
         if payoff[i] < value:
             equalities.append(unit)
         else:
             inequalities.append((unit, Fraction(0)))
+    # each equality removes at most one free coordinate
+    if k - len(equalities) > MAX_FREE_COORDINATES:
+        raise ValueError(
+            f"the optimal face over {k} strategies has at least {k - len(equalities)} "
+            f"free coordinates; enumerating its vertices stops at {MAX_FREE_COORDINATES}"
+        )
     basis, _ = row_reduce(equalities, [Fraction(0)] * len(equalities))
     pivots = [next(j for j, c in enumerate(row) if c != 0) for row in basis]
     free = [j for j in range(k) if j not in pivots]
@@ -196,13 +215,7 @@ def maxmin_solve(p: DecisionProblem) -> MaxminSolution:
     """
     gains = [p.action_values(v) for v in p.beliefs.vertices]
     value, face = _solve(gains, p.strategy_dimension)
-    strategy = face[0]
-    return MaxminSolution(
-        value,
-        strategy,
-        Polytope(p.strategy_dimension, face),
-        _binding(p, gains, strategy, value),
-    )
+    return MaxminSolution(value, Polytope(face), _binding(p, gains, face[0], value))
 
 
 def constrained_maxmin(p: DecisionProblem, restriction: Polytope) -> MaxminSolution:
@@ -220,6 +233,5 @@ def constrained_maxmin(p: DecisionProblem, restriction: Polytope) -> MaxminSolut
     lifted = [Vector(r.dot(g) for r in restriction.vertices) for g in gains]
     value, weight_face = _solve(lifted, m)
     # the map's column i is the restriction's vertex i
-    face = affine_image(Polytope(m, weight_face), list(zip(*restriction.vertices)))
-    strategy = face.vertices[0]
-    return MaxminSolution(value, strategy, face, _binding(p, gains, strategy, value))
+    face = affine_image(Polytope(weight_face), list(zip(*restriction.vertices)))
+    return MaxminSolution(value, face, _binding(p, gains, face.vertices[0], value))

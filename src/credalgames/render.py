@@ -63,7 +63,7 @@ def _angular_order(points: list[Vector]) -> list[Vector]:
             return -1 if ha < hb else 1
         cross = (a[0] - cx) * (b[1] - cy) - (a[1] - cy) * (b[0] - cx)
         if cross == 0:
-            return -1 if a.entries < b.entries else (1 if a.entries > b.entries else 0)
+            return -1 if a < b else (1 if a > b else 0)
         return -1 if cross > 0 else 1
 
     return sorted(points, key=functools.cmp_to_key(compare))
@@ -107,12 +107,12 @@ def _panel_svg(panel: TrianglePanel, geom: _Panel) -> list[str]:
 
     for i, layer in enumerate(panel.layers):
         fill = layer.fill or PALETTE[i % len(PALETTE)]
-        pts = [Vector(v.entries[:2]) for v in layer.credal.vertices]
+        pts = [Vector(v[:2]) for v in layer.credal.vertices]
         if len(pts) == 1:
             x, y = geom.xy(pts[0][0], pts[0][1])
             parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="{layer.stroke}" />')
         elif len(pts) == 2:
-            (x1, y1), (x2, y2) = geom.xy(*pts[0].entries), geom.xy(*pts[1].entries)
+            (x1, y1), (x2, y2) = geom.xy(*pts[0]), geom.xy(*pts[1])
             parts.append(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{layer.stroke}" stroke-width="4" />'
             )
@@ -143,12 +143,12 @@ def _panel_svg(panel: TrianglePanel, geom: _Panel) -> list[str]:
 
 
 def render_triangle(panels: list[TrianglePanel], output_path: str | None = None) -> str:
-    """Render a list of panels into a fixed 512x512 SVG document.
+    """Render one or two panels into a fixed 512x512 SVG document.
 
-    Two panels sit side by side; three or four fill a 2x2 grid.
+    Two panels sit side by side.
     """
-    if not 1 <= len(panels) <= 4:
-        raise ValueError("render_triangle draws between 1 and 4 panels")
+    if not 1 <= len(panels) <= 2:
+        raise ValueError("render_triangle draws one or two panels")
     for panel in panels:
         for layer in panel.layers:
             if len(layer.credal.space) < 2:
@@ -157,18 +157,10 @@ def render_triangle(panels: list[TrianglePanel], output_path: str | None = None)
     whole = Fraction(VIEW)
     if len(panels) == 1:
         geoms = [_Panel(Fraction(0), Fraction(0), whole)]
-    elif len(panels) == 2:
+    else:
         half = whole / 2
         offset = (whole - half) / 2
         geoms = [_Panel(Fraction(0), offset, half), _Panel(half, offset, half)]
-    else:
-        half = whole / 2
-        geoms = [
-            _Panel(Fraction(0), Fraction(0), half),
-            _Panel(half, Fraction(0), half),
-            _Panel(Fraction(0), half, half),
-            _Panel(half, half, half),
-        ][: len(panels)]
 
     body: list[str] = []
     for panel, geom in zip(panels, geoms):

@@ -1,5 +1,6 @@
-"""Oracles for the tests: LP-only polytope membership and minimization, and
-row reduction over ``Fraction``.
+"""Oracles for the tests: LP-only polytope membership, minimization and
+equality, the membership loop that once decided rectangularity, and row
+reduction over ``Fraction``.
 
 Every membership question is one exact phase-1 LP over the convex weights,
 and minimization tests each point against the hull of the others.  The
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from credalgames.exactmath import EQUAL, Polytope, Vector, lp_feasible
+from credalgames.beliefs import CredalSet, Filtration, rectangular_hull
+from credalgames.exactmath import EQUAL, DimensionMismatchError, Polytope, Vector, lp_feasible
 
 
 def lp_contains(p: Polytope, x: Vector) -> bool:
@@ -40,11 +42,31 @@ def lp_minimize(p: Polytope) -> Polytope:
     i = 0
     while i < len(verts) and len(verts) > 1:
         others = verts[:i] + verts[i + 1 :]
-        if lp_contains(Polytope(p.ambient_dimension, tuple(others)), verts[i]):
+        if lp_contains(Polytope(tuple(others)), verts[i]):
             verts.pop(i)
         else:
             i += 1
-    return Polytope(p.ambient_dimension, tuple(sorted(verts)))
+    return Polytope(tuple(sorted(verts)))
+
+
+def polytope_equal(p: Polytope, q: Polytope) -> bool:
+    """Hull equality: every vertex of each polytope lies in the other."""
+    if p.ambient_dimension != q.ambient_dimension:
+        raise DimensionMismatchError("polytopes live in different dimensions")
+    if set(p.vertices) == set(q.vertices):
+        return True
+    return all(lp_contains(q, v) for v in p.vertices) and all(
+        lp_contains(p, v) for v in q.vertices
+    )
+
+
+def membership_witness(c: CredalSet, f: Filtration) -> Vector | None:
+    """The first rectangular-hull vertex outside c by a membership test, or
+    None when the hull stays inside c."""
+    for v in rectangular_hull(c, f).vertices:
+        if not lp_contains(c.set, v):
+            return v
+    return None
 
 
 def fraction_row_reduce(rows, rhs):

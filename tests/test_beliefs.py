@@ -18,7 +18,7 @@ from credalgames.beliefs import (
     rectangular_hull,
 )
 from credalgames.exactmath import Polytope, Vector, polytope_minimize
-from polytope_oracle import lp_minimize
+from polytope_oracle import lp_minimize, membership_witness
 
 F = Fraction
 
@@ -71,7 +71,7 @@ def test_contamination_is_minimized_mix_without_lp_solves(monkeypatch):
             Vector([(1 - eps) * c + (eps if i == j else 0) for i, c in enumerate(center)])
             for j in range(n)
         ]
-        assert built.set == lp_minimize(Polytope(n, tuple(mixed))), trial
+        assert built.set == lp_minimize(Polytope(tuple(mixed))), trial
     assert solves == []
 
 
@@ -212,6 +212,81 @@ def test_is_rectangular_of_hull_and_singleton():
 
 def test_quadrilateral_is_rectangular():
     assert is_rectangular(QUAD, FILTRATION)
+
+
+def test_rectangularity_and_equality_make_no_membership_test(monkeypatch):
+    # both read the canonical sorted vertices: given the hull, neither asks
+    # whether a point lies in a polytope
+    import credalgames.exactmath.polytope as polytope_module
+
+    c = contamination("1/4")
+    hulls = {c: rectangular_hull(c, FILTRATION), QUAD: rectangular_hull(QUAD, FILTRATION)}
+    midpoint = (QUAD.vertices[0] + QUAD.vertices[1]).scale(F(1, 2))
+    shuffled = CredalSet.from_vertices(LRO, [*reversed(QUAD.vertices), midpoint])
+    real = polytope_module.polytope_contains
+    calls = []
+
+    def counting(p, x):
+        calls.append(x)
+        return real(p, x)
+
+    monkeypatch.setattr(polytope_module, "polytope_contains", counting)
+    monkeypatch.setattr(credalgames.beliefs, "polytope_contains", counting)
+    monkeypatch.setattr(credalgames.beliefs, "rectangular_hull", lambda c, f: hulls[c])
+    assert is_rectangular(c, FILTRATION).witness == Vector([F(3, 16), F(9, 16), F(1, 4)])
+    assert is_rectangular(QUAD, FILTRATION).rectangular
+    assert not hulls[c].equals(c) and hulls[QUAD].equals(QUAD) and shuffled.equals(QUAD)
+    assert not QUAD.equals(CredalSet(StateSpace.of("A", "B", "C"), QUAD.set))
+    assert calls == []
+
+
+def _rectangularity_cases(st):
+    """Credal sets over 3-6 states from 1-5 priors, zero entries allowed,
+    under a one-stage filtration or a two-stage one splitting a cell."""
+
+    @st.composite
+    def case(draw):
+        n = draw(st.integers(3, 6))
+        labels = draw(st.permutations([f"s{i}" for i in range(n)]))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=n - 2)))
+        cells = [tuple(labels[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+        stages = [cells]
+        wide = [cell for cell in cells if len(cell) > 1]
+        if draw(st.booleans()):
+            split = draw(st.sampled_from(wide))
+            cut = draw(st.integers(1, len(split) - 1))
+            i = cells.index(split)
+            stages.append(cells[:i] + [split[:cut], split[cut:]] + cells[i + 1 :])
+        priors = []
+        for _ in range(draw(st.integers(1, 5))):
+            w = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+            priors.append([F(x, sum(w)) for x in w])
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        return CredalSet.from_vertices(space, priors), Filtration.build(space, stages)
+
+    return case()
+
+
+def test_rectangularity_witness_matches_membership_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    verdicts = set()
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(_rectangularity_cases(hypothesis.strategies))
+    def check(case):
+        c, f = case
+        try:
+            expected = membership_witness(c, f)
+        except ZeroProbabilityReachError:  # a prior rules out a cell others reach
+            with pytest.raises(ZeroProbabilityReachError):
+                is_rectangular(c, f)
+            return
+        result = is_rectangular(c, f)
+        assert result.witness == expected
+        verdicts.add(result.rectangular)
+
+    check()
+    assert verdicts == {True, False}
 
 
 def test_hull_extensive_and_preserves_margins_and_conditionals():
@@ -382,7 +457,7 @@ def test_hull_products_match_polytope_minimize(monkeypatch):
         hull = rectangular_hull(c, f)
         assert calls[-1][0] is hull  # the outermost stage composes last
         for built, candidates in calls:
-            oracle = polytope_minimize(Polytope(len(built.space), tuple(candidates)))
+            oracle = polytope_minimize(Polytope(tuple(candidates)))
             assert built.vertices == oracle.vertices
 
     check()

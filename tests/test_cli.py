@@ -166,6 +166,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "unreachable" in capsys.readouterr().out
 
 
+def test_face_too_wide_to_enumerate_is_an_analysis_error(tmp_path, capsys):
+    # one move among 80 equal payoffs ties every strategy: the optimal face
+    # keeps 79 free coordinates, more than maxmin enumerates
+    moves = [{"label": f"a{i}", "child": {"payoffs": ["0"]}} for i in range(80)]
+    data = {
+        "game": {"players": ["1"], "root": {"player": "1", "actions": moves}},
+        "player": "1",
+        "players": {"1": {"beliefs": {"type": "credal", "states": ["start"], "vertices": [["1"]]}}},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    assert main(["maxmin", str(path)]) == 2
+    assert "analysis error: the optimal face over 80 strategies" in capsys.readouterr().err
+
+
 def test_cli_json_report_is_deterministic(capsys):
     assert main(["check-dc", "fig1", "--eps", "1/4", "--json"]) == 0
     first = capsys.readouterr().out
@@ -371,9 +386,12 @@ def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tm
         (["find-payoffs", "fig4", "--slots", "uOS,uOS"], "--slots uOS: repeats an earlier slot"),
         (["maxmin", "fig1", "--player", "9"], "--player: '9' has no entry under players"),
         (["render", "fig1", "--layers", "hull,foo"], "--layers: unknown layer 'foo'"),
+        (["render", "fig4", "--layers", "beliefs,induced,induced"],
+         "--layers: repeats an earlier layer"),
     ],
     ids=["eps", "interval", "bisect", "event-repeated", "event-unknown", "bind-undeclared",
-         "slots-undeclared", "slots-repeated", "player-unknown", "layers-unknown"],
+         "slots-undeclared", "slots-repeated", "player-unknown", "layers-unknown",
+         "layers-repeated"],
 )
 def test_out_of_range_flags_are_schema_errors(argv, where, capsys):
     assert main(argv) == 1

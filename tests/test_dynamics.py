@@ -213,7 +213,7 @@ def test_segment_preservation_at_fixed_n():
         n = F(rng.randint(0, 4), 4)
 
         def image(v):
-            l, r, o = v.entries
+            l, r, o = v
             return Vector([l + r * (1 - n), r * n, o])
 
         assert image(mix) == Vector(
@@ -653,6 +653,29 @@ def test_projections_keep_every_action_that_moves_cell_payoffs():
         checked += 1
     assert joint > 0  # some cells project several pure strategies onto one index
     assert dense_checked > 0  # and the dense oracle sees some of them
+
+
+def test_check_fails_fast_on_a_face_too_wide_to_enumerate(monkeypatch):
+    # the 50th game drawn from random.Random(505) gives its player 768 pure
+    # strategies over one state, 256 of them tied at the top payoff: the
+    # value LP's equalities leave at least 254 free coordinates, so the
+    # solve refuses before reducing them
+    import credalgames.exactmath.polytope
+    import credalgames.maxmin
+    from randtrees import random_perfect_recall_game
+
+    rng = random.Random(505)
+    for _ in range(50):
+        game = random_perfect_recall_game(rng)
+        player = rng.choice(game.players)
+    pp = build_player_problem(game, player, CredalSet.singleton(StateSpace.of("start"), [1]))
+    assert len(pp.strategy_labels) == 768
+    reductions = []
+    for module in (credalgames.maxmin, credalgames.exactmath.polytope):
+        monkeypatch.setattr(module, "row_reduce", lambda *args: reductions.append(args))
+    with pytest.raises(ValueError, match="over 768 strategies has at least 254 free coordinates"):
+        check_dynamic_consistency(pp)
+    assert reductions == []
 
 
 def test_report_json_shape(fig1):

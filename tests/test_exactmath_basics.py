@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -53,12 +54,28 @@ def test_approx_decimal_marks():
 def test_vector_arithmetic():
     a = Vector(["1/2", "1/3"])
     b = Vector(["1/2", "2/3"])
-    assert (a + b) == Vector([1, 1])
+    # componentwise, never tuple concatenation
+    assert (a + b) == Vector([1, 1]) and len(a + b) == 2
     assert (b - a) == Vector([0, "1/3"])
     assert a.dot(b) == F(1, 4) + F(2, 9)
     assert a.scale(6) == Vector([3, 2])
     assert unit_vector(3, 1) == Vector([0, 1, 0])
     assert Vector([0, 1]) < Vector([1, 0])
+
+
+def test_vector_rejects_inexact_empty_and_mismatched_operands():
+    assert all(type(e) is F for e in Vector([1, "2/3", F(1, 2)]))
+    for bad in ([0.5], [True, 0], [1, 1.0]):
+        with pytest.raises(TypeError):
+            Vector(bad)
+    for empty in ([], ()):
+        with pytest.raises(ValueError):
+            Vector(empty)
+    short, long = Vector([1, 2]), Vector([1, 2, 3])
+    for x, y in ((short, long), (long, short)):
+        for op in (operator.add, operator.sub, Vector.dot):
+            with pytest.raises(DimensionMismatchError):
+                op(x, y)
 
 
 def test_vector_probability_check():

@@ -13,7 +13,6 @@ from credalgames.exactmath import (
     Polytope,
     Vector,
     lp_solve,
-    polytope_equal,
     solve_square_system,
 )
 from credalgames.maxmin import (
@@ -22,7 +21,7 @@ from credalgames.maxmin import (
     maxmin_solve,
     maxmin_value_of,
 )
-from polytope_oracle import lp_minimize
+from polytope_oracle import lp_minimize, polytope_equal
 
 F = Fraction
 
@@ -305,12 +304,12 @@ def _tie_heavy_cases(st):
             )
         )
         # the priors are kept as drawn, redundant ones included
-        beliefs = CredalSet(space, Polytope(n, tuple(priors)))
+        beliefs = CredalSet(space, Polytope(tuple(priors)))
         problem = DecisionProblem.build(payoff, space, beliefs)
         restriction = None
         if draw(st.booleans()):
             corners = draw(st.lists(simplex_point(k), min_size=1, max_size=4))
-            restriction = Polytope(k, tuple(corners))
+            restriction = Polytope(tuple(corners))
         return problem, restriction
 
     return case()

@@ -9,11 +9,10 @@ from credalgames.exactmath import (
     Vector,
     affine_image,
     polytope_contains,
-    polytope_equal,
     polytope_minimize,
     row_reduce,
 )
-from polytope_oracle import lp_contains, lp_minimize
+from polytope_oracle import lp_contains, lp_minimize, polytope_equal
 
 F = Fraction
 
@@ -48,6 +47,17 @@ def test_contamination_excludes_hull_corner():
 def test_contains_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         polytope_contains(UNIT_SIMPLEX_3, Vector([1, 0]))
+
+
+def test_vertices_must_share_one_dimension():
+    # the first vertex fixes the ambient dimension; any other must match it
+    with pytest.raises(DimensionMismatchError):
+        Polytope((Vector([1, 0]), Vector([1])))
+    with pytest.raises(DimensionMismatchError):
+        Polytope.from_vertices([[1], [0, 1]])
+    with pytest.raises(ValueError):
+        Polytope(())
+    assert poly([1, 0], [0, 1]).ambient_dimension == 2
 
 
 def test_minimize_drops_midpoint():
@@ -220,7 +230,7 @@ def _membership_cases(st):
             x = _combine(verts, [F(c, sum(w)) for c in w])
             if query == "shifted":
                 x = x + Vector(draw(st.lists(small, min_size=d, max_size=d)))
-        return Polytope(d, tuple(verts)), x
+        return Polytope(tuple(verts)), x
 
     return case()
 
@@ -284,7 +294,7 @@ def test_simplex_shaped_questions_need_no_lp(monkeypatch):
         if _lifted_rank(verts) < len(verts):
             continue
         trials += 1
-        p = Polytope(d, tuple(verts))
+        p = Polytope(tuple(verts))
         w = [F(rng.randint(-1, 3)) for _ in verts]
         if sum(w) == 0:
             w[0] += 1

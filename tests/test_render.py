@@ -69,15 +69,16 @@ def test_two_panels_side_by_side():
             ["5/16", "3/16", "1/2"],
         ],
     )
-    doc = render_triangle(
-        [
-            TrianglePanel((TriangleLayer(QUAD, label="P"),), "initial"),
-            TrianglePanel((TriangleLayer(induced, label="ind"),), "induced"),
-        ]
-    )
+    panels = [
+        TrianglePanel((TriangleLayer(QUAD, label="P"),), "initial"),
+        TrianglePanel((TriangleLayer(induced, label="ind"),), "induced"),
+    ]
+    doc = render_triangle(panels)
     assert doc.count("<polygon") == 2
     assert ">Z<" in doc and ">L<" in doc
     assert "(35/64,21/64)" in doc and "(7/32,21/32)" in doc
+    with pytest.raises(ValueError, match="one or two panels"):
+        render_triangle(panels + panels[:1])
 
 
 def test_rejects_bad_projection():
