@@ -39,7 +39,7 @@ class ZeroProbabilityReachError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateSpace:
     labels: tuple[str, ...]
 
@@ -62,7 +62,7 @@ def cell_label(cell: Cell) -> str:
     return cell[0] if len(cell) == 1 else "{" + ",".join(cell) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CredalSet:
     """A minimized polytope of probability vectors over a state space.
 
@@ -109,7 +109,7 @@ class CredalSet:
         return sum((vertex[self.space.index(s)] for s in event), Fraction(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Filtration:
     """Intermediate stages of information, each strictly refining the last.
 
@@ -233,15 +233,28 @@ def compose(
                 raise ValueError(
                     f"cell {cell} has marginal mass but no conditional"
                 )
+    # each cell's (state index, mass x conditional entry) products are made
+    # once per marginal vertex and conditional vertex, and the hull vertices
+    # that reuse them share the Fractions, as they share one zero
+    positions = {cell: [space.index(s) for s in cell] for cell in active}
+    zero = Fraction(0)
+    zeros = [zero] * len(space)
     points = set()
     for m in marginal.vertices:
-        pools = [conditionals[cell].vertices for cell in active]
+        pools = []
+        for cell in active:
+            mass = m[cells.index(cell)]
+            pools.append(
+                [
+                    list(zip(positions[cell], (mass * x or zero for x in q)))
+                    for q in conditionals[cell].vertices
+                ]
+            )
         for combo in itertools.product(*pools):
-            entries = [Fraction(0)] * len(space)
-            for cell, cond in zip(active, combo):
-                mass = m[cells.index(cell)]
-                for j, s in enumerate(cell):
-                    entries[space.index(s)] = mass * cond[j]
+            entries = zeros.copy()
+            for part in combo:
+                for i, x in part:
+                    entries[i] = x
             points.add(Vector(entries))
     return CredalSet(space, Polytope(tuple(sorted(points))))
 
@@ -285,7 +298,7 @@ def rectangular_hull(c: CredalSet, f: Filtration) -> CredalSet:
     return _hull_over_stages(c, f.stages)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RectangularityCheck:
     witness: Vector | None = None  # a hull vertex outside the set
 

@@ -159,7 +159,7 @@ def _distribution(value, n: int | None, path: str, out: list[str]) -> Vector | N
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunFlags:
     """Command-line options; validate_scenario applies those that override the file."""
 
@@ -176,7 +176,7 @@ class RunFlags:
     svg_out: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlayerSpec:
     """One player's entry: eps-contamination or credal beliefs, and n_interval."""
 
@@ -248,7 +248,7 @@ def _parse_player(entry, path: str, out: list[str]) -> PlayerSpec | None:
     return PlayerSpec(StateSpace(tuple(states)), center, eps, vertices, interval)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A scenario read once, flags applied: the game built, every number exact."""
 
@@ -607,7 +607,7 @@ def _render(prep: _Prepared, player: str, flags: RunFlags) -> dict:
 # -- the contamination sweep --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepResult:
     entries: tuple[tuple[Fraction, str], ...]
     threshold: Fraction | None

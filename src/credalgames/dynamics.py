@@ -41,7 +41,7 @@ class StateSpaceError(ValueError):
     """Opponent-path states cannot be wired to the given beliefs/payoffs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionalSlot:
     """One stage-1 cell where the player acts.
 
@@ -84,7 +84,7 @@ class Posteriors:
         return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlayerProblem:
     """A player's strategic problem and the stage-1 cells where it acts.
 
@@ -118,7 +118,7 @@ class PlayerProblem:
 # -- deriving the state structure from a game -------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _State:
     label: str
     path: tuple[str, ...]
@@ -325,7 +325,7 @@ def induce_downstream(p1_beliefs: CredalSet, n_interval) -> CredalSet:
 # -- dynamic consistency ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellVerdict:
     cell: tuple[str, ...]
     status: str
@@ -358,7 +358,7 @@ class CellVerdict:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsistencyReport:
     player: str
     exante_solution: MaxminSolution
@@ -427,7 +427,7 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
     return ConsistencyReport(pp.player, exante, tuple(verdicts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PayoffSearchResult:
     payoffs: dict[str, Fraction]
     report: ConsistencyReport

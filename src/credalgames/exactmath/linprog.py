@@ -31,7 +31,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     coefficients: Vector
     relation: str
@@ -42,7 +42,7 @@ class Constraint:
             raise ValueError(f"unknown relation {self.relation!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearProgram:
     """Maximize ``objective . x`` subject to linear constraints.
 
@@ -74,7 +74,7 @@ class LinearProgram:
         return cls(obj, tuple(rows), frozenset(free))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LpSolution:
     status: str
     value: Fraction | None = None

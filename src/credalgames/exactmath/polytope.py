@@ -18,7 +18,7 @@ from .rational import rat
 from .vector import DimensionMismatchError, Vector, row_reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polytope:
     vertices: tuple[Vector, ...]
 

@@ -47,10 +47,11 @@ def approx_decimal(value: Fraction) -> str:
 
     The result is marked approximate by callers; it never feeds computation.
     """
-    sign = "-" if value < 0 else ""
-    mag = -value if value < 0 else value
+    mag = abs(value)
     scale = 10**6
     scaled = (mag.numerator * scale + mag.denominator // 2) // mag.denominator
+    # a negative value that rounds to zero prints unsigned
+    sign = "-" if value < 0 and scaled else ""
     whole, frac = divmod(scaled, scale)
     text = f"{sign}{whole}.{frac:06d}".rstrip("0")
     return text + "0" if text.endswith(".") else text

@@ -47,12 +47,12 @@ class UnboundParameterError(KeyError):
     """A payoff parameter is referenced but never declared or bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TerminalNode:
     payoffs: tuple[PayoffEntry, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionNode:
     player: str
     actions: tuple[str, ...]
@@ -73,7 +73,7 @@ def decision(player: str, moves) -> DecisionNode:
     return DecisionNode(player, labels, children)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationSet:
     player: str
     index: int
@@ -228,7 +228,7 @@ class GameTree:
 # -- strategies -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BehavioralStrategy:
     """One exact local distribution per information set, in canonical order."""
 
@@ -252,7 +252,7 @@ class BehavioralStrategy:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedStrategy:
     """A distribution over pure strategies in lexicographic order."""
 
@@ -272,7 +272,7 @@ class MixedStrategy:
 Strategy = Union[BehavioralStrategy, MixedStrategy]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeDistribution:
     terminals: tuple[str, ...]
     probabilities: Vector
@@ -289,7 +289,7 @@ def pure_behavioral(game: GameTree, player: str, pure: tuple[int, ...]) -> Behav
 # -- operations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecallCheck:
     ok: bool
     player: str | None = None

@@ -5,9 +5,12 @@ set of priors.  Expected payoff is linear in the prior, so the inner minimum
 over the whole set equals the minimum over its extreme points; the outer
 maximization then becomes a small exact LP.  The LP's dual is nature's
 optimal mix over the priors; checked exactly, it certifies the value and
-names the constraints tight on every optimal strategy.  Usually these fix
-the optimal strategy outright; when they leave a face of positive
-dimension, its vertices are found inside that face only.
+names the constraints tight on every optimal strategy.  With two strategies,
+as for every player in the paper's games, the value, a strategy and the mix
+are read off the lower envelope of one line per prior instead, and pass the
+same check.  Usually the tight constraints fix the optimal strategy
+outright; when they leave a face of positive dimension, its vertices are
+found inside that face only.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .exactmath import (
 MAX_FREE_COORDINATES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionProblem:
     """Maximize, over the strategy simplex, the worst expected payoff."""
 
@@ -72,7 +75,7 @@ class DecisionProblem:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaxminSolution:
     value: Fraction
     optimal_face: Polytope
@@ -107,21 +110,8 @@ def maxmin_value_of(strategy: Vector, p: DecisionProblem) -> Fraction:
     return min(strategy.dot(p.action_values(v)) for v in p.beliefs.vertices)
 
 
-def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
-    """Value and sorted optimal-face vertices of max over the k-simplex of
-    (min over the gain vectors).
-
-    A one-point simplex (k == 1) needs no LP: its value is the least gain.
-    Otherwise the value LP's dual is nature's optimal mix y over the gain
-    vectors.  Checked exactly, it proves the value and gives equalities that
-    every optimal strategy s satisfies: ``g_j . s = v`` where ``y_j > 0``, and
-    ``s_i = 0`` where ``(G^T y)_i < v``.  When they pin s down, the LP's
-    point is the whole face.  Otherwise the face is parametrized over the
-    solutions of those equalities, and its vertices come from the square
-    systems of the remaining inequalities in the reduced coordinates.
-    """
-    if k == 1:
-        return min(g[0] for g in gains), (Vector([1]),)
+def _value_lp(gains: list[Vector], k: int) -> tuple[Fraction, Vector, list[Fraction]]:
+    """Value, an optimal strategy and nature's mix from the value LP."""
     constraints = []
     for g in gains:
         constraints.append((list(g) + [Fraction(-1)], GREATER_EQUAL, 0))
@@ -130,10 +120,68 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
     sol = lp_solve(LinearProgram.build([Fraction(0)] * k + [Fraction(1)], constraints, [k]))
     if not sol.is_optimal:
         raise RuntimeError("simplex-constrained maxmin LP is not optimal")
-    value = sol.value
-    point = Vector(sol.point[:k])
     # a >= row's multiplier is <= 0 in a maximization
-    mix = [-y for y in sol.duals[: len(gains)]]
+    return sol.value, Vector(sol.point[:k]), [-y for y in sol.duals[: len(gains)]]
+
+
+def _envelope(gains: list[Vector]) -> tuple[Fraction, Vector, list[Fraction]]:
+    """Value, an optimal strategy and nature's mix over two strategies.
+
+    Strategy (1 - t, t) earns ``g_0 + t d`` against gain g, with
+    ``d = g_1 - g_0``, so the value is the peak of the lower envelope of
+    these lines over t in [0, 1].  By LP duality it is also the least, over
+    mixes y of the gains, of ``max((G^T y)_0, (G^T y)_1)``: a convex,
+    piecewise-linear function whose minimum over the mix simplex lies at a
+    vertex of one of its two linear pieces.  Those vertices are single
+    gains, worth ``max(g_0, g_1)``, and the crossing of a rising gain i with
+    a falling gain j (``d_i > 0 > d_j``) at weight ``-d_j / (d_i - d_j)``
+    on i, where both coordinates of the mix are equal.  The optimal
+    strategies are the t with every line at least the value; the least such
+    t is 0 or the latest point where a rising line reaches the value.
+    """
+    mix = [Fraction(0)] * len(gains)
+    value, best = min((max(g), i) for i, g in enumerate(gains))
+    rising = [(i, g[0], g[1] - g[0]) for i, g in enumerate(gains) if g[1] > g[0]]
+    falling = [(j, g[0], g[1] - g[0]) for j, g in enumerate(gains) if g[1] < g[0]]
+    pair = None
+    for i, a, di in rising:
+        for j, b, dj in falling:
+            # the lines' common height where i's weight is -dj / (di - dj)
+            height = (b * di - a * dj) / (di - dj)
+            if height < value:
+                value, pair = height, (i, j, -dj / (di - dj))
+    if pair is None:
+        mix[best] = Fraction(1)
+    else:
+        i, j, w = pair
+        mix[i], mix[j] = w, 1 - w
+    t = max((Fraction(0), *((value - a) / d for _, a, d in rising)))
+    return value, Vector([1 - t, t]), mix
+
+
+def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
+    """Value and sorted optimal-face vertices of max over the k-simplex of
+    (min over the gain vectors).
+
+    A one-point simplex (k == 1) needs no LP: its value is the least gain.
+    Two strategies take the value, an optimal point and nature's optimal mix
+    y over the gain vectors from the lower envelope of their lines
+    (``_envelope``); more take them from the value LP, whose dual is y.
+    Either way they are checked exactly: y is a distribution whose payoff
+    ``G^T y`` peaks at the value, and the point is a strategy that earns the
+    value, so weak duality proves both optimal.  The value is unique, and
+    complementary slackness holds for every optimal y, so whichever y was
+    found, every optimal strategy s satisfies its equalities:
+    ``g_j . s = v`` where ``y_j > 0``, and ``s_i = 0`` where
+    ``(G^T y)_i < v``.  The face they cut out is the same for the closed
+    form and the LP.  When they pin s down, the point is the whole face.
+    Otherwise the face is parametrized over the solutions of those
+    equalities, and its vertices come from the square systems of the
+    remaining inequalities in the reduced coordinates.
+    """
+    if k == 1:
+        return min(g[0] for g in gains), (Vector([1]),)
+    value, point, mix = _envelope(gains) if k == 2 else _value_lp(gains, k)
     payoff = [_dot(mix, column) for column in zip(*gains)]
     if (
         any(y < 0 for y in mix)
@@ -142,10 +190,10 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
         or not point.is_probability()
         or min(_dot(g, point) for g in gains) != value
     ):
-        raise RuntimeError(f"value LP solution fails its certificate at value {value}")
+        raise RuntimeError(f"maxmin solution fails its certificate at value {value}")
 
     # the equalities' right-hand sides are not needed: the face runs from
-    # the LP's point along their null space
+    # the optimal point along their null space
     equalities = [[Fraction(1)] * k]
     inequalities = []
     for y, g in zip(mix, gains):

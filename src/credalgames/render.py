@@ -19,7 +19,7 @@ VIEW = 512
 PALETTE = ("#9e9e9e", "#c7c7c7", "#7d9fc4", "#caa8a8", "#a8caa8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriangleLayer:
     credal: CredalSet
     label: str = ""
@@ -27,7 +27,7 @@ class TriangleLayer:
     stroke: str = "#404040"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrianglePanel:
     layers: tuple[TriangleLayer, ...]
     title: str = ""

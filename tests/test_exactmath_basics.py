@@ -49,6 +49,8 @@ def test_approx_decimal_marks():
     assert approx_decimal(F(1, 3)) == "0.333333"
     assert approx_decimal(F(-1, 2)) == "-0.5"
     assert approx_decimal(F(2474, 25)) == "98.96"
+    assert approx_decimal(F(-1, 10**7)) == "0.0"
+    assert approx_decimal(F(-1, 2 * 10**6)) == "-0.000001"
 
 
 def test_vector_arithmetic():

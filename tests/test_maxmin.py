@@ -398,10 +398,101 @@ def test_one_vertex_restriction_needs_no_lp(monkeypatch):
 
 
 def test_failed_dual_certificate_raises(monkeypatch):
+    # three strategies, so the value LP runs and its tampered duals are checked
     def tampered(lp):
         sol = lp_solve(lp)
         return type(sol)(sol.status, sol.value, sol.point, tuple(0 * y for y in sol.duals))
 
+    beliefs = CredalSet.from_vertices(LR, [[F(1, 4), F(3, 4)], [0, 1]])
+    problem = DecisionProblem.build(CONDITIONAL_ROWS + [[50, 50]], LR, beliefs)
     monkeypatch.setattr(credalgames.maxmin, "lp_solve", tampered)
     with pytest.raises(RuntimeError, match="certificate"):
+        maxmin_solve(problem)
+
+
+def test_failed_envelope_certificate_raises(monkeypatch):
+    # all of nature's weight on one prior pays (75.75, 100.25), above the
+    # value, so the check must refuse the mix
+    envelope = credalgames.maxmin._envelope
+
+    def tampered(gains):
+        value, point, mix = envelope(gains)
+        assert mix != [1, 0]
+        return value, point, [F(1)] + [F(0)] * (len(mix) - 1)
+
+    monkeypatch.setattr(credalgames.maxmin, "_envelope", tampered)
+    with pytest.raises(RuntimeError, match="certificate"):
         maxmin_solve(conditional_problem(F(3, 4)))
+
+
+def _two_strategy_cases(st):
+    """Two-strategy problems over 1-16 drawn priors (and their mirror
+    images, for crossing lines) whose lines often tie, run parallel or
+    coincide; some carry a two-vertex restriction of a larger simplex,
+    which lifts them to two strategies again."""
+
+    def simplex_point(dimension):
+        weights = st.lists(st.integers(0, 3), min_size=dimension, max_size=dimension)
+        return weights.filter(any).map(lambda w: Vector(F(x, sum(w)) for x in w))
+
+    @st.composite
+    def case(draw):
+        n = draw(st.integers(2, 4))
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        priors = draw(st.lists(simplex_point(n), min_size=1, max_size=16, unique=True))
+        entry = st.sampled_from([-1, 0, 0, 1, 2, 3])
+        k = draw(st.integers(2, 4)) if draw(st.booleans()) else 2
+        first = draw(st.lists(entry, min_size=n, max_size=n))
+        shape = draw(st.sampled_from(["free", "mirror", "mirror", "parallel", "equal"]))
+        payoff = [first]
+        for _ in range(k - 1):
+            if shape == "mirror":
+                payoff.append(first[::-1])
+            elif shape == "equal":
+                payoff.append(first)  # every gain has equal coordinates
+            elif shape == "parallel":
+                shift = draw(st.sampled_from([-1, 1, 2]))  # every line has one slope
+                payoff.append([x + shift for x in first])
+            else:
+                row = st.lists(entry, min_size=n, max_size=n).filter(lambda r: r != first)
+                payoff.append(draw(row))
+        if shape == "mirror":
+            # each prior's mirror image swaps its gains, so their lines cross
+            priors += [Vector(p[::-1]) for p in priors if Vector(p[::-1]) not in priors]
+        beliefs = CredalSet(space, Polytope(tuple(priors)))
+        problem = DecisionProblem.build(payoff, space, beliefs)
+        restriction = None
+        if k > 2:
+            corners = draw(st.lists(simplex_point(k), min_size=2, max_size=2, unique=True))
+            restriction = Polytope(tuple(corners))
+        return problem, restriction
+
+    return case()
+
+
+def test_two_strategy_envelope_matches_lp_oracle(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    import credalgames.exactmath.linprog as linprog
+
+    solves = []
+
+    def counting(lp):
+        solves.append(lp)
+        return lp_solve(lp)
+
+    @hypothesis.settings(max_examples=250, deadline=None, derandomize=True)
+    @hypothesis.given(_two_strategy_cases(hypothesis.strategies))
+    def check(case):
+        problem, restriction = case
+        with monkeypatch.context() as m:
+            m.setattr(linprog, "lp_solve", counting)
+            m.setattr(credalgames.maxmin, "lp_solve", counting)
+            if restriction is None:
+                sol = maxmin_solve(problem)
+            else:
+                sol = constrained_maxmin(problem, restriction)
+        assert solves == []
+        # the oracle's value is lp_solve's on the same two-strategy LP
+        assert_matches_oracle(sol, problem, restriction)
+
+    check()
