@@ -18,6 +18,7 @@ from fractions import Fraction
 from .exactmath import (
     Polytope,
     Vector,
+    dot,
     polytope_contains,
     polytope_minimize,
     rat,
@@ -106,7 +107,7 @@ class CredalSet:
         return self.space == other.space and self.vertices == other.vertices
 
     def event_mass(self, vertex: Vector, event: Cell) -> Fraction:
-        return sum((vertex[self.space.index(s)] for s in event), Fraction(0))
+        return dot((vertex[self.space.index(s)] for s in event), itertools.repeat(1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -684,22 +684,23 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioSchemaError([f"arguments: {message}"])
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("scenario", help="built-in name (fig1, fig4) or JSON path")
-    sub.add_argument("--player", help="analyze this player instead of the default")
-    sub.add_argument("--eps", help="contamination weight, as an exact rational")
-    sub.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    # the scenario options every subcommand but sweep takes, built once and
+    # copied into each subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("scenario", help="built-in name (fig1, fig4) or JSON path")
+    common.add_argument("--player", help="analyze this player instead of the default")
+    common.add_argument("--eps", help="contamination weight, as an exact rational")
+    common.add_argument(
         "--bind",
         action="append",
         default=[],
         metavar="NAME=p/q",
         help="bind a payoff parameter (repeatable)",
     )
-    sub.add_argument("--json", action="store_true", help="print the JSON report")
-    sub.add_argument("--out", help="write the JSON report (or SVG for render) here")
+    common.add_argument("--json", action="store_true", help="print the JSON report")
+    common.add_argument("--out", help="write the JSON report (or SVG for render) here")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="credalgames", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -710,27 +711,28 @@ def build_parser() -> argparse.ArgumentParser:
         ("rect-hull", "smallest rectangular belief set for the filtration"),
         ("check-rect", "test the beliefs for rectangularity"),
     ):
-        sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
+        subs.add_parser(name, help=help_text, parents=[common])
 
-    sub = subs.add_parser("update", help="full Bayesian updating per reached cell")
-    _add_common(sub)
+    sub = subs.add_parser(
+        "update", help="full Bayesian updating per reached cell", parents=[common]
+    )
     sub.add_argument("--event", help="comma-separated states to condition on")
 
-    sub = subs.add_parser("check-dc", help="decide dynamic consistency")
-    _add_common(sub)
+    sub = subs.add_parser("check-dc", help="decide dynamic consistency", parents=[common])
     sub.add_argument(
         "--rectangularize",
         action="store_true",
         help="replace beliefs by their rectangular hull first",
     )
 
-    sub = subs.add_parser("induce", help="push beliefs through the second mover")
-    _add_common(sub)
+    sub = subs.add_parser(
+        "induce", help="push beliefs through the second mover", parents=[common]
+    )
     sub.add_argument("--interval", metavar="a:b", help="second-mover chance interval")
 
-    sub = subs.add_parser("find-payoffs", help="search for inconsistency payoffs")
-    _add_common(sub)
+    sub = subs.add_parser(
+        "find-payoffs", help="search for inconsistency payoffs", parents=[common]
+    )
     sub.add_argument("--grid", help="comma-separated payoff grid values")
     sub.add_argument("--slots", help="comma-separated free payoff parameters")
 
@@ -740,8 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--json", action="store_true")
     sub.add_argument("--out")
 
-    sub = subs.add_parser("render", help="draw belief sets as an SVG triangle")
-    _add_common(sub)
+    sub = subs.add_parser(
+        "render", help="draw belief sets as an SVG triangle", parents=[common]
+    )
     sub.add_argument(
         "--layers",
         default="beliefs,update",

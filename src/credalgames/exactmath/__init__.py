@@ -23,6 +23,7 @@ from .rational import approx_decimal, rat, read_rational
 from .vector import (
     DimensionMismatchError,
     Vector,
+    dot,
     row_reduce,
     solve_square_system,
     unit_vector,
@@ -43,6 +44,7 @@ __all__ = [
     "Vector",
     "affine_image",
     "approx_decimal",
+    "dot",
     "lp_feasible",
     "lp_solve",
     "polytope_contains",

@@ -2,9 +2,14 @@
 
 Everything is V-representation: a polytope is the convex hull of its listed
 vertices.  Membership solves ``[vertices; 1] . lambda = [x; 1]`` by one exact
-row reduction: when the vertices are affinely independent (a simplex) the
-weights are unique and their signs decide; only otherwise does an exact LP
-feasibility check run.  Minimization yields the unique set of extreme points
+row reduction: an inconsistent system puts x outside the affine hull, and
+affinely independent vertices (a simplex) have unique weights whose signs
+decide.  Dependent vertices whose affine hull has dimension 2 or less (points
+on a segment or in a plane, such as every belief set over three states) are
+projected onto one or two coordinates that keep their affine hull one-to-one,
+where an exact interval or an exact monotone-chain hull (Andrew 1979)
+decides.  Only dependent sets of dimension 3 or more run an exact LP
+feasibility check.  Minimization yields the unique set of extreme points
 (sorted, so minimized polytopes have a canonical form).
 """
 
@@ -12,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 from .linprog import EQUAL, lp_feasible
 from .rational import rat
-from .vector import DimensionMismatchError, Vector, row_reduce
+from .vector import DimensionMismatchError, Vector, dot, row_reduce
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +60,11 @@ def polytope_contains(p: Polytope, x: Vector) -> bool:
     cases: an inconsistent system puts x outside the affine hull, and a
     full-rank one (affinely independent vertices) has unique weights, which
     contain x iff all are nonnegative.  Dependent vertices leave a family of
-    weights, and an LP feasibility check over the same system decides.
+    weights.  When their affine hull has dimension 2 or less, x (inside that
+    hull, not a vertex) is in the polytope iff it is not an extreme point of
+    the vertices together with x, which ``polytope_minimize`` finds by an
+    interval or edge-side tests, with no LP; in higher dimensions an LP
+    feasibility check over the same system decides.
     """
     if x.dimension != p.ambient_dimension:
         raise DimensionMismatchError(
@@ -72,6 +83,9 @@ def polytope_contains(p: Polytope, x: Vector) -> bool:
     basis, weights = reduced
     if len(basis) == n:
         return all(w >= 0 for w in weights)
+    # the rank is the affine hull's dimension plus one
+    if len(basis) <= 3:
+        return x not in polytope_minimize(Polytope((*verts, x))).vertices
     constraints = [(row, EQUAL, b) for row, b in zip(rows, rhs)]
     return lp_feasible(constraints, n) is not None
 
@@ -81,9 +95,11 @@ def polytope_minimize(p: Polytope) -> Polytope:
 
     The extreme-point set of a polytope is unique, so the output is a
     canonical form: two polytopes are equal iff their minimized vertex
-    tuples are equal.  Affinely independent points (one rank test of the
-    points lifted by a trailing 1) are all extreme and are only sorted;
-    otherwise each point is tested against the hull of the rest.
+    tuples are equal.  One rank test of the points lifted by a trailing 1
+    gives their affine hull's dimension.  Affinely independent points are
+    all extreme and are only sorted; dependent points in a hull of dimension
+    2 or less are minimized by ``_planar_extremes``; otherwise each point is
+    tested against the hull of the rest.
     """
     verts: list[Vector] = []
     for v in p.vertices:
@@ -93,6 +109,8 @@ def polytope_minimize(p: Polytope) -> Polytope:
     basis, _ = row_reduce(lifted, [Fraction(0)] * len(lifted))
     if len(basis) == len(verts):
         return Polytope(tuple(sorted(verts)))
+    if len(basis) <= 3:
+        return Polytope(tuple(sorted(_planar_extremes(verts, _hull_axes(basis)))))
     i = 0
     while i < len(verts) and len(verts) > 1:
         others = verts[:i] + verts[i + 1 :]
@@ -101,6 +119,56 @@ def polytope_minimize(p: Polytope) -> Polytope:
         else:
             i += 1
     return Polytope(tuple(sorted(verts)))
+
+
+def _hull_axes(basis: list[list[Fraction]]) -> list[int]:
+    """Coordinates whose projection is one-to-one on the affine hull of some
+    points, as many as its dimension, from the reduced rows ``basis`` of the
+    points lifted by a trailing 1.
+
+    The rows form an identity in their pivot columns, so every combination
+    of them has its weights as its pivot coordinates.  The lifted difference
+    of two hull points is such a combination with last entry 0, which fixes
+    the weight of a row with a nonzero last entry (one exists, as ``(v, 1)``
+    ends in 1) by the other weights.  So a difference that vanishes on the
+    other pivots vanishes.
+    """
+    pivots = [next(j for j, c in enumerate(row) if c) for row in basis]
+    drop = next(i for i, row in enumerate(basis) if row[-1])
+    return pivots[:drop] + pivots[drop + 1 :]
+
+
+def _planar_extremes(verts: list[Vector], axes: list[int]) -> list[Vector]:
+    """The extreme points of distinct points whose affine hull projects
+    one-to-one onto one or two coordinates ``axes``.
+
+    An affine bijection keeps which points are extreme.  On one axis they
+    are the least and the greatest coordinate.  On two, the coordinates are
+    scaled to integers and Andrew's monotone chain builds the lower and the
+    upper hull, popping every point that does not make a strict left turn,
+    so points on an edge are dropped.
+    """
+    if len(axes) == 1:
+        key = itemgetter(axes[0])
+        return [min(verts, key=key), max(verts, key=key)]
+    scaled = []
+    for axis in axes:
+        scale = lcm(*(v[axis].denominator for v in verts))
+        scaled.append([v[axis].numerator * (scale // v[axis].denominator) for v in verts])
+    points = sorted(zip(*scaled, verts))
+
+    def chain(ordered):
+        hull = []
+        for point in ordered:
+            while len(hull) >= 2:
+                (x0, y0, _), (x1, y1, _) = hull[-2], hull[-1]
+                if (x1 - x0) * (point[1] - y0) - (y1 - y0) * (point[0] - x0) > 0:
+                    break
+                hull.pop()
+            hull.append(point)
+        return hull[:-1]
+
+    return [v for _, _, v in chain(points) + chain(reversed(points))]
 
 
 def affine_image(p: Polytope, matrix) -> Polytope:
@@ -115,5 +183,5 @@ def affine_image(p: Polytope, matrix) -> Polytope:
             raise DimensionMismatchError(
                 f"matrix has {len(row)} columns, polytope dimension is {p.ambient_dimension}"
             )
-    images = [Vector(sum(c * e for c, e in zip(row, v)) for row in rows) for v in p.vertices]
+    images = [Vector(dot(row, v) for row in rows) for v in p.vertices]
     return polytope_minimize(Polytope.from_vertices(images))

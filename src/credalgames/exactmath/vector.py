@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
 
 from .rational import rat
 
@@ -51,10 +52,10 @@ class Vector(tuple):
 
     def dot(self, other: "Vector") -> Fraction:
         self._check(other)
-        return sum((a * b for a, b in zip(self, other)), Fraction(0))
+        return dot(self, other)
 
     def total(self) -> Fraction:
-        return sum(self, Fraction(0))
+        return dot(self, repeat(1))
 
     def is_probability(self) -> bool:
         return all(e >= 0 for e in self) and self.total() == 1
@@ -64,6 +65,28 @@ class Vector(tuple):
 
     def to_json(self) -> list[str]:
         return [str(e) for e in self]
+
+
+def dot(a: Iterable[int | Fraction], b: Iterable[int | Fraction]) -> Fraction:
+    """Exact sum of ``a_i * b_i`` over the shorter of the two, as a Fraction.
+
+    The sum runs on integers: each product is a numerator and a denominator,
+    and the running sum keeps the least common multiple of the denominators
+    seen so far (not their product), so only the one Fraction returned is
+    reduced by a gcd.  A sum of values is their dot with ``repeat(1)``.
+    """
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        n = x.numerator * y.numerator
+        if n:
+            d = x.denominator * y.denominator
+            if den % d:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+            else:
+                num += n * (den // d)
+    return Fraction(num, den)
 
 
 def unit_vector(dimension: int, index: int) -> Vector:

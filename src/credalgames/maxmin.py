@@ -27,6 +27,7 @@ from .exactmath import (
     Polytope,
     Vector,
     affine_image,
+    dot,
     lp_solve,
     rat,
     row_reduce,
@@ -69,10 +70,7 @@ class DecisionProblem:
 
     def action_values(self, prior: Vector) -> Vector:
         """Expected payoff of each pure action under one prior."""
-        return Vector(
-            sum((a * p for a, p in zip(row, prior)), Fraction(0))
-            for row in self.payoff
-        )
+        return Vector(dot(row, prior) for row in self.payoff)
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,13 +180,13 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
     if k == 1:
         return min(g[0] for g in gains), (Vector([1]),)
     value, point, mix = _envelope(gains) if k == 2 else _value_lp(gains, k)
-    payoff = [_dot(mix, column) for column in zip(*gains)]
+    payoff = [dot(mix, column) for column in zip(*gains)]
     if (
         any(y < 0 for y in mix)
         or sum(mix) != 1
         or max(payoff) != value
         or not point.is_probability()
-        or min(_dot(g, point) for g in gains) != value
+        or min(dot(g, point) for g in gains) != value
     ):
         raise RuntimeError(f"maxmin solution fails its certificate at value {value}")
 
@@ -228,23 +226,19 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
             d[p] = -row[q]
         directions.append(d)
     reduced = [
-        ([_dot(a, d) for d in directions], b - _dot(a, point))
+        ([dot(a, d) for d in directions], b - dot(a, point))
         for a, b in inequalities
     ]
     corners = set()
     for combo in itertools.combinations(reduced, len(free)):
         z = solve_square_system([c for c, _ in combo], [r for _, r in combo])
-        if z is not None and all(_dot(c, z) >= r for c, r in reduced):
+        if z is not None and all(dot(c, z) >= r for c, r in reduced):
             corners.add(tuple(z))
     face = {
-        tuple(x + _dot(z, col) for x, col in zip(point, zip(*directions)))
+        tuple(x + dot(z, col) for x, col in zip(point, zip(*directions)))
         for z in corners
     }
     return value, tuple(Vector(p) for p in sorted(face))
-
-
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def _binding(

@@ -460,3 +460,30 @@ def test_svg_renders_match_golden_digests(argv, digest, tmp_path, capsys):
     out = tmp_path / "figure.svg"
     assert main(argv + ["--out", str(out)]) == 0
     assert _digest(out.read_text(encoding="utf-8")) == digest
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("", "1cccf2e12f7ee9ad"),
+        ("validate", "ccad841f1e08c925"),
+        ("analyze", "d3242fc5c46124ae"),
+        ("maxmin", "d4875071e6931b74"),
+        ("rect-hull", "802fdfa0d09646c7"),
+        ("check-rect", "403915e7b8d567bd"),
+        ("update", "eba211c61c05481d"),
+        ("check-dc", "6594a3ffb5013292"),
+        ("induce", "de3a28e9d029840a"),
+        ("find-payoffs", "dd070e4b6cdcb8ee"),
+        ("sweep", "b03fc5d97436990a"),
+        ("render", "9d250f707ae7f37c"),
+    ],
+)
+def test_help_texts_match_golden_digests(command, digest, monkeypatch, capsys):
+    # the subcommands' shared scenario options come from one parent parser;
+    # their help must read as when each subcommand declared them itself
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args([command, "--help"] if command else ["--help"])
+    assert stop.value.code == 0
+    assert _digest(capsys.readouterr().out) == digest

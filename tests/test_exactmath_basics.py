@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -7,6 +8,7 @@ from credalgames.exactmath import (
     DimensionMismatchError,
     Vector,
     approx_decimal,
+    dot,
     rat,
     row_reduce,
     solve_square_system,
@@ -202,3 +204,88 @@ def test_row_reduce_matches_the_fraction_oracle():
         "int",
         "fraction",
     } <= seen
+
+
+def _dot_cases(st):
+    """Two equal-length lists of ints and Fractions, lengths 1..64.
+
+    Denominators are shared (divisors of 60), pairwise coprime (one prime
+    per position, so the least common multiple is their product) or mixed;
+    zeros and negatives are frequent.
+    """
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 64))
+        mode = draw(st.sampled_from(["int", "shared", "coprime", "mixed"]))
+        shared = st.sampled_from([1, 2, 3, 4, 6, 12, 60])
+        mixed = st.one_of(st.just(1), st.integers(1, 10**4))
+        numerators = st.lists(
+            st.one_of(st.just(0), st.integers(-10**6, 10**6)), min_size=n, max_size=n
+        )
+
+        def side():
+            nums = draw(numerators)
+            if mode == "int":
+                return nums
+            if mode == "coprime":
+                dens = [primes[i % len(primes)] for i in range(n)]
+            else:
+                pick = shared if mode == "shared" else mixed
+                dens = draw(st.lists(pick, min_size=n, max_size=n))
+            # a denominator of 1 stays an int in mixed lists
+            return [x if d == 1 and mode == "mixed" else F(x, d) for x, d in zip(nums, dens)]
+
+        return side(), side()
+
+    return cases()
+
+
+def test_dot_matches_the_fraction_sum():
+    hypothesis = pytest.importorskip("hypothesis")
+    seen = set()
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(_dot_cases(hypothesis.strategies))
+    def check(case):
+        a, b = case
+        expected = sum((x * y for x, y in zip(a, b)), F(0))
+        for result in (dot(a, b), Vector(a).dot(Vector(b))):
+            assert type(result) is F
+            assert result == expected
+            assert result.denominator > 0
+            assert gcd(result.numerator, result.denominator) == 1
+        assert Vector(a).total() == sum(a, F(0))
+        assert type(Vector(a).total()) is F
+        kinds = {type(x) for x in a + b}
+        seen.add("int" if kinds == {int} else "fraction" if kinds == {F} else "int and fraction")
+        seen.add("length 1" if len(a) == 1 else "length 2-32" if len(a) <= 32 else "length 33-64")
+        if 0 in a:
+            seen.add("zero")
+        if any(x < 0 for x in a):
+            seen.add("negative")
+        dens = {F(x).denominator for x in a if x} - {1}
+        if len(dens) > 2:
+            seen.add("coprime" if lcm(*dens) == prod(dens) else "shared factors")
+
+    check()
+    assert {
+        "int",
+        "fraction",
+        "int and fraction",
+        "length 1",
+        "length 2-32",
+        "length 33-64",
+        "zero",
+        "negative",
+        "coprime",
+        "shared factors",
+    } <= seen
+
+
+def test_vector_dot_checks_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        Vector([1, 2]).dot(Vector([1, 2, 3]))
+    # the kernel itself, like zip, runs over the shorter operand
+    assert dot([F(1, 2), F(1, 3)], [F(2, 3)]) == F(1, 3)

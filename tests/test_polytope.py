@@ -256,17 +256,24 @@ def test_membership_and_minimize_match_the_lp_oracle():
         unique_weights = _lifted_rank(p.vertices) == len(p.vertices)
         in_affine_hull = _lifted_rank(distinct | {x}) == _lifted_rank(distinct)
         seen.add((unique_weights, in_affine_hull, inside))
+        if not unique_weights and in_affine_hull:
+            seen.add(("planar" if _lifted_rank(distinct) <= 3 else "lp", inside))
         seen.add(("duplicates", len(distinct) < len(p.vertices)))
 
     check()
     # the draws reach every branch: unique weights in or out, outside the
-    # affine hull, and the LP fallback in or out
+    # affine hull, and dependent weights in or out, decided on one or two
+    # coordinates (affine dimension 2 or less) or by the LP
     assert {
         (True, True, True),
         (True, True, False),
         (True, False, False),
         (False, True, True),
         (False, True, False),
+        ("planar", True),
+        ("planar", False),
+        ("lp", True),
+        ("lp", False),
         ("duplicates", True),
     } <= seen
 
@@ -306,3 +313,146 @@ def test_simplex_shaped_questions_need_no_lp(monkeypatch):
         assert minimized == lp_minimize(p)
         assert inside == lp_contains(p, x)
     assert solves == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "fig4"], ["check-rect", "fig4"], ["sweep", "--bisect", "1/2040000:1/51"]],
+    ids=["analyze-fig4", "check-rect-fig4", "sweep-bisect"],
+)
+def test_paper_commands_solve_no_lp(argv, monkeypatch, capsys):
+    # every belief set of the paper lives in a three-state simplex, so each
+    # dependent point set is planar, and every player has two strategies
+    import credalgames.exactmath.linprog as linprog
+    import credalgames.maxmin
+    from credalgames.cli import main
+
+    real = linprog.lp_solve
+    solves = []
+
+    def counting(lp):
+        solves.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(linprog, "lp_solve", counting)
+    monkeypatch.setattr(credalgames.maxmin, "lp_solve", counting)
+    assert main(argv) == 0
+    assert solves == []
+
+
+def _planar_cases(st):
+    """Points of affine dimension 0, 1 or 2 embedded in 3..6 dimensions, and
+    a query point.
+
+    Parameters ``u`` (integer pairs, the second 0 on a line, both 0 for
+    all-equal points) map to ``origin + M u`` with M of full column rank, so
+    the points are collinear or coplanar, with rational coordinates.  The set
+    may repeat a point.  The query is a vertex; a point on a supporting
+    segment (between two points with all others on one side of their line,
+    so on the boundary); a convex or an affine combination; or one of those
+    shifted off the affine hull.
+    """
+    small = st.integers(-3, 3)
+    rational = st.builds(F, small, st.integers(1, 4))
+
+    @st.composite
+    def case(draw):
+        n = draw(st.integers(3, 6))
+        k = draw(st.integers(0, 2))
+        origin = draw(st.lists(rational, min_size=n, max_size=n))
+        # a unit entry of each column where the other has 0 keeps M's rank 2
+        i, j = draw(st.permutations(range(n)))[:2]
+        column = st.lists(rational, min_size=n, max_size=n)
+        columns = draw(st.lists(column, min_size=2, max_size=2))
+        columns[0][i], columns[0][j], columns[1][i], columns[1][j] = 1, 0, 0, 1
+        params = draw(
+            st.lists(st.tuples(small, small), min_size=3, max_size=8).map(
+                lambda us: [(a if k else 0, b if k == 2 else 0) for a, b in us]
+            )
+        )
+        if draw(st.booleans()):
+            params.append(draw(st.sampled_from(params)))
+
+        def embed(u):
+            return Vector(o + u[0] * c0 + u[1] * c1 for o, c0, c1 in zip(origin, *columns))
+
+        query = draw(st.sampled_from(["vertex", "boundary", "convex", "affine", "off"]))
+        supporting = [
+            (a, b) for a in params for b in params if a < b and _one_side(a, b, params)
+        ]
+        if query == "boundary" and supporting:
+            a, b = draw(st.sampled_from(supporting))
+            t = draw(st.builds(F, st.integers(1, 4), st.just(5)))
+            u = tuple((1 - t) * x + t * y for x, y in zip(a, b))
+        elif query in ("convex", "affine", "off"):
+            lo = -3 if query == "affine" else 0
+            w = draw(st.lists(st.integers(lo, 3), min_size=len(params), max_size=len(params)))
+            if sum(w) == 0:
+                w[-1] += 1
+            u = tuple(sum(F(c, sum(w)) * p[i] for c, p in zip(w, params)) for i in range(2))
+        else:
+            query = "vertex"
+            u = draw(st.sampled_from(params))
+        x = embed(u)
+        if query == "off":
+            x = x + Vector(draw(st.lists(small, min_size=n, max_size=n)))
+        return Polytope(tuple(embed(u) for u in params)), x, query
+
+    return case()
+
+
+def _one_side(a, b, points) -> bool:
+    """Every point lies on one closed side of the line through a and b."""
+    sides = {
+        (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) for p in points
+    }
+    return all(s >= 0 for s in sides) or all(s <= 0 for s in sides)
+
+
+def test_planar_hulls_match_the_lp_oracle_without_an_lp(monkeypatch):
+    # points of affine dimension 2 or less are minimized and tested by an
+    # interval or a monotone chain on two coordinates, never by the LP
+    hypothesis = pytest.importorskip("hypothesis")
+    import credalgames.exactmath.linprog as linprog
+
+    real = linprog.lp_solve
+    solves = []
+
+    def counting(lp):
+        solves.append(lp)
+        return real(lp)
+
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(_planar_cases(hypothesis.strategies))
+    def check(case):
+        p, x, query = case
+        monkeypatch.setattr(linprog, "lp_solve", counting)
+        minimized = polytope_minimize(p)
+        inside = polytope_contains(p, x)
+        monkeypatch.setattr(linprog, "lp_solve", real)
+        assert minimized == lp_minimize(p)
+        assert inside == lp_contains(p, x)
+        assert solves == []
+        seen.add((_lifted_rank(set(p.vertices)) - 1, query, inside))
+        seen.add(("ambient", p.ambient_dimension))
+        seen.add(("duplicates", len(set(p.vertices)) < len(p.vertices)))
+
+    check()
+    assert {
+        (0, "vertex", True),
+        (0, "off", False),
+        (1, "vertex", True),
+        (1, "boundary", True),
+        (1, "affine", False),
+        (1, "off", False),
+        (2, "vertex", True),
+        (2, "boundary", True),
+        (2, "convex", True),
+        (2, "affine", False),
+        (2, "off", False),
+        ("duplicates", True),
+        ("ambient", 3),
+        ("ambient", 6),
+    } <= seen
