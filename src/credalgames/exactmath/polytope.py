@@ -95,16 +95,19 @@ def polytope_minimize(p: Polytope) -> Polytope:
 
     The extreme-point set of a polytope is unique, so the output is a
     canonical form: two polytopes are equal iff their minimized vertex
-    tuples are equal.  One rank test of the points lifted by a trailing 1
-    gives their affine hull's dimension.  Affinely independent points are
-    all extreme and are only sorted; dependent points in a hull of dimension
-    2 or less are minimized by ``_planar_extremes``; otherwise each point is
-    tested against the hull of the rest.
+    tuples are equal.  Affinely independent points are all extreme and are
+    only sorted; one or two distinct points always are, and more are found
+    so by one rank test of the points lifted by a trailing 1, which gives
+    their affine hull's dimension.  Dependent points in a hull of dimension
+    2 or less are minimized by ``_planar_extremes``; otherwise each point
+    is tested against the hull of the rest.
     """
     verts: list[Vector] = []
     for v in p.vertices:
         if v not in verts:
             verts.append(v)
+    if len(verts) <= 2:
+        return Polytope(tuple(sorted(verts)))
     lifted = [list(v) + [Fraction(1)] for v in verts]
     basis, _ = row_reduce(lifted, [Fraction(0)] * len(lifted))
     if len(basis) == len(verts):

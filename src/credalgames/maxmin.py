@@ -5,12 +5,12 @@ set of priors.  Expected payoff is linear in the prior, so the inner minimum
 over the whole set equals the minimum over its extreme points; the outer
 maximization then becomes a small exact LP.  The LP's dual is nature's
 optimal mix over the priors; checked exactly, it certifies the value and
-names the constraints tight on every optimal strategy.  With two strategies,
-as for every player in the paper's games, the value, a strategy and the mix
-are read off the lower envelope of one line per prior instead, and pass the
-same check.  Usually the tight constraints fix the optimal strategy
-outright; when they leave a face of positive dimension, its vertices are
-found inside that face only.
+names the constraints tight on every optimal strategy.  Usually these fix
+the optimal strategy outright; when they leave a face of positive
+dimension, its vertices are found inside that face only.  With two
+strategies, as for every player in the paper's games, there is no LP: the
+value, nature's mix and the whole optimal segment are read off the lower
+envelope of one integer line per prior and checked on those integers.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .beliefs import CredalSet, StateSpace
 from .exactmath import (
@@ -122,39 +123,50 @@ def _value_lp(gains: list[Vector], k: int) -> tuple[Fraction, Vector, list[Fract
     return sol.value, Vector(sol.point[:k]), [-y for y in sol.duals[: len(gains)]]
 
 
-def _envelope(gains: list[Vector]) -> tuple[Fraction, Vector, list[Fraction]]:
-    """Value, an optimal strategy and nature's mix over two strategies.
+def _envelope(gains: list[Vector]) -> tuple:
+    """Integer lines, value, nature's mix and optimal segment, two strategies.
 
-    Strategy (1 - t, t) earns ``g_0 + t d`` against gain g, with
-    ``d = g_1 - g_0``, so the value is the peak of the lower envelope of
-    these lines over t in [0, 1].  By LP duality it is also the least, over
-    mixes y of the gains, of ``max((G^T y)_0, (G^T y)_1)``: a convex,
-    piecewise-linear function whose minimum over the mix simplex lies at a
-    vertex of one of its two linear pieces.  Those vertices are single
-    gains, worth ``max(g_0, g_1)``, and the crossing of a rising gain i with
-    a falling gain j (``d_i > 0 > d_j``) at weight ``-d_j / (d_i - d_j)``
-    on i, where both coordinates of the mix are equal.  The optimal
-    strategies are the t with every line at least the value; the least such
-    t is 0 or the latest point where a rising line reaches the value.
+    Strategy (1 - t, t) earns ``g_0 + t (g_1 - g_0)`` against gain g;
+    scaled by the lcm of the gains' denominators, that is an integer line
+    ``a + t d``.  The value is the peak of their lower envelope over
+    [0, 1], kept as an integer ratio ``num / den``.  By LP duality it is the
+    least, over mixes y of the lines, of ``max((G^T y)_0, (G^T y)_1)``,
+    which is convex and piecewise linear, so its minimum lies at a vertex of
+    one of its two pieces: a single line, worth ``max(a, a + d)``, or the
+    crossing of a rising line i with a falling line j, at height
+    ``(a_j d_i - a_i d_j) / (d_i - d_j)`` with weights ``-d_j`` on i and
+    ``d_i`` on j over ``d_i - d_j``.  Candidates are compared by
+    cross-multiplication.  Every line is at or above the value v exactly on
+    the optimal segment: from ``lo``, the greatest of 0 and ``(v - a) / d``
+    over rising lines, to ``hi``, the least of 1 and ``(v - a) / d`` over
+    falling lines.
+
+    Returns the scale, the lines ``(a, d)``, the value ``(num, den)`` on
+    that scale, the mix as integer weights over ``den`` keyed by gain index,
+    and ``(lo, hi)`` as ratios ``(p, q)`` with ``q > 0``.
     """
-    mix = [Fraction(0)] * len(gains)
-    value, best = min((max(g), i) for i, g in enumerate(gains))
-    rising = [(i, g[0], g[1] - g[0]) for i, g in enumerate(gains) if g[1] > g[0]]
-    falling = [(j, g[0], g[1] - g[0]) for j, g in enumerate(gains) if g[1] < g[0]]
-    pair = None
-    for i, a, di in rising:
-        for j, b, dj in falling:
-            # the lines' common height where i's weight is -dj / (di - dj)
-            height = (b * di - a * dj) / (di - dj)
-            if height < value:
-                value, pair = height, (i, j, -dj / (di - dj))
-    if pair is None:
-        mix[best] = Fraction(1)
-    else:
-        i, j, w = pair
-        mix[i], mix[j] = w, 1 - w
-    t = max((Fraction(0), *((value - a) / d for _, a, d in rising)))
-    return value, Vector([1 - t, t]), mix
+    scale = lcm(*(x.denominator for g in gains for x in g))
+    lines = []
+    for g0, g1 in gains:
+        a = g0.numerator * (scale // g0.denominator)
+        lines.append((a, g1.numerator * (scale // g1.denominator) - a))
+    num, best = min((max(a, a + d), i) for i, (a, d) in enumerate(lines))
+    den, mix = 1, {best: 1}
+    rising = [(i, a, d) for i, (a, d) in enumerate(lines) if d > 0]
+    falling = [(j, a, d) for j, (a, d) in enumerate(lines) if d < 0]
+    for i, ai, di in rising:
+        for j, aj, dj in falling:
+            if (aj * di - ai * dj) * den < num * (di - dj):
+                num, den, mix = aj * di - ai * dj, di - dj, {i: -dj, j: di}
+    # (v - a) / d is (num - a den) / (d den)
+    lo, hi = (0, 1), (1, 1)
+    for _, a, d in rising:
+        if (num - a * den) * lo[1] > lo[0] * d * den:
+            lo = (num - a * den, d * den)
+    for _, a, d in falling:
+        if (a * den - num) * hi[1] < hi[0] * -d * den:
+            hi = (a * den - num, -d * den)
+    return scale, lines, (num, den), mix, (lo, hi)
 
 
 def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
@@ -162,24 +174,43 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
     (min over the gain vectors).
 
     A one-point simplex (k == 1) needs no LP: its value is the least gain.
-    Two strategies take the value, an optimal point and nature's optimal mix
-    y over the gain vectors from the lower envelope of their lines
-    (``_envelope``); more take them from the value LP, whose dual is y.
-    Either way they are checked exactly: y is a distribution whose payoff
-    ``G^T y`` peaks at the value, and the point is a strategy that earns the
-    value, so weak duality proves both optimal.  The value is unique, and
-    complementary slackness holds for every optimal y, so whichever y was
-    found, every optimal strategy s satisfies its equalities:
-    ``g_j . s = v`` where ``y_j > 0``, and ``s_i = 0`` where
-    ``(G^T y)_i < v``.  The face they cut out is the same for the closed
-    form and the LP.  When they pin s down, the point is the whole face.
-    Otherwise the face is parametrized over the solutions of those
-    equalities, and its vertices come from the square systems of the
-    remaining inequalities in the reduced coordinates.
+    Two strategies take the value, nature's optimal mix y over the gains
+    and the whole optimal segment from ``_envelope`` and check them on its
+    integer lines: y is a distribution whose payoff ``G^T y`` peaks at the
+    value, and both ends of the segment are strategies whose lowest line
+    earns the value, so weak duality proves them optimal.  Fractions are
+    built only for the value and the segment's one or two vertices.
+
+    More strategies take the value, a point and y from the value LP, whose
+    dual is y, and pass the same check.  The value is unique, and
+    complementary slackness holds for every optimal y, so every optimal
+    strategy s satisfies y's equalities: ``g_j . s = v`` where ``y_j > 0``,
+    and ``s_i = 0`` where ``(G^T y)_i < v``.  When they pin s down, the
+    point is the whole face.  Otherwise the face is parametrized over the
+    solutions of those equalities, and its vertices come from the square
+    systems of the remaining inequalities in the reduced coordinates.
     """
     if k == 1:
         return min(g[0] for g in gains), (Vector([1]),)
-    value, point, mix = _envelope(gains) if k == 2 else _value_lp(gains, k)
+    if k == 2:
+        scale, lines, (num, den), mix, (lo, hi) = _envelope(gains)
+        value = Fraction(num, den * scale)
+        # against strategy t, nature's mix earns (a_mix + t d_mix) / den
+        a_mix, d_mix = (sum(y * lines[i][c] for i, y in mix.items()) for c in (0, 1))
+        if (
+            min(mix.values()) < 0
+            or sum(mix.values()) != den
+            or max(a_mix, a_mix + d_mix) != num
+            or lo[0] * hi[1] > hi[0] * lo[1]
+            or not all(
+                0 <= p <= q and min(a * q + p * d for a, d in lines) * den == num * q
+                for p, q in (lo, hi)
+            )
+        ):
+            raise RuntimeError(f"maxmin solution fails its certificate at value {value}")
+        ends = (hi,) if lo[0] * hi[1] == hi[0] * lo[1] else (hi, lo)
+        return value, tuple(Vector([Fraction(q - p, q), Fraction(p, q)]) for p, q in ends)
+    value, point, mix = _value_lp(gains, k)
     payoff = [dot(mix, column) for column in zip(*gains)]
     if (
         any(y < 0 for y in mix)

@@ -410,19 +410,88 @@ def test_failed_dual_certificate_raises(monkeypatch):
         maxmin_solve(problem)
 
 
-def test_failed_envelope_certificate_raises(monkeypatch):
-    # all of nature's weight on one prior pays (75.75, 100.25), above the
-    # value, so the check must refuse the mix
+def _tamper_envelope(monkeypatch, change):
+    """Patch ``_envelope`` so that ``change`` edits its (value, mix, face)."""
     envelope = credalgames.maxmin._envelope
 
     def tampered(gains):
-        value, point, mix = envelope(gains)
-        assert mix != [1, 0]
-        return value, point, [F(1)] + [F(0)] * (len(mix) - 1)
+        scale, lines, value, mix, face = envelope(gains)
+        return (scale, lines, *change(value, mix, face))
 
     monkeypatch.setattr(credalgames.maxmin, "_envelope", tampered)
+
+
+def test_failed_envelope_certificate_raises(monkeypatch):
+    # all of nature's weight on one prior pays (101, 100), above the value,
+    # so the check must refuse the mix
+    def one_prior(value, mix, face):
+        assert mix != {0: value[1]}
+        return value, {0: value[1]}, face
+
+    _tamper_envelope(monkeypatch, one_prior)
     with pytest.raises(RuntimeError, match="certificate"):
         maxmin_solve(conditional_problem(F(3, 4)))
+
+
+def test_envelope_face_off_the_optimum_raises(monkeypatch):
+    # t = 0 (pure commitment) earns 303/4, below the value 100 + 1/102, so the
+    # check must refuse it as the face's lower end
+    def pure_first(value, mix, face):
+        (lo, hi) = face
+        assert lo != (0, 1)
+        return value, mix, ((0, 1), hi)
+
+    _tamper_envelope(monkeypatch, pure_first)
+    with pytest.raises(RuntimeError, match="certificate"):
+        maxmin_solve(conditional_problem(F(3, 4)))
+
+
+def _edge_problem(rows, priors):
+    space = StateSpace(tuple(f"s{i}" for i in range(len(priors[0]))))
+    return DecisionProblem.build(rows, space, CredalSet(space, Polytope.from_vertices(priors)))
+
+
+# fig4's induced quadrilateral over (Z, RN, O) with the DC-violating payoffs
+# uRNS = -1, uOT = -1 (the rest 0)
+FIG4_QUAD = [
+    [F(5, 16), F(3, 16), F(1, 2)],
+    [F(5, 12), F(1, 12), F(1, 2)],
+    [F(35, 64), F(21, 64), F(1, 8)],
+    [F(35, 48), F(7, 48), F(1, 8)],
+]
+
+TWO_STRATEGY_EDGES = {
+    **{
+        f"fig1-{part}-{eps}": make(eps)
+        for eps in (F(1, 2040000), F(1, 102), F(1, 101))
+        for part, make in (
+            ("exante", exante_problem),
+            # full Bayes on {L, R}: the chance of R runs over [1 - eps, 1]
+            ("conditional", lambda eps: conditional_problem(1 - eps)),
+        )
+    },
+    "fig4-quadrilateral": _edge_problem([[0, -1, 0], [0, 0, -1]], FIG4_QUAD),
+    "one-prior": _edge_problem([[3, 0], [0, 3]], [[F(1, 3), F(2, 3)]]),
+    "one-prior-flat": _edge_problem([[1, 2], [1, 2]], [[F(1, 3), F(2, 3)]]),
+    "all-flat": _edge_problem([[1, 2], [1, 2]], [[1, 0], [0, 1]]),
+    "optimum-at-0": _edge_problem([[2, 3], [1, 3]], [[1, 0], [0, 1]]),
+    "optimum-at-1": _edge_problem([[1, 3], [2, 3]], [[1, 0], [0, 1]]),
+    # min(2t, 2 - 2t, 1/2) peaks on [1/4, 3/4]
+    "inner-segment": _edge_problem(
+        [[0, 2, F(1, 2)], [2, 0, F(1, 2)]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    ),
+    # the rising and the falling line cross on the flat one: lo = hi
+    "lo-equals-hi": _edge_problem(
+        [[0, 2, 1], [2, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TWO_STRATEGY_EDGES)
+def test_two_strategy_edge_cases_match_oracle(name):
+    problem = TWO_STRATEGY_EDGES[name]
+    assert problem.strategy_dimension == 2
+    assert_matches_oracle(maxmin_solve(problem), problem)
 
 
 def _two_strategy_cases(st):
@@ -431,15 +500,17 @@ def _two_strategy_cases(st):
     coincide; some carry a two-vertex restriction of a larger simplex,
     which lifts them to two strategies again."""
 
-    def simplex_point(dimension):
-        weights = st.lists(st.integers(0, 3), min_size=dimension, max_size=dimension)
+    def simplex_point(dimension, weight=st.integers(0, 3)):
+        weights = st.lists(weight, min_size=dimension, max_size=dimension)
         return weights.filter(any).map(lambda w: Vector(F(x, sum(w)) for x in w))
 
     @st.composite
     def case(draw):
         n = draw(st.integers(2, 4))
         space = StateSpace(tuple(f"s{i}" for i in range(n)))
-        priors = draw(st.lists(simplex_point(n), min_size=1, max_size=16, unique=True))
+        # weights up to 10**6 give priors with large coprime denominators
+        prior = simplex_point(n) | simplex_point(n, st.integers(0, 10**6))
+        priors = draw(st.lists(prior, min_size=1, max_size=16, unique=True))
         entry = st.sampled_from([-1, 0, 0, 1, 2, 3])
         k = draw(st.integers(2, 4)) if draw(st.booleans()) else 2
         first = draw(st.lists(entry, min_size=n, max_size=n))
@@ -496,3 +567,26 @@ def test_two_strategy_envelope_matches_lp_oracle(monkeypatch):
         assert_matches_oracle(sol, problem, restriction)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "fig4"], ["check-dc", "fig1"], ["sweep", "--bisect", "1/2040000:1/51"]],
+    ids=["analyze-fig4", "check-dc-fig1", "sweep-bisect"],
+)
+def test_paper_commands_solve_no_square_system(argv, monkeypatch, capsys):
+    # every player in the paper's games has two strategies, whose whole
+    # optimal face the envelope gives, so no face vertex solves a system
+    import credalgames.exactmath.vector as vector
+    from credalgames.cli import main
+
+    calls = []
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return solve_square_system(rows, rhs)
+
+    monkeypatch.setattr(vector, "solve_square_system", counting)
+    monkeypatch.setattr(credalgames.maxmin, "solve_square_system", counting)
+    assert main(argv) == 0
+    assert calls == []

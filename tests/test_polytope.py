@@ -316,6 +316,36 @@ def test_simplex_shaped_questions_need_no_lp(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "points",
+    [
+        [[F(1, 3), F(2, 3)]],
+        [[F(1, 3), F(2, 3)]] * 3,
+        [[1, 0, F(-1, 2)], [F(1, 4), 0, 2]],
+        [[1, 0, F(-1, 2)], [F(1, 4), 0, 2], [1, 0, F(-1, 2)], [F(1, 4), 0, 2]],
+        [[F(5, 7)], [F(-2, 3)], [F(5, 7)]],
+    ],
+    ids=["one", "one-repeated", "two", "two-repeated", "two-on-a-line"],
+)
+def test_one_or_two_points_need_no_rank_test(points, monkeypatch):
+    # any two distinct points are affinely independent, so minimizing them
+    # only sorts, with no row reduction
+    import credalgames.exactmath.polytope as polytope
+
+    reductions = []
+
+    def counting(rows, rhs):
+        reductions.append(rows)
+        return row_reduce(rows, rhs)
+
+    p = poly(*points)
+    monkeypatch.setattr(polytope, "row_reduce", counting)
+    minimized = polytope_minimize(p)
+    monkeypatch.undo()
+    assert reductions == []
+    assert minimized == lp_minimize(p)
+
+
+@pytest.mark.parametrize(
     "argv",
     [["analyze", "fig4"], ["check-rect", "fig4"], ["sweep", "--bisect", "1/2040000:1/51"]],
     ids=["analyze-fig4", "check-rect-fig4", "sweep-bisect"],
