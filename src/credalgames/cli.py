@@ -622,6 +622,9 @@ class SweepResult:
             ),
         }
 
+    def dumps(self) -> str:
+        return json.dumps(self.to_json(), sort_keys=True, indent=2)
+
 
 def sweep_eps(
     eps_list=None, bisect: tuple[Fraction, Fraction] | None = None
@@ -678,79 +681,76 @@ def sweep_eps(
 # -- argument parsing ----------------------------------------------------------
 
 
+# the scenario options every subcommand but sweep takes
+SCENARIO_OPTIONS = {
+    "scenario": {"help": "built-in name (fig1, fig4) or JSON path"},
+    "--player": {"help": "analyze this player instead of the default"},
+    "--eps": {"help": "contamination weight, as an exact rational"},
+    "--bind": {
+        "action": "append", "default": [], "metavar": "NAME=p/q",
+        "help": "bind a payoff parameter (repeatable)",
+    },
+    "--json": {"action": "store_true", "help": "print the JSON report"},
+    "--out": {"help": "write the JSON report (or SVG for render) here"},
+}
+
+# each subcommand: its help, whether it takes SCENARIO_OPTIONS, its own flags
+COMMANDS: dict[str, tuple[str, bool, dict]] = {
+    "validate": ("check the scenario schema and perfect recall", True, {}),
+    "analyze": ("run the scenario's own analysis list", True, {}),
+    "maxmin": ("solve the strategic-form worst-case problem", True, {}),
+    "rect-hull": ("smallest rectangular belief set for the filtration", True, {}),
+    "check-rect": ("test the beliefs for rectangularity", True, {}),
+    "update": ("full Bayesian updating per reached cell", True, {
+        "--event": {"help": "comma-separated states to condition on"},
+    }),
+    "check-dc": ("decide dynamic consistency", True, {
+        "--rectangularize": {
+            "action": "store_true", "help": "replace beliefs by their rectangular hull first"
+        },
+    }),
+    "induce": ("push beliefs through the second mover", True, {
+        "--interval": {"metavar": "a:b", "help": "second-mover chance interval"},
+    }),
+    "find-payoffs": ("search for inconsistency payoffs", True, {
+        "--grid": {"help": "comma-separated payoff grid values"},
+        "--slots": {"help": "comma-separated free payoff parameters"},
+    }),
+    "sweep": ("verdict per contamination weight", False, {
+        "--eps-list": {"help": "comma-separated exact rationals"},
+        "--bisect": {"metavar": "lo:hi", "help": "bisect for the threshold"},
+        "--json": {"action": "store_true"},
+        "--out": {},
+    }),
+    "render": ("draw belief sets as an SVG triangle", True, {
+        "--layers": {"default": "beliefs,update", "help": "comma list of " + ",".join(LAYERS)},
+        "--interval": {"metavar": "a:b"},
+    }),
+}
+
+
 class _Parser(argparse.ArgumentParser):
+    # set on a top-level parser built for one command: its usage would list
+    # that command alone, so its errors print the full tree's usage
+    one_command = False
+
     def error(self, message):  # usage problems are schema errors: exit 1
+        if self.one_command:
+            build_parser().error(message)
         self.print_usage(sys.stderr)
         raise ScenarioSchemaError([f"arguments: {message}"])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # the scenario options every subcommand but sweep takes, built once and
-    # copied into each subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("scenario", help="built-in name (fig1, fig4) or JSON path")
-    common.add_argument("--player", help="analyze this player instead of the default")
-    common.add_argument("--eps", help="contamination weight, as an exact rational")
-    common.add_argument(
-        "--bind",
-        action="append",
-        default=[],
-        metavar="NAME=p/q",
-        help="bind a payoff parameter (repeatable)",
-    )
-    common.add_argument("--json", action="store_true", help="print the JSON report")
-    common.add_argument("--out", help="write the JSON report (or SVG for render) here")
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or for ``command`` alone."""
     parser = _Parser(prog="credalgames", description=__doc__)
+    parser.one_command = command is not None
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("validate", "check the scenario schema and perfect recall"),
-        ("analyze", "run the scenario's own analysis list"),
-        ("maxmin", "solve the strategic-form worst-case problem"),
-        ("rect-hull", "smallest rectangular belief set for the filtration"),
-        ("check-rect", "test the beliefs for rectangularity"),
-    ):
-        subs.add_parser(name, help=help_text, parents=[common])
-
-    sub = subs.add_parser(
-        "update", help="full Bayesian updating per reached cell", parents=[common]
-    )
-    sub.add_argument("--event", help="comma-separated states to condition on")
-
-    sub = subs.add_parser("check-dc", help="decide dynamic consistency", parents=[common])
-    sub.add_argument(
-        "--rectangularize",
-        action="store_true",
-        help="replace beliefs by their rectangular hull first",
-    )
-
-    sub = subs.add_parser(
-        "induce", help="push beliefs through the second mover", parents=[common]
-    )
-    sub.add_argument("--interval", metavar="a:b", help="second-mover chance interval")
-
-    sub = subs.add_parser(
-        "find-payoffs", help="search for inconsistency payoffs", parents=[common]
-    )
-    sub.add_argument("--grid", help="comma-separated payoff grid values")
-    sub.add_argument("--slots", help="comma-separated free payoff parameters")
-
-    sub = subs.add_parser("sweep", help="verdict per contamination weight")
-    sub.add_argument("--eps-list", help="comma-separated exact rationals")
-    sub.add_argument("--bisect", metavar="lo:hi", help="bisect for the threshold")
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument("--out")
-
-    sub = subs.add_parser(
-        "render", help="draw belief sets as an SVG triangle", parents=[common]
-    )
-    sub.add_argument(
-        "--layers",
-        default="beliefs,update",
-        help="comma list of " + ",".join(LAYERS),
-    )
-    sub.add_argument("--interval", metavar="a:b")
+    for name, (help_text, scenario, own) in COMMANDS.items():
+        if command in (None, name):
+            sub = subs.add_parser(name, help=help_text)
+            for flag, options in ({**SCENARIO_OPTIONS, **own} if scenario else own).items():
+                sub.add_argument(flag, **options)
     return parser
 
 
@@ -880,8 +880,20 @@ def format_report(report: Report) -> str:
     return "\n".join(lines)
 
 
+def format_sweep(result: SweepResult) -> str:
+    lines = [f"eps = {eps}: {verdict}" for eps, verdict in result.entries]
+    if result.threshold is not None:
+        lines.append(
+            f"threshold: consistent through {result.threshold}, "
+            f"inconsistent from {result.first_inconsistent}"
+        )
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.command == "sweep":
@@ -896,15 +908,7 @@ def main(argv=None) -> int:
                 bad.append("sweep: provide --eps-list or --bisect")
             if bad:
                 raise ScenarioSchemaError(bad)
-            result = sweep_eps(eps_list, bisect)
-            payload = json.dumps(result.to_json(), sort_keys=True, indent=2)
-            lines = [f"eps = {eps}: {verdict}" for eps, verdict in result.entries]
-            if result.threshold is not None:
-                lines.append(
-                    f"threshold: consistent through {result.threshold}, "
-                    f"inconsistent from {result.first_inconsistent}"
-                )
-            text = "\n".join(lines)
+            result, describe = sweep_eps(eps_list, bisect), format_sweep
         else:
             flags = _flags_from_args(args)
             if args.command == "render":
@@ -912,11 +916,13 @@ def main(argv=None) -> int:
                 flags = replace(flags, analyses=(), svg_out=out)
             elif args.command in ANALYSES:
                 flags = replace(flags, analyses=(args.command,))
-            report = run(args.scenario, flags)
-            payload, text = report.dumps(), format_report(report)
-        print(payload if args.json else text)
-        if args.command != "render" and args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
+            result, describe = run(args.scenario, flags), format_report
+        json_out = None if args.command == "render" else args.out
+        if args.json or json_out:
+            payload = result.dumps()
+        print(payload if args.json else describe(result))
+        if json_out:
+            with open(json_out, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
         return 0
     except ScenarioSchemaError as exc:

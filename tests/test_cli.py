@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -463,27 +465,148 @@ def test_svg_renders_match_golden_digests(argv, digest, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, digest",
-    [
-        ("", "1cccf2e12f7ee9ad"),
-        ("validate", "ccad841f1e08c925"),
-        ("analyze", "d3242fc5c46124ae"),
-        ("maxmin", "d4875071e6931b74"),
-        ("rect-hull", "802fdfa0d09646c7"),
-        ("check-rect", "403915e7b8d567bd"),
-        ("update", "eba211c61c05481d"),
-        ("check-dc", "6594a3ffb5013292"),
-        ("induce", "de3a28e9d029840a"),
-        ("find-payoffs", "dd070e4b6cdcb8ee"),
-        ("sweep", "b03fc5d97436990a"),
-        ("render", "9d250f707ae7f37c"),
-    ],
+    "argv", [["analyze", "fig1"], ["sweep", "--eps-list", "1/200,1/4"]], ids=["analyze", "sweep"]
 )
+def test_out_writes_the_json_report_and_prints_the_text(argv, tmp_path, capsys):
+    assert main(argv + ["--json"]) == 0
+    report = capsys.readouterr().out
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == text != report
+    assert out.read_text(encoding="utf-8") == report
+
+
+HELP_DIGESTS = [
+    ("", "1cccf2e12f7ee9ad"),
+    ("validate", "ccad841f1e08c925"),
+    ("analyze", "d3242fc5c46124ae"),
+    ("maxmin", "d4875071e6931b74"),
+    ("rect-hull", "802fdfa0d09646c7"),
+    ("check-rect", "403915e7b8d567bd"),
+    ("update", "eba211c61c05481d"),
+    ("check-dc", "6594a3ffb5013292"),
+    ("induce", "de3a28e9d029840a"),
+    ("find-payoffs", "dd070e4b6cdcb8ee"),
+    ("sweep", "b03fc5d97436990a"),
+    ("render", "9d250f707ae7f37c"),
+]
+
+
+@pytest.mark.parametrize("command, digest", HELP_DIGESTS)
 def test_help_texts_match_golden_digests(command, digest, monkeypatch, capsys):
-    # the subcommands' shared scenario options come from one parent parser;
-    # their help must read as when each subcommand declared them itself
+    # the subcommands' shared scenario options come from one table; their
+    # help must read as when each subcommand declared them itself
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as stop:
         cli.build_parser().parse_args([command, "--help"] if command else ["--help"])
     assert stop.value.code == 0
     assert _digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("command, digest", HELP_DIGESTS)
+def test_help_texts_through_main_match_golden_digests(command, digest, monkeypatch, capsys):
+    # main builds one subcommand's parser when argv names one
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"] if command else ["--help"])
+    assert stop.value.code == 0
+    assert _digest(capsys.readouterr().out) == digest
+
+
+def _argv_matrix() -> list[list[str]]:
+    """Help, parse errors and runs of every command, and top-level oddities."""
+    matrix = [
+        ["--help"], ["-h"], ["--he"], ["--"], [], ["--bogus"], ["nosuch"],
+        ["nosuch", "fig1"], ["Analyze", "fig1"], ["-x", "analyze", "fig1"],
+        ["--", "analyze", "fig1"], ["--help", "analyze"],
+    ]
+    for name, (_, scenario, _) in cli.COMMANDS.items():
+        run = [name, "fig1"] if scenario else [name, "--eps-list", "1/200,1/4"]
+        if name == "render":
+            run += ["--out", "figure.svg"]
+        matrix += [
+            [name, "--help"],
+            [name, "-h"],
+            [name],  # no scenario, or no sweep list
+            run,
+            run + ["--json"],
+            run + ["--bogus"],  # unrecognized at the top level
+            run + ["extra"],
+            run + ["--eps"],  # a flag missing its value
+            run + ["--js"],  # an abbreviated flag
+            run + ["-h", "--bogus"],
+            [name, "--", *run[1:]],
+            [name, "fig1", "fig4"],
+        ]
+    return matrix
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = ("SystemExit", stop.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_command_parser_matches_the_full_tree(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # where render writes by default
+    full_tree = cli.build_parser
+    mismatched = []
+    for argv in _argv_matrix():
+        got = _outcome(argv, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda command=None: full_tree())
+            want = _outcome(argv, capsys)
+        if got != want:
+            mismatched.append((argv, got, want))
+    assert not mismatched
+
+
+def test_main_builds_only_the_invoked_subcommands_parser(monkeypatch, capsys):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["check-dc", "fig1", "--eps", "1/4", "--json"],
+        ["sweep", "--eps-list", "1/200", "--json"],
+    ):
+        progs.clear()
+        assert main(argv) == 0
+        assert len(progs) <= 3, argv
+    progs.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert {f"credalgames {name}" for name in cli.COMMANDS} <= set(progs)
+    capsys.readouterr()
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    argv = ["check-dc", "fig1", "--eps", "1/4", "--json"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    asked = []
+    build = cli.build_parser
+    monkeypatch.setattr(
+        cli, "build_parser", lambda command=None: asked.append(command) or build(command)
+    )
+    monkeypatch.setattr(sys, "argv", ["credalgames", *argv])
+    assert main() == 0
+    assert asked == ["check-dc"]
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(sys, "argv", ["credalgames", "nosuch"])
+    assert main() == 1
+    usage = (
+        "{validate,analyze,maxmin,rect-hull,check-rect,update,check-dc,induce,find-payoffs,"
+        "sweep,render}"
+    )
+    assert usage in capsys.readouterr().err
