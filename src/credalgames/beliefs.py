@@ -12,11 +12,11 @@ and every eps-mixed unit vector, is already extreme.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (
     Polytope,
+    Record,
     Vector,
     dot,
     polytope_contains,
@@ -40,13 +40,13 @@ class ZeroProbabilityReachError(ValueError):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class StateSpace:
-    labels: tuple[str, ...]
+class StateSpace(Record):
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        if not self.labels or len(set(self.labels)) != len(self.labels):
+    def __init__(self, labels: tuple[str, ...]):
+        if not labels or len(set(labels)) != len(labels):
             raise ValueError("state labels must be unique and nonempty")
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -63,8 +63,7 @@ def cell_label(cell: Cell) -> str:
     return cell[0] if len(cell) == 1 else "{" + ",".join(cell) + "}"
 
 
-@dataclass(frozen=True, slots=True)
-class CredalSet:
+class CredalSet(Record):
     """A minimized polytope of probability vectors over a state space.
 
     Invariant: ``set.vertices`` are exactly the extreme points, without
@@ -74,15 +73,16 @@ class CredalSet:
     ``compose`` does).
     """
 
-    space: StateSpace
-    set: Polytope
+    __slots__ = ("space", "set")
 
-    def __post_init__(self):
-        if self.set.ambient_dimension != len(self.space):
+    def __init__(self, space: StateSpace, set: Polytope):
+        if set.ambient_dimension != len(space):
             raise ValueError("polytope dimension must match the state count")
-        for v in self.set.vertices:
+        for v in set.vertices:
             if not v.is_probability():
                 raise ValueError(f"vertex {v} is not a probability vector")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "set", set)
 
     @classmethod
     def from_vertices(cls, space: StateSpace, vertices) -> "CredalSet":
@@ -110,20 +110,18 @@ class CredalSet:
         return dot((vertex[self.space.index(s)] for s in event), itertools.repeat(1))
 
 
-@dataclass(frozen=True, slots=True)
-class Filtration:
+class Filtration(Record):
     """Intermediate stages of information, each strictly refining the last.
 
     The trivial coarsest stage and the final singleton stage are implicit;
     ``stages`` lists only what lies between them (the games here need one).
     """
 
-    space: StateSpace
-    stages: tuple[Partition, ...]
+    __slots__ = ("space", "stages")
 
-    def __post_init__(self):
-        previous: Partition = (tuple(self.space.labels),)
-        for stage in self.stages:
+    def __init__(self, space: StateSpace, stages: tuple[Partition, ...]):
+        previous: Partition = (tuple(space.labels),)
+        for stage in stages:
             seen: list[str] = []
             for cell in stage:
                 if not cell:
@@ -131,9 +129,11 @@ class Filtration:
                 if not any(set(cell) <= set(prev) for prev in previous):
                     raise ValueError(f"cell {cell} does not refine the previous stage")
                 seen.extend(cell)
-            if sorted(seen) != sorted(self.space.labels):
+            if sorted(seen) != sorted(space.labels):
                 raise ValueError("stage cells must partition the state space")
             previous = stage
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "stages", stages)
 
     @classmethod
     def build(cls, space: StateSpace, stages) -> "Filtration":
@@ -299,9 +299,11 @@ def rectangular_hull(c: CredalSet, f: Filtration) -> CredalSet:
     return _hull_over_stages(c, f.stages)
 
 
-@dataclass(frozen=True, slots=True)
-class RectangularityCheck:
-    witness: Vector | None = None  # a hull vertex outside the set
+class RectangularityCheck(Record):
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: Vector | None = None):  # a hull vertex outside the set
+        object.__setattr__(self, "witness", witness)
 
     @property
     def rectangular(self) -> bool:

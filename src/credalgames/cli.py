@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
@@ -34,7 +33,7 @@ from .dynamics import (
     find_dc_violation_payoffs,
     induce_downstream,
 )
-from .exactmath import Polytope, Vector, approx_decimal, rat, read_rational
+from .exactmath import Polytope, Record, Vector, approx_decimal, rat, read_rational
 from .gametree import (
     BUILTIN_GAMES,
     GameJsonError,
@@ -159,32 +158,47 @@ def _distribution(value, n: int | None, path: str, out: list[str]) -> Vector | N
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class RunFlags:
+class RunFlags(Record):
     """Command-line options; validate_scenario applies those that override the file."""
 
-    player: str | None = None
-    eps: Fraction | None = None
-    rectangularize: bool = False
-    analyses: tuple[str, ...] | None = None
-    event: tuple[str, ...] | None = None
-    interval: tuple[Fraction, Fraction] | None = None
-    grid: tuple[Fraction, ...] | None = None
-    slots: tuple[str, ...] | None = None
-    bindings: dict | None = None
-    layers: tuple[str, ...] = ("beliefs", "update")
-    svg_out: str | None = None
+    __slots__ = ("player", "eps", "rectangularize", "analyses", "event", "interval", "grid",
+                 "slots", "bindings", "layers", "svg_out")
+
+    def __init__(
+        self, player: str | None = None, eps: Fraction | None = None, rectangularize: bool = False,
+        analyses: tuple[str, ...] | None = None, event: tuple[str, ...] | None = None,
+        interval: tuple[Fraction, Fraction] | None = None, grid: tuple[Fraction, ...] | None = None,
+        slots: tuple[str, ...] | None = None, bindings: dict | None = None,
+        layers: tuple[str, ...] = ("beliefs", "update"), svg_out: str | None = None,
+    ):
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "rectangularize", rectangularize)
+        object.__setattr__(self, "analyses", analyses)
+        object.__setattr__(self, "event", event)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "bindings", bindings)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "svg_out", svg_out)
 
 
-@dataclass(frozen=True, slots=True)
-class PlayerSpec:
-    """One player's entry: eps-contamination or credal beliefs, and n_interval."""
+class PlayerSpec(Record):
+    """One player's entry: eps_contamination beliefs (``center`` and ``eps``) or
+    credal ones (``vertices``), and n_interval."""
 
-    space: StateSpace
-    center: Vector | None  # set for eps_contamination beliefs
-    eps: Fraction | None
-    vertices: tuple[Vector, ...]  # set for credal beliefs
-    n_interval: tuple[Fraction, Fraction] | None
+    __slots__ = ("space", "center", "eps", "vertices", "n_interval")
+
+    def __init__(
+        self, space: StateSpace, center: Vector | None, eps: Fraction | None,
+        vertices: tuple[Vector, ...], n_interval: tuple[Fraction, Fraction] | None,
+    ):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "n_interval", n_interval)
 
     def beliefs(self) -> CredalSet:
         if self.center is None:
@@ -248,17 +262,23 @@ def _parse_player(entry, path: str, out: list[str]) -> PlayerSpec | None:
     return PlayerSpec(StateSpace(tuple(states)), center, eps, vertices, interval)
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(Record):
     """A scenario read once, flags applied: the game built, every number exact."""
 
-    game: GameTree
-    player: str
-    players: dict[str, PlayerSpec]
-    bindings: dict[str, Fraction]
-    analyses: tuple[str, ...]
-    grid: tuple[Fraction, ...]
-    slots: tuple[str, ...]
+    __slots__ = ("game", "player", "players", "bindings", "analyses", "grid", "slots")
+
+    def __init__(
+        self, game: GameTree, player: str, players: dict[str, PlayerSpec],
+        bindings: dict[str, Fraction], analyses: tuple[str, ...], grid: tuple[Fraction, ...],
+        slots: tuple[str, ...],
+    ):
+        object.__setattr__(self, "game", game)
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "players", players)
+        object.__setattr__(self, "bindings", bindings)
+        object.__setattr__(self, "analyses", analyses)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "slots", slots)
 
 
 def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
@@ -359,9 +379,9 @@ def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
     if out:
         raise ScenarioSchemaError(out)
     if flags.eps is not None:
-        spec = replace(spec, eps=flags.eps)
+        spec = spec.replace(eps=flags.eps)
     if flags.interval is not None:
-        spec = replace(spec, n_interval=flags.interval)
+        spec = spec.replace(n_interval=flags.interval)
     return Scenario(
         tree,
         player,
@@ -388,13 +408,13 @@ def scenario_hash(data: dict) -> str:
 # -- running analyses --------------------------------------------------------
 
 
-@dataclass
 class Report:
-    scenario_hash: str
-    version: str
-    scenario: str
-    player: str
-    results: list[dict] = field(default_factory=list)
+    def __init__(self, scenario_hash: str, version: str, scenario: str, player: str):
+        self.scenario_hash = scenario_hash
+        self.version = version
+        self.scenario = scenario
+        self.player = player
+        self.results: list[dict] = []
 
     def to_json(self) -> dict:
         return {
@@ -409,12 +429,18 @@ class Report:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
-@dataclass
 class _Prepared:
-    base_beliefs: CredalSet
-    induced: CredalSet | None  # base beliefs pushed through the n_interval
-    problem: PlayerProblem  # on the induced beliefs if any, hulled by --rectangularize
-    cells: list[tuple[str, ...]]  # the update cells: --event, else the acting cells
+    def __init__(
+        self,
+        base_beliefs: CredalSet,
+        induced: CredalSet | None,  # base beliefs pushed through the n_interval
+        problem: PlayerProblem,  # on the induced beliefs if any, hulled by --rectangularize
+        cells: list[tuple[str, ...]],  # the update cells: --event, else the acting cells
+    ):
+        self.base_beliefs = base_beliefs
+        self.induced = induced
+        self.problem = problem
+        self.cells = cells
 
 
 def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
@@ -426,7 +452,7 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
     if flags.rectangularize:
         # the hull lives on the same states and gets its own posteriors
         hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
-        problem = replace(problem, posterior=Posteriors(hull))
+        problem = problem.replace(posterior=Posteriors(hull))
     event, states = flags.event or (), problem.space.labels
     if len(set(event)) != len(event) or not set(event) <= set(states):
         raise ScenarioSchemaError(
@@ -607,11 +633,16 @@ def _render(prep: _Prepared, player: str, flags: RunFlags) -> dict:
 # -- the contamination sweep --------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SweepResult:
-    entries: tuple[tuple[Fraction, str], ...]
-    threshold: Fraction | None
-    first_inconsistent: Fraction | None
+class SweepResult(Record):
+    __slots__ = ("entries", "threshold", "first_inconsistent")
+
+    def __init__(
+        self, entries: tuple[tuple[Fraction, str], ...], threshold: Fraction | None,
+        first_inconsistent: Fraction | None,
+    ):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "first_inconsistent", first_inconsistent)
 
     def to_json(self) -> dict:
         return {
@@ -639,7 +670,7 @@ def sweep_eps(
     problem = build_player_problem(fig1.game, fig1.player, spec.beliefs(), fig1.bindings)
 
     def verdict(eps: Fraction) -> str:
-        at_eps = replace(problem, posterior=Posteriors(replace(spec, eps=eps).beliefs()))
+        at_eps = problem.replace(posterior=Posteriors(spec.replace(eps=eps).beliefs()))
         return "consistent" if check_dynamic_consistency(at_eps).overall else "inconsistent"
 
     entries = [(e, verdict(e)) for e in sorted(rat(e) for e in eps_list or ())]
@@ -764,9 +795,9 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
     out: list[str] = []
     flags = RunFlags()
     if getattr(args, "player", None):
-        flags = replace(flags, player=args.player)
+        flags = flags.replace(player=args.player)
     if getattr(args, "eps", None):
-        flags = replace(flags, eps=_weight(args.eps, "--eps", out))
+        flags = flags.replace(eps=_weight(args.eps, "--eps", out))
     bindings = {}
     for item in getattr(args, "bind", []):
         name, sep, value = item.partition("=")
@@ -775,27 +806,24 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
         else:
             out.append(f"--bind: expected NAME=p/q, got {item!r}")
     if bindings:
-        flags = replace(flags, bindings=bindings)
+        flags = flags.replace(bindings=bindings)
     if getattr(args, "event", None):
-        flags = replace(flags, event=tuple(args.event.split(",")))
+        flags = flags.replace(event=tuple(args.event.split(",")))
     if getattr(args, "interval", None):
         pair = _rational_pair(args.interval, "--interval", out)
-        flags = replace(flags, interval=_chance_interval(pair, "--interval", out))
+        flags = flags.replace(interval=_chance_interval(pair, "--interval", out))
     if getattr(args, "grid", None):
-        flags = replace(
-            flags,
-            grid=tuple(read_rational(g, "--grid", out) for g in args.grid.split(",")),
-        )
+        flags = flags.replace(grid=tuple(read_rational(g, "--grid", out) for g in args.grid.split(",")))
     if getattr(args, "slots", None):
-        flags = replace(flags, slots=tuple(args.slots.split(",")))
+        flags = flags.replace(slots=tuple(args.slots.split(",")))
     if getattr(args, "rectangularize", False):
-        flags = replace(flags, rectangularize=True)
+        flags = flags.replace(rectangularize=True)
     if getattr(args, "layers", None):
         layers = tuple(args.layers.split(","))
         out.extend(f"--layers: unknown layer {k!r}" for k in layers if k not in LAYERS)
         if len(set(layers)) < len(layers):
             out.append("--layers: repeats an earlier layer")
-        flags = replace(flags, layers=layers)
+        flags = flags.replace(layers=layers)
     if out:
         raise ScenarioSchemaError(out)
     return flags
@@ -913,9 +941,9 @@ def main(argv=None) -> int:
             flags = _flags_from_args(args)
             if args.command == "render":
                 out = args.out or "triangle.svg"
-                flags = replace(flags, analyses=(), svg_out=out)
+                flags = flags.replace(analyses=(), svg_out=out)
             elif args.command in ANALYSES:
-                flags = replace(flags, analyses=(args.command,))
+                flags = flags.replace(analyses=(args.command,))
             result, describe = run(args.scenario, flags), format_report
         json_out = None if args.command == "render" else args.out
         if args.json or json_out:

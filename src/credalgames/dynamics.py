@@ -11,8 +11,8 @@ recomputed at each reached information set after full Bayesian updating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .beliefs import (
     CredalSet,
@@ -21,7 +21,7 @@ from .beliefs import (
     ZeroProbabilityReachError,
     full_bayes_update,
 )
-from .exactmath import Polytope, Vector, polytope_minimize, rat
+from .exactmath import Polytope, Record, Vector, polytope_minimize, rat
 from .gametree import (
     GameTree,
     Node,
@@ -41,8 +41,7 @@ class StateSpaceError(ValueError):
     """Opponent-path states cannot be wired to the given beliefs/payoffs."""
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionalSlot:
+class ConditionalSlot(Record):
     """One stage-1 cell where the player acts.
 
     ``projection`` maps each strategy coordinate s to the index of the joint
@@ -54,8 +53,11 @@ class ConditionalSlot:
     matrix is derived from the strategic one, never stored.
     """
 
-    cell: tuple[str, ...]
-    projection: tuple[int, ...]
+    __slots__ = ("cell", "projection")
+
+    def __init__(self, cell: tuple[str, ...], projection: tuple[int, ...]):
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "projection", projection)
 
 
 class Posteriors:
@@ -83,47 +85,69 @@ class Posteriors:
             raise found.with_traceback(None)
         return found
 
+    def __repr__(self):
+        return f"Posteriors({self.beliefs!r})"
 
-@dataclass(frozen=True, slots=True)
-class PlayerProblem:
+
+class PlayerProblem(Record):
     """A player's strategic problem and the stage-1 cells where it acts.
 
     ``rows`` is the strategic matrix over the filtration's states, each
     entry an exact value or a parameter name that ``values`` resolves;
     ``posterior`` holds the beliefs.  The ex-ante problem is derived from
     the three, so a search or a sweep derives a problem once and rebinds it
-    with ``dataclasses.replace``: new ``values`` for other payoffs, a new
-    ``posterior`` for other beliefs.
+    with ``replace``: new ``values`` for other payoffs, a new ``posterior``
+    for other beliefs.  Equality ignores ``posterior``, and the hash leaves
+    out ``values`` (a dict; ``exante`` hashes the resolved rows).
     """
 
-    player: str
-    filtration: Filtration
-    conditionals: tuple[ConditionalSlot, ...]
-    strategy_labels: tuple[str, ...]
-    rows: tuple[tuple[PayoffEntry, ...], ...]
-    values: dict[str, Fraction] = field(hash=False)  # exante hashes the resolved rows
-    posterior: Posteriors = field(compare=False, repr=False)
-    exante: DecisionProblem = field(init=False)
+    __slots__ = ("player", "filtration", "conditionals", "strategy_labels", "rows", "values",
+                 "posterior", "exante")
 
-    def __post_init__(self):
-        rows = [[self.values[e] if isinstance(e, str) else e for e in row] for row in self.rows]
-        exante = DecisionProblem.build(rows, self.filtration.space, self.posterior.beliefs)
+    def __init__(
+        self, player: str, filtration: Filtration, conditionals: tuple[ConditionalSlot, ...],
+        strategy_labels: tuple[str, ...], rows: tuple[tuple[PayoffEntry, ...], ...],
+        values: dict[str, Fraction], posterior: Posteriors,
+    ):
+        resolved = [[values[e] if isinstance(e, str) else e for e in row] for row in rows]
+        exante = DecisionProblem.build(resolved, filtration.space, posterior.beliefs)
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "filtration", filtration)
+        object.__setattr__(self, "conditionals", conditionals)
+        object.__setattr__(self, "strategy_labels", strategy_labels)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "posterior", posterior)
         object.__setattr__(self, "exante", exante)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values and _hashed(self) == _hashed(other)
+
+    def __hash__(self):
+        return hash(_hashed(self))
 
     @property
     def space(self) -> StateSpace:
         return self.exante.space
 
 
+_hashed = attrgetter("player", "filtration", "conditionals", "strategy_labels", "rows", "exante")
+
+
 # -- deriving the state structure from a game -------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _State:
-    label: str
-    path: tuple[str, ...]
-    node: Node
-    infoset: int | None  # the player's information set reached, if any
+class _State(Record):
+    # infoset is the player's information set reached, if any
+    __slots__ = ("label", "path", "node", "infoset")
+
+    def __init__(self, label: str, path: tuple[str, ...], node: Node, infoset: int | None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "infoset", infoset)
 
 
 def _derive_structure(game: GameTree, player: str):
@@ -325,15 +349,25 @@ def induce_downstream(p1_beliefs: CredalSet, n_interval) -> CredalSet:
 # -- dynamic consistency ----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CellVerdict:
-    cell: tuple[str, ...]
-    status: str
-    conditional_value: Fraction | None = None  # optimum after updating
-    restricted_value: Fraction | None = None  # best ex-ante optimizer does
-    exante_face: Polytope | None = None  # projected to the cell's coordinates
-    conditional_face: Polytope | None = None
-    common_face: Polytope | None = None  # ex-ante optimizers that stay optimal
+class CellVerdict(Record):
+    __slots__ = ("cell", "status", "conditional_value", "restricted_value", "exante_face",
+                 "conditional_face", "common_face")
+
+    def __init__(
+        self, cell: tuple[str, ...], status: str,
+        conditional_value: Fraction | None = None,  # optimum after updating
+        restricted_value: Fraction | None = None,  # best ex-ante optimizer does
+        exante_face: Polytope | None = None,  # projected to the cell's coordinates
+        conditional_face: Polytope | None = None,
+        common_face: Polytope | None = None,  # ex-ante optimizers that stay optimal
+    ):
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "conditional_value", conditional_value)
+        object.__setattr__(self, "restricted_value", restricted_value)
+        object.__setattr__(self, "exante_face", exante_face)
+        object.__setattr__(self, "conditional_face", conditional_face)
+        object.__setattr__(self, "common_face", common_face)
 
     @property
     def value_gap(self) -> Fraction | None:
@@ -358,11 +392,13 @@ class CellVerdict:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class ConsistencyReport:
-    player: str
-    exante_solution: MaxminSolution
-    cells: tuple[CellVerdict, ...]
+class ConsistencyReport(Record):
+    __slots__ = ("player", "exante_solution", "cells")
+
+    def __init__(self, player: str, exante_solution: MaxminSolution, cells: tuple[CellVerdict, ...]):
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "exante_solution", exante_solution)
+        object.__setattr__(self, "cells", cells)
 
     @property
     def overall(self) -> bool:
@@ -427,10 +463,12 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
     return ConsistencyReport(pp.player, exante, tuple(verdicts))
 
 
-@dataclass(frozen=True, slots=True)
-class PayoffSearchResult:
-    payoffs: dict[str, Fraction]
-    report: ConsistencyReport
+class PayoffSearchResult(Record):
+    __slots__ = ("payoffs", "report")
+
+    def __init__(self, payoffs: dict[str, Fraction], report: ConsistencyReport):
+        object.__setattr__(self, "payoffs", payoffs)
+        object.__setattr__(self, "report", report)
 
 
 def find_dc_violation_payoffs(pp: PlayerProblem, payoff_grid, slots) -> PayoffSearchResult | None:
@@ -447,7 +485,7 @@ def find_dc_violation_payoffs(pp: PlayerProblem, payoff_grid, slots) -> PayoffSe
             raise UnboundParameterError(f"binding for undeclared parameter {name!r}")
     for assignment in itertools.product(grid, repeat=len(slots)):
         payoffs = dict(zip(slots, assignment))
-        report = check_dynamic_consistency(replace(pp, values={**pp.values, **payoffs}))
+        report = check_dynamic_consistency(pp.replace(values={**pp.values, **payoffs}))
         if not report.overall:
             return PayoffSearchResult(payoffs, report)
     return None

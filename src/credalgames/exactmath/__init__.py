@@ -20,6 +20,7 @@ from .polytope import (
     polytope_minimize,
 )
 from .rational import approx_decimal, rat, read_rational
+from .record import Record
 from .vector import (
     DimensionMismatchError,
     Vector,
@@ -40,6 +41,7 @@ __all__ = [
     "LpSolution",
     "OPTIMAL",
     "Polytope",
+    "Record",
     "UNBOUNDED",
     "Vector",
     "affine_image",

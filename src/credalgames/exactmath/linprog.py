@@ -16,10 +16,10 @@ ones, and ``b . y`` equals the optimal value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import rat
+from .record import Record
 from .vector import DimensionMismatchError, Vector
 
 LESS_EQUAL = "<="
@@ -31,38 +31,40 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    coefficients: Vector
-    relation: str
-    rhs: Fraction
+class Constraint(Record):
+    __slots__ = ("coefficients", "relation", "rhs")
 
-    def __post_init__(self):
-        if self.relation not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
-            raise ValueError(f"unknown relation {self.relation!r}")
+    def __init__(self, coefficients: Vector, relation: str, rhs: Fraction):
+        if relation not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
+            raise ValueError(f"unknown relation {relation!r}")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, slots=True)
-class LinearProgram:
+class LinearProgram(Record):
     """Maximize ``objective . x`` subject to linear constraints.
 
     Every variable is nonnegative except those whose indexes are in
     ``free``.
     """
 
-    objective: Vector
-    constraints: tuple[Constraint, ...]
-    free: frozenset[int] = frozenset()
+    __slots__ = ("objective", "constraints", "free")
 
-    def __post_init__(self):
-        n = self.objective.dimension
-        for c in self.constraints:
+    def __init__(
+        self, objective: Vector, constraints: tuple[Constraint, ...], free: frozenset[int] = frozenset()
+    ):
+        n = objective.dimension
+        for c in constraints:
             if c.coefficients.dimension != n:
                 raise DimensionMismatchError(
                     f"constraint has {c.coefficients.dimension} coefficients, expected {n}"
                 )
-        if not all(0 <= j < n for j in self.free):
+        if not all(0 <= j < n for j in free):
             raise DimensionMismatchError(f"free variable index outside 0..{n - 1}")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "free", free)
 
     @classmethod
     def build(cls, objective, constraints, free=()) -> "LinearProgram":
@@ -74,12 +76,17 @@ class LinearProgram:
         return cls(obj, tuple(rows), frozenset(free))
 
 
-@dataclass(frozen=True, slots=True)
-class LpSolution:
-    status: str
-    value: Fraction | None = None
-    point: Vector | None = None
-    duals: tuple[Fraction, ...] | None = None  # one per constraint when optimal
+class LpSolution(Record):
+    __slots__ = ("status", "value", "point", "duals")
+
+    def __init__(
+        self, status: str, value: Fraction | None = None, point: Vector | None = None,
+        duals: tuple[Fraction, ...] | None = None,  # one per constraint when optimal
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "duals", duals)
 
     @property
     def is_optimal(self) -> bool:

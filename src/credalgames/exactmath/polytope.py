@@ -15,28 +15,27 @@ feasibility check.  Minimization yields the unique set of extreme points
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
 from .linprog import EQUAL, lp_feasible
 from .rational import rat
+from .record import Record
 from .vector import DimensionMismatchError, Vector, dot, row_reduce
 
 
-@dataclass(frozen=True, slots=True)
-class Polytope:
-    vertices: tuple[Vector, ...]
+class Polytope(Record):
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: tuple[Vector, ...]):
+        if not vertices:
             raise ValueError("polytope needs at least one vertex")
-        for v in self.vertices:
-            if v.dimension != self.ambient_dimension:
-                raise DimensionMismatchError(
-                    f"vertex of dimension {v.dimension} in {self.ambient_dimension}-d polytope"
-                )
+        n = vertices[0].dimension
+        for v in vertices:
+            if v.dimension != n:
+                raise DimensionMismatchError(f"vertex of dimension {v.dimension} in {n}-d polytope")
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def ambient_dimension(self) -> int:

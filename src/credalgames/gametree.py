@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .exactmath import Vector, rat, read_rational, unit_vector
+from .exactmath import Record, Vector, rat, read_rational, unit_vector
 
 Path = tuple[str, ...]
-PayoffEntry = Union[Fraction, str]
+PayoffEntry = Fraction | str
 
 
 class MalformedGameError(ValueError):
@@ -47,19 +45,23 @@ class UnboundParameterError(KeyError):
     """A payoff parameter is referenced but never declared or bound."""
 
 
-@dataclass(frozen=True, slots=True)
-class TerminalNode:
-    payoffs: tuple[PayoffEntry, ...]
+class TerminalNode(Record):
+    __slots__ = ("payoffs",)
+
+    def __init__(self, payoffs: tuple[PayoffEntry, ...]):
+        object.__setattr__(self, "payoffs", payoffs)
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionNode:
-    player: str
-    actions: tuple[str, ...]
-    children: tuple["Node", ...]
+class DecisionNode(Record):
+    __slots__ = ("player", "actions", "children")
+
+    def __init__(self, player: str, actions: tuple[str, ...], children: tuple[Node, ...]):
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "children", children)
 
 
-Node = Union[DecisionNode, TerminalNode]
+Node = DecisionNode | TerminalNode
 
 
 def terminal(payoffs) -> TerminalNode:
@@ -73,12 +75,14 @@ def decision(player: str, moves) -> DecisionNode:
     return DecisionNode(player, labels, children)
 
 
-@dataclass(frozen=True, slots=True)
-class InformationSet:
-    player: str
-    index: int
-    paths: tuple[Path, ...]
-    actions: tuple[str, ...]
+class InformationSet(Record):
+    __slots__ = ("player", "index", "paths", "actions")
+
+    def __init__(self, player: str, index: int, paths: tuple[Path, ...], actions: tuple[str, ...]):
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "actions", actions)
 
 
 class GameTree:
@@ -228,12 +232,14 @@ class GameTree:
 # -- strategies -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BehavioralStrategy:
+class BehavioralStrategy(Record):
     """One exact local distribution per information set, in canonical order."""
 
-    player: str
-    choices: tuple[Vector, ...]
+    __slots__ = ("player", "choices")
+
+    def __init__(self, player: str, choices: tuple[Vector, ...]):
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "choices", choices)
 
     def validate(self, game: GameTree) -> None:
         sets = game.information_sets_for(self.player)
@@ -252,12 +258,14 @@ class BehavioralStrategy:
                 )
 
 
-@dataclass(frozen=True, slots=True)
-class MixedStrategy:
+class MixedStrategy(Record):
     """A distribution over pure strategies in lexicographic order."""
 
-    player: str
-    weights: Vector
+    __slots__ = ("player", "weights")
+
+    def __init__(self, player: str, weights: Vector):
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "weights", weights)
 
     def validate(self, game: GameTree) -> None:
         count = len(game.pure_strategies(self.player))
@@ -269,13 +277,15 @@ class MixedStrategy:
             raise ValueError(f"{self.player}: mixed weights are not a distribution")
 
 
-Strategy = Union[BehavioralStrategy, MixedStrategy]
+Strategy = BehavioralStrategy | MixedStrategy
 
 
-@dataclass(frozen=True, slots=True)
-class OutcomeDistribution:
-    terminals: tuple[str, ...]
-    probabilities: Vector
+class OutcomeDistribution(Record):
+    __slots__ = ("terminals", "probabilities")
+
+    def __init__(self, terminals: tuple[str, ...], probabilities: Vector):
+        object.__setattr__(self, "terminals", terminals)
+        object.__setattr__(self, "probabilities", probabilities)
 
 
 def pure_behavioral(game: GameTree, player: str, pure: tuple[int, ...]) -> BehavioralStrategy:
@@ -289,11 +299,15 @@ def pure_behavioral(game: GameTree, player: str, pure: tuple[int, ...]) -> Behav
 # -- operations -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class RecallCheck:
-    ok: bool
-    player: str | None = None
-    witness: tuple[Path, Path] | None = None
+class RecallCheck(Record):
+    __slots__ = ("ok", "player", "witness")
+
+    def __init__(
+        self, ok: bool, player: str | None = None, witness: tuple[Path, Path] | None = None
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "witness", witness)
 
 
 def validate_perfect_recall(game: GameTree) -> RecallCheck:

@@ -16,7 +16,6 @@ envelope of one integer line per prior and checked on those integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -26,6 +25,7 @@ from .exactmath import (
     GREATER_EQUAL,
     LinearProgram,
     Polytope,
+    Record,
     Vector,
     affine_image,
     dot,
@@ -45,20 +45,20 @@ from .exactmath import (
 MAX_FREE_COORDINATES = 64
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionProblem:
+class DecisionProblem(Record):
     """Maximize, over the strategy simplex, the worst expected payoff."""
 
-    space: StateSpace
-    payoff: tuple[tuple[Fraction, ...], ...]
-    beliefs: CredalSet
+    __slots__ = ("space", "payoff", "beliefs")
 
-    def __post_init__(self):
-        for row in self.payoff:
-            if len(row) != len(self.space):
+    def __init__(self, space: StateSpace, payoff: tuple[tuple[Fraction, ...], ...], beliefs: CredalSet):
+        for row in payoff:
+            if len(row) != len(space):
                 raise ValueError("one payoff column per state is required")
-        if self.beliefs.space != self.space:
+        if beliefs.space != space:
             raise ValueError("beliefs must live on the problem's state space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "payoff", payoff)
+        object.__setattr__(self, "beliefs", beliefs)
 
     @classmethod
     def build(cls, payoff_rows, space: StateSpace, beliefs: CredalSet) -> "DecisionProblem":
@@ -74,11 +74,13 @@ class DecisionProblem:
         return Vector(dot(row, prior) for row in self.payoff)
 
 
-@dataclass(frozen=True, slots=True)
-class MaxminSolution:
-    value: Fraction
-    optimal_face: Polytope
-    binding_vertices: tuple[Vector, ...]
+class MaxminSolution(Record):
+    __slots__ = ("value", "optimal_face", "binding_vertices")
+
+    def __init__(self, value: Fraction, optimal_face: Polytope, binding_vertices: tuple[Vector, ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "optimal_face", optimal_face)
+        object.__setattr__(self, "binding_vertices", binding_vertices)
 
     @property
     def strategy(self) -> Vector:

@@ -9,28 +9,33 @@ arithmetic and fixed formatting, so identical input yields identical bytes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .beliefs import CredalSet
-from .exactmath import Vector
+from .exactmath import Record, Vector
 
 VIEW = 512
 PALETTE = ("#9e9e9e", "#c7c7c7", "#7d9fc4", "#caa8a8", "#a8caa8")
 
 
-@dataclass(frozen=True, slots=True)
-class TriangleLayer:
-    credal: CredalSet
-    label: str = ""
-    fill: str | None = None
-    stroke: str = "#404040"
+class TriangleLayer(Record):
+    __slots__ = ("credal", "label", "fill", "stroke")
+
+    def __init__(
+        self, credal: CredalSet, label: str = "", fill: str | None = None, stroke: str = "#404040"
+    ):
+        object.__setattr__(self, "credal", credal)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "fill", fill)
+        object.__setattr__(self, "stroke", stroke)
 
 
-@dataclass(frozen=True, slots=True)
-class TrianglePanel:
-    layers: tuple[TriangleLayer, ...]
-    title: str = ""
+class TrianglePanel(Record):
+    __slots__ = ("layers", "title")
+
+    def __init__(self, layers: tuple[TriangleLayer, ...], title: str = ""):
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "title", title)
 
 
 def _fmt(x: Fraction) -> str:

@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -79,7 +78,7 @@ def test_rectangularized_cells_are_judged_on_the_hulls_posteriors():
     judged = [c for c in result_for(report, "check-dc")["cells"] if "conditional_face" in c]
     assert judged
     spec = validate_scenario(load_scenario("fig1")).players["2"]
-    problem = build_player_problem(builtin_game("fig1"), "2", replace(spec, eps=F(1, 4)).beliefs())
+    problem = build_player_problem(builtin_game("fig1"), "2", spec.replace(eps=F(1, 4)).beliefs())
     hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
     rows = problem.exante.payoff
     for cell in judged:
@@ -91,7 +90,7 @@ def test_rectangularized_cells_are_judged_on_the_hulls_posteriors():
         face = maxmin_solve(DecisionProblem.build(payoff, post.space, post)).optimal_face
         assert cell["conditional_face"] == face.to_json()
     # the posteriors hold the beliefs, so replacing them rebinds the ex-ante problem
-    assert replace(problem, posterior=Posteriors(hull)).exante.beliefs is hull
+    assert problem.replace(posterior=Posteriors(hull)).exante.beliefs is hull
 
 
 def test_run_update_segment():
