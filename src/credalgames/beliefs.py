@@ -22,8 +22,8 @@ from .exactmath import (
     polytope_contains,
     polytope_minimize,
     rat,
-    unit_vector,
 )
+from .exactmath.vector import _cleared
 
 Cell = tuple[str, ...]
 Partition = tuple[Cell, ...]
@@ -122,29 +122,49 @@ class Filtration(Record):
     def __init__(self, space: StateSpace, stages: tuple[Partition, ...]):
         previous: Partition = (tuple(space.labels),)
         for stage in stages:
-            seen: list[str] = []
+            _ordered_cells(space, stage)  # raises unless the stage partitions the space
             for cell in stage:
-                if not cell:
-                    raise ValueError("empty cell in filtration stage")
                 if not any(set(cell) <= set(prev) for prev in previous):
                     raise ValueError(f"cell {cell} does not refine the previous stage")
-                seen.extend(cell)
-            if sorted(seen) != sorted(space.labels):
-                raise ValueError("stage cells must partition the state space")
             previous = stage
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "stages", stages)
 
     @classmethod
     def build(cls, space: StateSpace, stages) -> "Filtration":
-        def order(cell):
-            return tuple(sorted(cell, key=space.index))
-
         norm = tuple(
-            tuple(sorted((order(c) for c in stage), key=lambda c: space.index(c[0])))
+            tuple(sorted(_ordered_cells(space, stage), key=lambda c: space.index(c[0])))
             for stage in stages
         )
         return cls(space, norm)
+
+
+def _ordered_cells(space: StateSpace, stage) -> Partition:
+    """The stage's cells, each in the space's state order.
+
+    The stage is checked first to partition the space, so that no state
+    outside it reaches ``space.index`` and no gap or overlap reaches a
+    marginal: the ValueError names the first empty cell, the first cell
+    holding an unknown state or one an earlier cell holds, or the states
+    no cell holds.
+    """
+    covered: set[str] = set()
+    for cell in stage:
+        if not cell:
+            raise ValueError(f"empty cell in stage {tuple(map(tuple, stage))}")
+        for s in cell:
+            if s not in space.labels:
+                raise ValueError(
+                    f"cell {tuple(cell)} holds {s!r}, not one of the states {space.labels}"
+                )
+            if s in covered:
+                raise ValueError(f"cell {tuple(cell)} holds {s!r}, which an earlier cell holds")
+            covered.add(s)
+    missing = tuple(s for s in space.labels if s not in covered)
+    if missing:
+        shown = tuple(map(tuple, stage))
+        raise ValueError(f"stage {shown} does not partition the states: no cell holds {missing}")
+    return tuple(tuple(sorted(cell, key=space.index)) for cell in stage)
 
 
 # -- operations -----------------------------------------------------------
@@ -164,10 +184,20 @@ def eps_contamination(center: Vector, eps: Fraction | int | str, space: StateSpa
         raise ValueError(f"contamination weight {e} outside [0, 1]")
     if not center.is_probability():
         raise ValueError("center must be a probability vector")
-    points = {
-        center.scale(1 - e) + unit_vector(center.dimension, s).scale(e)
-        for s in range(center.dimension)
-    }
+    # With eps = p/q and the center as integers C over the lcm D of its
+    # denominators (D is their sum, the center summing to 1), vertex s is
+    # ((q - p) C + p D e_s) / (q D): it shares every entry but the s-th
+    # with the others.
+    p, q = e.numerator, e.denominator
+    cleared = _cleared(center)
+    scale = sum(cleared)
+    den = q * scale
+    shared = [Fraction((q - p) * x, den) for x in cleared]
+    points = set()
+    for s, x in enumerate(cleared):
+        entries = shared.copy()
+        entries[s] = Fraction((q - p) * x + p * scale, den)
+        points.add(Vector(entries))
     return CredalSet(space, Polytope(tuple(sorted(points))))
 
 
@@ -181,21 +211,24 @@ def full_bayes_update(c: CredalSet, event) -> CredalSet:
     if not event or len(set(event)) != len(event) or not set(event) <= set(c.space.labels):
         raise ValueError(f"event {event} is not a set of the states {c.space.labels}")
     cell = tuple(sorted(event, key=c.space.index))
-    for v in c.vertices:
-        if c.event_mass(v, cell) == 0:
-            raise ZeroProbabilityReachError(cell, v)
-    sub = StateSpace(cell)
     indices = [c.space.index(s) for s in cell]
     posts = []
     for v in c.vertices:
-        mass = c.event_mass(v, cell)
-        posts.append(Vector(v[i] / mass for i in indices))
-    return CredalSet.from_vertices(sub, posts)
+        # the cell's entries as integers over their lcm, whose sum is the
+        # event's mass over the same lcm, so each posterior entry is the
+        # ratio of two integers
+        cleared = _cleared([v[i] for i in indices])
+        mass = sum(cleared)
+        if mass == 0:
+            raise ZeroProbabilityReachError(cell, v)
+        posts.append(Vector(Fraction(x, mass) for x in cleared))
+    return CredalSet.from_vertices(StateSpace(cell), posts)
 
 
 def one_step_ahead(c: CredalSet, stage: Partition) -> CredalSet:
-    """Marginal of every prior on the cells of one filtration stage."""
-    cells = tuple(tuple(sorted(cell, key=c.space.index)) for cell in stage)
+    """Marginal of every prior on the cells of one filtration stage, which
+    must partition the set's states."""
+    cells = _ordered_cells(c.space, stage)
     space = StateSpace(tuple(cell_label(cell) for cell in cells))
     margs = [
         Vector(c.event_mass(v, cell) for cell in cells) for v in c.vertices

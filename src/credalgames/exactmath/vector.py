@@ -58,7 +58,8 @@ class Vector(tuple):
         return dot(self, repeat(1))
 
     def is_probability(self) -> bool:
-        return all(e >= 0 for e in self) and self.total() == 1
+        # a Fraction's sign is its numerator's, read without Fraction's comparison
+        return all(e.numerator >= 0 for e in self) and self.total() == 1
 
     def __repr__(self) -> str:
         return "Vector(%s)" % ", ".join(str(e) for e in self)

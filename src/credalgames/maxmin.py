@@ -9,8 +9,9 @@ names the constraints tight on every optimal strategy.  Usually these fix
 the optimal strategy outright; when they leave a face of positive
 dimension, its vertices are found inside that face only.  With two
 strategies, as for every player in the paper's games, there is no LP: the
-value, nature's mix and the whole optimal segment are read off the lower
-envelope of one integer line per prior and checked on those integers.
+value, nature's mix, the whole optimal segment and the binding priors are
+read off the lower envelope of one integer line per prior and checked on
+those integers.
 """
 
 from __future__ import annotations
@@ -171,17 +172,23 @@ def _envelope(gains: list[Vector]) -> tuple:
     return scale, lines, (num, den), mix, (lo, hi)
 
 
-def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
+def _solve(
+    gains: list[Vector], k: int
+) -> tuple[Fraction, tuple[Vector, ...], tuple[int, ...] | None]:
     """Value and sorted optimal-face vertices of max over the k-simplex of
-    (min over the gain vectors).
+    (min over the gain vectors), and the indices of the gains that hold the
+    first vertex to the value when they come free with the face (k == 2),
+    else None.
 
     A one-point simplex (k == 1) needs no LP: its value is the least gain.
     Two strategies take the value, nature's optimal mix y over the gains
     and the whole optimal segment from ``_envelope`` and check them on its
     integer lines: y is a distribution whose payoff ``G^T y`` peaks at the
     value, and both ends of the segment are strategies whose lowest line
-    earns the value, so weak duality proves them optimal.  Fractions are
-    built only for the value and the segment's one or two vertices.
+    earns the value, so weak duality proves them optimal.  The lines that
+    earn it at the segment's upper end, the first vertex, are its binding
+    gains.  Fractions are built only for the value and the segment's one or
+    two vertices.
 
     More strategies take the value, a point and y from the value LP, whose
     dual is y, and pass the same check.  The value is unique, and
@@ -193,7 +200,7 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
     systems of the remaining inequalities in the reduced coordinates.
     """
     if k == 1:
-        return min(g[0] for g in gains), (Vector([1]),)
+        return min(g[0] for g in gains), (Vector([1]),), None
     if k == 2:
         scale, lines, (num, den), mix, (lo, hi) = _envelope(gains)
         value = Fraction(num, den * scale)
@@ -211,7 +218,9 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
         ):
             raise RuntimeError(f"maxmin solution fails its certificate at value {value}")
         ends = (hi,) if lo[0] * hi[1] == hi[0] * lo[1] else (hi, lo)
-        return value, tuple(Vector([Fraction(q - p, q), Fraction(p, q)]) for p, q in ends)
+        p, q = hi
+        binding = tuple(i for i, (a, d) in enumerate(lines) if (a * q + p * d) * den == num * q)
+        return value, tuple(Vector([Fraction(q - p, q), Fraction(p, q)]) for p, q in ends), binding
     value, point, mix = _value_lp(gains, k)
     payoff = [dot(mix, column) for column in zip(*gains)]
     if (
@@ -248,7 +257,7 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
     pivots = [next(j for j, c in enumerate(row) if c != 0) for row in basis]
     free = [j for j in range(k) if j not in pivots]
     if not free:
-        return value, (point,)
+        return value, (point,), None
 
     # the face is {point + D z : every reduced inequality holds}, where D's
     # columns span the solutions of the homogeneous equalities
@@ -271,7 +280,7 @@ def _solve(gains: list[Vector], k: int) -> tuple[Fraction, tuple[Vector, ...]]:
         tuple(x + dot(z, col) for x, col in zip(point, zip(*directions)))
         for z in corners
     }
-    return value, tuple(Vector(p) for p in sorted(face))
+    return value, tuple(Vector(p) for p in sorted(face)), None
 
 
 def _binding(
@@ -288,9 +297,12 @@ def maxmin_solve(p: DecisionProblem) -> MaxminSolution:
     The reported strategy is the lexicographically smallest vertex of the
     face, making results reproducible.
     """
-    gains = [p.action_values(v) for v in p.beliefs.vertices]
-    value, face = _solve(gains, p.strategy_dimension)
-    return MaxminSolution(value, Polytope(face), _binding(p, gains, face[0], value))
+    vertices = p.beliefs.vertices
+    gains = [p.action_values(v) for v in vertices]
+    value, face, binding = _solve(gains, p.strategy_dimension)
+    if binding is None:
+        return MaxminSolution(value, Polytope(face), _binding(p, gains, face[0], value))
+    return MaxminSolution(value, Polytope(face), tuple(vertices[i] for i in binding))
 
 
 def constrained_maxmin(p: DecisionProblem, restriction: Polytope) -> MaxminSolution:
@@ -306,7 +318,8 @@ def constrained_maxmin(p: DecisionProblem, restriction: Polytope) -> MaxminSolut
     gains = [p.action_values(v) for v in p.beliefs.vertices]
     m = len(restriction.vertices)
     lifted = [Vector(r.dot(g) for r in restriction.vertices) for g in gains]
-    value, weight_face = _solve(lifted, m)
+    # the weight face's binding gains need not hold the image's first vertex
+    value, weight_face, _ = _solve(lifted, m)
     # the map's column i is the restriction's vertex i
     face = affine_image(Polytope(weight_face), list(zip(*restriction.vertices)))
     return MaxminSolution(value, face, _binding(p, gains, face.vertices[0], value))

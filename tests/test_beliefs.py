@@ -17,7 +17,7 @@ from credalgames.beliefs import (
     one_step_ahead,
     rectangular_hull,
 )
-from credalgames.exactmath import Polytope, Vector, polytope_minimize
+from credalgames.exactmath import Polytope, Vector, polytope_minimize, unit_vector
 from polytope_oracle import lp_minimize, membership_witness
 
 F = Fraction
@@ -75,6 +75,34 @@ def test_contamination_is_minimized_mix_without_lp_solves(monkeypatch):
     assert solves == []
 
 
+def test_contamination_matches_the_fraction_formula():
+    # the integer construction must give exactly the points (1 - eps) c + eps e_s,
+    # here over centers and weights with large coprime denominators
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def case(draw):
+        n = draw(st.integers(1, 5))
+        weight = st.integers(0, 3) | st.integers(0, 10**6)
+        weights = draw(st.lists(weight, min_size=n, max_size=n).filter(any))
+        q = draw(st.integers(1, 10**6))
+        return Vector(F(w, sum(weights)) for w in weights), F(draw(st.integers(0, q)), q)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(case())
+    def check(drawn):
+        center, eps = drawn
+        space = StateSpace(tuple(f"s{i}" for i in range(center.dimension)))
+        mixed = {
+            center.scale(1 - eps) + unit_vector(center.dimension, s).scale(eps)
+            for s in range(center.dimension)
+        }
+        assert eps_contamination(center, eps, space).vertices == tuple(sorted(mixed))
+
+    check()
+
+
 def test_contamination_zero_is_singleton():
     c = contamination(0)
     assert c.vertices == (Vector([0, 1, 0]),)
@@ -128,6 +156,47 @@ def test_update_zero_probability_raises():
     assert info.value.vertex == Vector([0, 0, 1])
 
 
+def test_update_matches_per_vertex_bayes():
+    # each posterior is v[i] / mass for the cell's states i, and the first
+    # vertex, in the set's order, that gives the cell mass 0 is the one raised
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = ("a", "b", "c", "d")
+    space = StateSpace(labels)
+
+    @st.composite
+    def case(draw):
+        weight = st.integers(0, 2) | st.integers(0, 10**6)
+        prior = st.lists(weight, min_size=4, max_size=4).filter(any)
+        priors = draw(st.lists(prior, min_size=1, max_size=6))
+        event = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+        # kept as drawn, so later vertices may repeat or lie inside the hull
+        vertices = tuple(Vector(F(w, sum(ws)) for w in ws) for ws in priors)
+        return CredalSet(space, Polytope(vertices)), tuple(event)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(case())
+    def check(drawn):
+        c, event = drawn
+        cell = tuple(s for s in labels if s in event)
+        indices = [labels.index(s) for s in cell]
+        zero = next((v for v in c.vertices if sum(v[i] for i in indices) == 0), None)
+        if zero is not None:
+            with pytest.raises(ZeroProbabilityReachError) as info:
+                full_bayes_update(c, event)
+            assert info.value.vertex == zero and info.value.event == cell
+            return
+        posts = []
+        for v in c.vertices:
+            mass = sum(v[i] for i in indices)
+            posts.append(Vector(v[i] / mass for i in indices))
+        post = full_bayes_update(c, event)
+        assert post.space.labels == cell
+        assert post.set == lp_minimize(Polytope(tuple(posts)))
+
+    check()
+
+
 @pytest.mark.parametrize(
     "event", [("L", "L"), ("X",), ("O", "X"), ()], ids=["repeated", "unknown", "one-unknown", "empty"]
 )
@@ -153,6 +222,22 @@ def test_one_step_ahead_full_simplex():
     simplex = CredalSet.from_vertices(LRO, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     marg = one_step_ahead(simplex, (("L",), ("R", "O")))
     assert set(marg.vertices) == {Vector([1, 0]), Vector([0, 1])}
+
+
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        ((("L",), ("O",)), r"does not partition the states: no cell holds \('R',\)"),
+        ((("L", "R"), ("R", "O")), r"cell \('R', 'O'\) holds 'R', which an earlier cell holds"),
+        ((("L", "R"), ("O", "X")), r"cell \('O', 'X'\) holds 'X', not one of the states"),
+    ],
+    ids=["gap", "overlap", "unknown"],
+)
+def test_one_step_ahead_rejects_a_stage_that_does_not_partition(stage, message):
+    # checked before any marginal is formed, which would otherwise fail as
+    # a vertex that is not a probability vector
+    with pytest.raises(ValueError, match=message):
+        one_step_ahead(contamination("1/4"), stage)
 
 
 HULL_QUARTER = {
@@ -381,6 +466,13 @@ def test_filtration_validation():
         Filtration.build(
             LRO, [(("L", "R"), ("O",)), (("L", "O"), ("R",))]
         )  # second stage does not refine the first
+
+
+def test_filtration_build_names_a_state_outside_the_space():
+    # rejected before the cells are sorted by the space's state order, so
+    # the label is named instead of tuple.index failing
+    with pytest.raises(ValueError, match=r"cell \('L', 'X'\) holds 'X', not one of the states"):
+        Filtration.build(LRO, [(("L", "X"), ("R", "O"))])
 
 
 def _products(space, stage, marginal, conditionals):

@@ -565,6 +565,12 @@ def test_two_strategy_envelope_matches_lp_oracle(monkeypatch):
         assert solves == []
         # the oracle's value is lp_solve's on the same two-strategy LP
         assert_matches_oracle(sol, problem, restriction)
+        # the binding priors read off the envelope's integer lines are the
+        # ones one exact dot product per prior finds
+        gains = [problem.action_values(v) for v in problem.beliefs.vertices]
+        assert sol.binding_vertices == credalgames.maxmin._binding(
+            problem, gains, sol.strategy, sol.value
+        )
 
     check()
 
