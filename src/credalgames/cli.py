@@ -32,6 +32,7 @@ from .dynamics import (
     check_dynamic_consistency,
     find_dc_violation_payoffs,
     induce_downstream,
+    player_states,
 )
 from .exactmath import Polytope, Record, Vector, approx_decimal, rat, read_rational
 from .gametree import (
@@ -448,7 +449,16 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
     spec = scenario.players[player]
     base = spec.beliefs()
     induced = induce_downstream(base, spec.n_interval) if spec.n_interval else None
-    problem = build_player_problem(scenario.game, player, induced or base, scenario.bindings)
+    try:
+        problem = build_player_problem(scenario.game, player, induced or base, scenario.bindings)
+    except StateSpaceError as exc:
+        if induced is None:
+            raise
+        # induce_downstream builds fig4's third-mover states whatever the game
+        raise StateSpaceError(
+            f"the n_interval construction yields beliefs over {', '.join(induced.space.labels)} "
+            f"while player {player}'s states are {', '.join(player_states(scenario.game, player))}"
+        ) from exc
     if flags.rectangularize:
         # the hull lives on the same states and gets its own posteriors
         hull = rectangular_hull(problem.exante.beliefs, problem.filtration)

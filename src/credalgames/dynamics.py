@@ -324,6 +324,11 @@ def player_problem_from_matrix(
     return PlayerProblem(player, filtration, slots, labels, rows, {}, Posteriors(beliefs))
 
 
+def player_states(game: GameTree, player: str) -> tuple[str, ...]:
+    """The labels of the player's opponent-path states, before any merging."""
+    return tuple(s.label for s in _derive_structure(game, player)[0])
+
+
 def induce_downstream(p1_beliefs: CredalSet, n_interval) -> CredalSet:
     """Push first-mover beliefs through an independent second move.
 

@@ -11,7 +11,11 @@ dimension, its vertices are found inside that face only.  With two
 strategies, as for every player in the paper's games, there is no LP: the
 value, nature's mix, the whole optimal segment and the binding priors are
 read off the lower envelope of one integer line per prior and checked on
-those integers.
+those integers.  Against one or two priors, as for every credal set over
+two states, there is none either: by minimax duality nature's mix is then
+the one-dimensional side, and the same envelope over one line per
+strategy gives the value, an optimal strategy and nature's mix.  Only three
+or more strategies against three or more priors take the LP.
 """
 
 from __future__ import annotations
@@ -190,8 +194,16 @@ def _solve(
     gains.  Fractions are built only for the value and the segment's one or
     two vertices.
 
-    More strategies take the value, a point and y from the value LP, whose
-    dual is y, and pass the same check.  The value is unique, and
+    More strategies against one or two gains g0, g1 (one gain stands for
+    both) solve the transposed problem: by minimax duality the value is
+    also the least, over nature's mixes (1 - t, t), of the best payoff
+    ``max_i g0_i + t (g1_i - g0_i)``, so ``_envelope`` over one negated line
+    per strategy gives minus the value, an optimal strategy as its integer
+    mix over the lines and y at the lower end of its optimal segment.  More
+    strategies against more gains take the value, a point and y from the
+    value LP, whose dual is y.  Either way they pass the same check: y is a
+    distribution whose payoff peaks at the value, and the point is a
+    strategy whose least gain is the value.  The value is unique, and
     complementary slackness holds for every optimal y, so every optimal
     strategy s satisfies y's equalities: ``g_j . s = v`` where ``y_j > 0``,
     and ``s_i = 0`` where ``(G^T y)_i < v``.  When they pin s down, the
@@ -221,7 +233,17 @@ def _solve(
         p, q = hi
         binding = tuple(i for i, (a, d) in enumerate(lines) if (a * q + p * d) * den == num * q)
         return value, tuple(Vector([Fraction(q - p, q), Fraction(p, q)]) for p, q in ends), binding
-    value, point, mix = _value_lp(gains, k)
+    if len(gains) <= 2:
+        # negating the lines turns nature's least upper envelope into the
+        # peak of a lower one, whose mix over the lines is a strategy
+        scale, _, (num, den), weights, ((p, q), _) = _envelope(
+            [(-a, -b) for a, b in zip(gains[0], gains[-1])]
+        )
+        value = Fraction(-num, den * scale)
+        point = Vector(Fraction(weights.get(i, 0), den) for i in range(k))
+        mix = [Fraction(q - p, q), Fraction(p, q)] if len(gains) == 2 else [Fraction(1)]
+    else:
+        value, point, mix = _value_lp(gains, k)
     payoff = [dot(mix, column) for column in zip(*gains)]
     if (
         any(y < 0 for y in mix)

@@ -167,6 +167,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "unreachable" in capsys.readouterr().out
 
 
+def test_induce_names_the_states_an_interval_cannot_reach(capsys):
+    # the n_interval construction pushes any three-state prior onto fig4's
+    # third-mover states, which fig1's second mover does not have
+    assert main(["induce", "fig1", "--player", "2", "--interval", "1/3:1/2"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "analysis error: the n_interval construction yields beliefs over Z, RN, O "
+        "while player 2's states are L, R, O\n"
+    )
+
+
 def test_face_too_wide_to_enumerate_is_an_analysis_error(tmp_path, capsys):
     # one move among 80 equal payoffs ties every strategy: the optimal face
     # keeps 79 free coordinates, more than maxmin enumerates

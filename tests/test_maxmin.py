@@ -398,16 +398,22 @@ def test_one_vertex_restriction_needs_no_lp(monkeypatch):
 
 
 def test_failed_dual_certificate_raises(monkeypatch):
-    # three strategies, so the value LP runs and its tampered duals are checked
+    # three strategies against three priors, so the value LP runs and its
+    # tampered duals are checked
+    solves = []
+
     def tampered(lp):
+        solves.append(lp)
         sol = lp_solve(lp)
         return type(sol)(sol.status, sol.value, sol.point, tuple(0 * y for y in sol.duals))
 
-    beliefs = CredalSet.from_vertices(LR, [[F(1, 4), F(3, 4)], [0, 1]])
-    problem = DecisionProblem.build(CONDITIONAL_ROWS + [[50, 50]], LR, beliefs)
+    problem = exante_problem(F(1, 4))
+    assert len(problem.beliefs.vertices) == 3
+    problem = DecisionProblem.build(EXANTE_ROWS + [[50, 50, 50]], LRO, problem.beliefs)
     monkeypatch.setattr(credalgames.maxmin, "lp_solve", tampered)
     with pytest.raises(RuntimeError, match="certificate"):
         maxmin_solve(problem)
+    assert len(solves) == 1
 
 
 def _tamper_envelope(monkeypatch, change):
@@ -444,6 +450,32 @@ def test_envelope_face_off_the_optimum_raises(monkeypatch):
     _tamper_envelope(monkeypatch, pure_first)
     with pytest.raises(RuntimeError, match="certificate"):
         maxmin_solve(conditional_problem(F(3, 4)))
+
+
+def test_failed_two_prior_envelope_certificate_raises(monkeypatch):
+    # three strategies against two priors read the value off the transposed
+    # envelope: nature's weight t on the second sorted prior, (1/4, 3/4), is
+    # 2/51, where M and N cross, and the strategy is their hedge
+    beliefs = CredalSet.from_vertices(LR, [[F(1, 4), F(3, 4)], [0, 1]])
+    problem = DecisionProblem.build(CONDITIONAL_ROWS + [[50, 50]], LR, beliefs)
+    assert maxmin_solve(problem).strategy == Vector([F(1, 102), F(101, 102), 0])
+
+    def safe_strategy(value, mix, face):
+        # the flat strategy earns 50, below the value
+        assert mix != {2: value[1]}
+        return value, {2: value[1]}, face
+
+    def nature_at_0(value, mix, face):
+        # t = 0 pays M 101, above the value
+        (lo, hi) = face
+        assert F(*lo) == F(*hi) == F(2, 51)
+        return value, mix, ((0, 1), hi)
+
+    for change in (safe_strategy, nature_at_0):
+        with monkeypatch.context() as m:
+            _tamper_envelope(m, change)
+            with pytest.raises(RuntimeError, match="certificate"):
+                maxmin_solve(problem)
 
 
 def _edge_problem(rows, priors):
@@ -498,7 +530,10 @@ def _two_strategy_cases(st):
     """Two-strategy problems over 1-16 drawn priors (and their mirror
     images, for crossing lines) whose lines often tie, run parallel or
     coincide; some carry a two-vertex restriction of a larger simplex,
-    which lifts them to two strategies again."""
+    which lifts them to two strategies again.  And their transposes: 3-8
+    strategies against one or two priors, with duplicate, parallel and flat
+    rows; some carry a restriction with 3-5 vertices, which keeps two
+    priors against three or more weights."""
 
     def simplex_point(dimension, weight=st.integers(0, 3)):
         weights = st.lists(weight, min_size=dimension, max_size=dimension)
@@ -538,7 +573,36 @@ def _two_strategy_cases(st):
             restriction = Polytope(tuple(corners))
         return problem, restriction
 
-    return case()
+    @st.composite
+    def transposed(draw):
+        n = draw(st.integers(2, 4))
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        prior = simplex_point(n) | simplex_point(n, st.integers(0, 10**6))
+        priors = draw(st.lists(prior, min_size=1, max_size=2, unique=True))
+        entry = st.sampled_from([-1, 0, 0, 1, 2, 3])
+        payoff = [draw(st.lists(entry, min_size=n, max_size=n))]
+        for _ in range(draw(st.integers(2, 7))):
+            shape = draw(st.sampled_from(["free", "duplicate", "parallel", "flat"]))
+            earlier = draw(st.sampled_from(payoff))
+            if shape == "duplicate":
+                payoff.append(earlier)  # the same line twice
+            elif shape == "parallel":
+                shift = draw(st.sampled_from([-1, 1, 2]))  # the same slope
+                payoff.append([x + shift for x in earlier])
+            elif shape == "flat":
+                payoff.append([draw(entry)] * n)  # the same gain against every prior
+            else:
+                payoff.append(draw(st.lists(entry, min_size=n, max_size=n)))
+        beliefs = CredalSet(space, Polytope(tuple(priors)))
+        problem = DecisionProblem.build(payoff, space, beliefs)
+        restriction = None
+        if draw(st.booleans()):
+            k = len(payoff)
+            corners = draw(st.lists(simplex_point(k), min_size=3, max_size=5, unique=True))
+            restriction = Polytope(tuple(corners))
+        return problem, restriction
+
+    return case() | transposed()
 
 
 def test_two_strategy_envelope_matches_lp_oracle(monkeypatch):
@@ -551,28 +615,47 @@ def test_two_strategy_envelope_matches_lp_oracle(monkeypatch):
         solves.append(lp)
         return lp_solve(lp)
 
-    @hypothesis.settings(max_examples=250, deadline=None, derandomize=True)
-    @hypothesis.given(_two_strategy_cases(hypothesis.strategies))
-    def check(case):
-        problem, restriction = case
+    def solve(problem, restriction=None):
         with monkeypatch.context() as m:
             m.setattr(linprog, "lp_solve", counting)
             m.setattr(credalgames.maxmin, "lp_solve", counting)
             if restriction is None:
-                sol = maxmin_solve(problem)
-            else:
-                sol = constrained_maxmin(problem, restriction)
+                return maxmin_solve(problem)
+            return constrained_maxmin(problem, restriction)
+
+    def binding(problem, sol):
+        gains = [problem.action_values(v) for v in problem.beliefs.vertices]
+        return credalgames.maxmin._binding(problem, gains, sol.strategy, sol.value)
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(_two_strategy_cases(hypothesis.strategies))
+    def check(case):
+        problem, restriction = case
+        sol = solve(problem, restriction)
         assert solves == []
-        # the oracle's value is lp_solve's on the same two-strategy LP
+        # the oracle's value is lp_solve's on the same LP
         assert_matches_oracle(sol, problem, restriction)
         # the binding priors read off the envelope's integer lines are the
         # ones one exact dot product per prior finds
-        gains = [problem.action_values(v) for v in problem.beliefs.vertices]
-        assert sol.binding_vertices == credalgames.maxmin._binding(
-            problem, gains, sol.strategy, sol.value
-        )
+        assert sol.binding_vertices == binding(problem, sol)
 
     check()
+
+    # 64 strategies against two priors: the oracle's value LP is cheap at
+    # this size, its scan of C(66, 63) square systems is not
+    rng = random.Random(64)
+    space = StateSpace.of("a", "b", "c")
+    priors = [[F(1, 5), F(3, 5), F(1, 5)], [F(1, 2), F(1, 8), F(3, 8)]]
+    beliefs = CredalSet.from_vertices(space, priors)
+    rows = [[F(rng.randint(-50, 50), rng.choice((1, 3))) for _ in range(3)] for _ in range(64)]
+    problem = DecisionProblem.build(rows, space, beliefs)
+    sol = solve(problem)
+    assert solves == []
+    gains = [problem.action_values(v) for v in beliefs.vertices]
+    assert sol.value == oracle_value(gains, 64)
+    assert sol.optimal_face.vertices == (sol.strategy,)
+    assert maxmin_value_of(sol.strategy, problem) == sol.value
+    assert sol.binding_vertices == binding(problem, sol)
 
 
 @pytest.mark.parametrize(
