@@ -332,11 +332,10 @@ def rectangular_hull(c: CredalSet, f: Filtration) -> CredalSet:
     return _hull_over_stages(c, f.stages)
 
 
-class RectangularityCheck(Record):
-    __slots__ = ("witness",)
+class RectangularityCheck(Record, defaults={"witness": None}):
+    """``witness`` is a hull vertex outside the set, None when there is none."""
 
-    def __init__(self, witness: Vector | None = None):  # a hull vertex outside the set
-        object.__setattr__(self, "witness", witness)
+    __slots__ = ("witness",)
 
     @property
     def rectangular(self) -> bool:

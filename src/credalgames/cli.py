@@ -38,7 +38,6 @@ from .exactmath import Polytope, Record, Vector, approx_decimal, rat, read_ratio
 from .gametree import (
     BUILTIN_GAMES,
     GameJsonError,
-    GameTree,
     MalformedGameError,
     UnboundParameterError,
     builtin_game,
@@ -159,30 +158,16 @@ def _distribution(value, n: int | None, path: str, out: list[str]) -> Vector | N
     return None
 
 
-class RunFlags(Record):
+class RunFlags(
+    Record,
+    defaults={"player": None, "eps": None, "rectangularize": False, "analyses": None,
+              "event": None, "interval": None, "grid": None, "slots": None, "bindings": None,
+              "layers": ("beliefs", "update"), "svg_out": None},
+):
     """Command-line options; validate_scenario applies those that override the file."""
 
     __slots__ = ("player", "eps", "rectangularize", "analyses", "event", "interval", "grid",
                  "slots", "bindings", "layers", "svg_out")
-
-    def __init__(
-        self, player: str | None = None, eps: Fraction | None = None, rectangularize: bool = False,
-        analyses: tuple[str, ...] | None = None, event: tuple[str, ...] | None = None,
-        interval: tuple[Fraction, Fraction] | None = None, grid: tuple[Fraction, ...] | None = None,
-        slots: tuple[str, ...] | None = None, bindings: dict | None = None,
-        layers: tuple[str, ...] = ("beliefs", "update"), svg_out: str | None = None,
-    ):
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "rectangularize", rectangularize)
-        object.__setattr__(self, "analyses", analyses)
-        object.__setattr__(self, "event", event)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "bindings", bindings)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "svg_out", svg_out)
 
 
 class PlayerSpec(Record):
@@ -190,16 +175,6 @@ class PlayerSpec(Record):
     credal ones (``vertices``), and n_interval."""
 
     __slots__ = ("space", "center", "eps", "vertices", "n_interval")
-
-    def __init__(
-        self, space: StateSpace, center: Vector | None, eps: Fraction | None,
-        vertices: tuple[Vector, ...], n_interval: tuple[Fraction, Fraction] | None,
-    ):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "n_interval", n_interval)
 
     def beliefs(self) -> CredalSet:
         if self.center is None:
@@ -267,19 +242,6 @@ class Scenario(Record):
     """A scenario read once, flags applied: the game built, every number exact."""
 
     __slots__ = ("game", "player", "players", "bindings", "analyses", "grid", "slots")
-
-    def __init__(
-        self, game: GameTree, player: str, players: dict[str, PlayerSpec],
-        bindings: dict[str, Fraction], analyses: tuple[str, ...], grid: tuple[Fraction, ...],
-        slots: tuple[str, ...],
-    ):
-        object.__setattr__(self, "game", game)
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "players", players)
-        object.__setattr__(self, "bindings", bindings)
-        object.__setattr__(self, "analyses", analyses)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "slots", slots)
 
 
 def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
@@ -645,14 +607,6 @@ def _render(prep: _Prepared, player: str, flags: RunFlags) -> dict:
 
 class SweepResult(Record):
     __slots__ = ("entries", "threshold", "first_inconsistent")
-
-    def __init__(
-        self, entries: tuple[tuple[Fraction, str], ...], threshold: Fraction | None,
-        first_inconsistent: Fraction | None,
-    ):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "first_inconsistent", first_inconsistent)
 
     def to_json(self) -> dict:
         return {

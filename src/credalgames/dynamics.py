@@ -30,7 +30,7 @@ from .gametree import (
     UnboundParameterError,
     validate_perfect_recall,
 )
-from .maxmin import DecisionProblem, MaxminSolution, constrained_maxmin, maxmin_solve
+from .maxmin import DecisionProblem, constrained_maxmin, maxmin_solve
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -54,10 +54,6 @@ class ConditionalSlot(Record):
     """
 
     __slots__ = ("cell", "projection")
-
-    def __init__(self, cell: tuple[str, ...], projection: tuple[int, ...]):
-        object.__setattr__(self, "cell", cell)
-        object.__setattr__(self, "projection", projection)
 
 
 class Posteriors:
@@ -142,12 +138,6 @@ _hashed = attrgetter("player", "filtration", "conditionals", "strategy_labels", 
 class _State(Record):
     # infoset is the player's information set reached, if any
     __slots__ = ("label", "path", "node", "infoset")
-
-    def __init__(self, label: str, path: tuple[str, ...], node: Node, infoset: int | None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "infoset", infoset)
 
 
 def _derive_structure(game: GameTree, player: str):
@@ -354,25 +344,19 @@ def induce_downstream(p1_beliefs: CredalSet, n_interval) -> CredalSet:
 # -- dynamic consistency ----------------------------------------------------
 
 
-class CellVerdict(Record):
+class CellVerdict(
+    Record,
+    defaults={"conditional_value": None, "restricted_value": None, "exante_face": None,
+              "conditional_face": None, "common_face": None},
+):
+    """One cell's status.  A reached cell also holds its optimum after
+    updating (``conditional_value``), the best an ex-ante optimizer does
+    there (``restricted_value``), the ex-ante face projected to the cell's
+    coordinates and the updated face; a consistent cell holds the ex-ante
+    optimizers that stay optimal (``common_face``)."""
+
     __slots__ = ("cell", "status", "conditional_value", "restricted_value", "exante_face",
                  "conditional_face", "common_face")
-
-    def __init__(
-        self, cell: tuple[str, ...], status: str,
-        conditional_value: Fraction | None = None,  # optimum after updating
-        restricted_value: Fraction | None = None,  # best ex-ante optimizer does
-        exante_face: Polytope | None = None,  # projected to the cell's coordinates
-        conditional_face: Polytope | None = None,
-        common_face: Polytope | None = None,  # ex-ante optimizers that stay optimal
-    ):
-        object.__setattr__(self, "cell", cell)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "conditional_value", conditional_value)
-        object.__setattr__(self, "restricted_value", restricted_value)
-        object.__setattr__(self, "exante_face", exante_face)
-        object.__setattr__(self, "conditional_face", conditional_face)
-        object.__setattr__(self, "common_face", common_face)
 
     @property
     def value_gap(self) -> Fraction | None:
@@ -399,11 +383,6 @@ class CellVerdict(Record):
 
 class ConsistencyReport(Record):
     __slots__ = ("player", "exante_solution", "cells")
-
-    def __init__(self, player: str, exante_solution: MaxminSolution, cells: tuple[CellVerdict, ...]):
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "exante_solution", exante_solution)
-        object.__setattr__(self, "cells", cells)
 
     @property
     def overall(self) -> bool:
@@ -470,10 +449,6 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
 
 class PayoffSearchResult(Record):
     __slots__ = ("payoffs", "report")
-
-    def __init__(self, payoffs: dict[str, Fraction], report: ConsistencyReport):
-        object.__setattr__(self, "payoffs", payoffs)
-        object.__setattr__(self, "report", report)
 
 
 def find_dc_violation_payoffs(pp: PlayerProblem, payoff_grid, slots) -> PayoffSearchResult | None:

@@ -76,17 +76,11 @@ class LinearProgram(Record):
         return cls(obj, tuple(rows), frozenset(free))
 
 
-class LpSolution(Record):
-    __slots__ = ("status", "value", "point", "duals")
+class LpSolution(Record, defaults={"value": None, "point": None, "duals": None}):
+    """A status; when optimal, the value, an optimal point and one dual per
+    constraint."""
 
-    def __init__(
-        self, status: str, value: Fraction | None = None, point: Vector | None = None,
-        duals: tuple[Fraction, ...] | None = None,  # one per constraint when optimal
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "duals", duals)
+    __slots__ = ("status", "value", "point", "duals")
 
     @property
     def is_optimal(self) -> bool:

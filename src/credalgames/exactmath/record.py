@@ -3,18 +3,42 @@
 from operator import attrgetter
 
 
+def _store_init(cls, defaults: dict):
+    """An ``__init__(self, <slots in order>)`` that stores each argument,
+    straight-line, with ``defaults`` for a trailing run of slots."""
+    names = cls.__slots__
+    if tuple(defaults) != names[len(names) - len(defaults) :]:
+        raise TypeError(f"{cls.__qualname__}: defaults must name its last slots, in order")
+    lines = [f"def __init__(self, {', '.join(names)}):"]
+    lines += [f"    object.__setattr__(self, {name!r}, {name})" for name in names]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults.values()) or None
+    init.__module__ = cls.__module__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Record:
     """A value whose fields are its class's ``__slots__``, each set once by
     the class's own ``__init__`` through ``object.__setattr__``.
 
+    A subclass that defines no ``__init__`` gets one that only stores its
+    arguments, one per slot in order; trailing defaults come from the class
+    keyword, as in ``class Check(Record, defaults={"witness": None})``.
     Fields can be neither set nor deleted afterwards.  Equality, hash and
     repr follow the fields in slot order; ``replace`` reruns the constructor.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, defaults=None):
         cls._fields = attrgetter(*cls.__slots__)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _store_init(cls, defaults or {})
+        elif defaults is not None:
+            raise TypeError(f"{cls.__qualname__}: defaults are for a generated __init__")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -46,10 +46,6 @@ class Vector(tuple):
         self._check(other)
         return Vector(a - b for a, b in zip(self, other))
 
-    def scale(self, factor: int | str | Fraction) -> "Vector":
-        f = rat(factor)
-        return Vector(f * a for a in self)
-
     def dot(self, other: "Vector") -> Fraction:
         self._check(other)
         return dot(self, other)

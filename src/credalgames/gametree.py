@@ -12,7 +12,6 @@ translations between the two strategy kinds.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 
 from .exactmath import Record, Vector, rat, read_rational, unit_vector
@@ -48,24 +47,12 @@ class UnboundParameterError(KeyError):
 class TerminalNode(Record):
     __slots__ = ("payoffs",)
 
-    def __init__(self, payoffs: tuple[PayoffEntry, ...]):
-        object.__setattr__(self, "payoffs", payoffs)
-
 
 class DecisionNode(Record):
     __slots__ = ("player", "actions", "children")
 
-    def __init__(self, player: str, actions: tuple[str, ...], children: tuple[Node, ...]):
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "children", children)
-
 
 Node = DecisionNode | TerminalNode
-
-
-def terminal(payoffs) -> TerminalNode:
-    return TerminalNode(tuple(p if isinstance(p, str) else rat(p) for p in payoffs))
 
 
 def decision(player: str, moves) -> DecisionNode:
@@ -77,12 +64,6 @@ def decision(player: str, moves) -> DecisionNode:
 
 class InformationSet(Record):
     __slots__ = ("player", "index", "paths", "actions")
-
-    def __init__(self, player: str, index: int, paths: tuple[Path, ...], actions: tuple[str, ...]):
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "actions", actions)
 
 
 class GameTree:
@@ -237,10 +218,6 @@ class BehavioralStrategy(Record):
 
     __slots__ = ("player", "choices")
 
-    def __init__(self, player: str, choices: tuple[Vector, ...]):
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "choices", choices)
-
     def validate(self, game: GameTree) -> None:
         sets = game.information_sets_for(self.player)
         if len(self.choices) != len(sets):
@@ -263,10 +240,6 @@ class MixedStrategy(Record):
 
     __slots__ = ("player", "weights")
 
-    def __init__(self, player: str, weights: Vector):
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "weights", weights)
-
     def validate(self, game: GameTree) -> None:
         count = len(game.pure_strategies(self.player))
         if self.weights.dimension != count:
@@ -283,10 +256,6 @@ Strategy = BehavioralStrategy | MixedStrategy
 class OutcomeDistribution(Record):
     __slots__ = ("terminals", "probabilities")
 
-    def __init__(self, terminals: tuple[str, ...], probabilities: Vector):
-        object.__setattr__(self, "terminals", terminals)
-        object.__setattr__(self, "probabilities", probabilities)
-
 
 def pure_behavioral(game: GameTree, player: str, pure: tuple[int, ...]) -> BehavioralStrategy:
     sets = game.information_sets_for(player)
@@ -299,15 +268,8 @@ def pure_behavioral(game: GameTree, player: str, pure: tuple[int, ...]) -> Behav
 # -- operations -----------------------------------------------------------
 
 
-class RecallCheck(Record):
+class RecallCheck(Record, defaults={"player": None, "witness": None}):
     __slots__ = ("ok", "player", "witness")
-
-    def __init__(
-        self, ok: bool, player: str | None = None, witness: tuple[Path, Path] | None = None
-    ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "witness", witness)
 
 
 def validate_perfect_recall(game: GameTree) -> RecallCheck:
@@ -604,4 +566,4 @@ def builtin_game(name: str) -> GameTree:
         spec = BUILTIN_GAMES[name]
     except KeyError:
         raise KeyError(f"no built-in game named {name!r}")
-    return game_from_json(json.loads(json.dumps(spec)))
+    return game_from_json(spec)

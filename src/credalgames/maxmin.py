@@ -44,9 +44,10 @@ from .exactmath import (
 # _solve rejects an optimal face whose equalities leave more free coordinates
 # than this (at least k minus their count, known before the row reduction):
 # with f free coordinates every candidate vertex solves an f x f system.  On
-# all-tied one-prior problems (bound k - 2) _solve took 0.08 s at k = 16,
-# 0.74 s at k = 32 and 6.5 s at k = 64 (CPython 3.11.7, shared 2-CPU x86-64
-# host), growing as k**3, so the cap admits those that finish within seconds.
+# all-tied one-prior problems (bound k - 2; rows (1, 2), prior (1, 0))
+# maxmin_solve took 0.01 s at k = 16, 0.09 s at k = 32 and 1.05 s at k = 64
+# (best of three, CPython 3.11.7, shared 2-CPU x86-64 host), growing about
+# as k**3, so the cap admits those that finish within seconds.
 MAX_FREE_COORDINATES = 64
 
 
@@ -81,11 +82,6 @@ class DecisionProblem(Record):
 
 class MaxminSolution(Record):
     __slots__ = ("value", "optimal_face", "binding_vertices")
-
-    def __init__(self, value: Fraction, optimal_face: Polytope, binding_vertices: tuple[Vector, ...]):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "optimal_face", optimal_face)
-        object.__setattr__(self, "binding_vertices", binding_vertices)
 
     @property
     def strategy(self) -> Vector:

@@ -1,4 +1,5 @@
-"""Random perfect-recall game generator shared by the test modules.
+"""Random perfect-recall game generator shared by the test modules, and
+the leaf builder for hand-built trees.
 
 Trees are grown first, then information sets are assigned level by level:
 nodes may share a set only when their owner's past (set, action) sequence
@@ -20,6 +21,11 @@ from credalgames.gametree import (
 from credalgames.exactmath import Vector
 
 ACTION_NAMES = ("a", "b", "c")
+
+
+def terminal(payoffs) -> TerminalNode:
+    """A leaf whose entries are parameter names or exact rationals."""
+    return TerminalNode(tuple(p if isinstance(p, str) else Fraction(p) for p in payoffs))
 
 
 def _grow(rng: random.Random, players, budget: list[int], depth: int):

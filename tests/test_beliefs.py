@@ -17,7 +17,7 @@ from credalgames.beliefs import (
     one_step_ahead,
     rectangular_hull,
 )
-from credalgames.exactmath import Polytope, Vector, polytope_minimize, unit_vector
+from credalgames.exactmath import Polytope, Vector, polytope_minimize
 from polytope_oracle import lp_minimize, membership_witness
 
 F = Fraction
@@ -95,7 +95,7 @@ def test_contamination_matches_the_fraction_formula():
         center, eps = drawn
         space = StateSpace(tuple(f"s{i}" for i in range(center.dimension)))
         mixed = {
-            center.scale(1 - eps) + unit_vector(center.dimension, s).scale(eps)
+            Vector((1 - eps) * c + eps * (i == s) for i, c in enumerate(center))
             for s in range(center.dimension)
         }
         assert eps_contamination(center, eps, space).vertices == tuple(sorted(mixed))
@@ -306,7 +306,7 @@ def test_rectangularity_and_equality_make_no_membership_test(monkeypatch):
 
     c = contamination("1/4")
     hulls = {c: rectangular_hull(c, FILTRATION), QUAD: rectangular_hull(QUAD, FILTRATION)}
-    midpoint = (QUAD.vertices[0] + QUAD.vertices[1]).scale(F(1, 2))
+    midpoint = Vector((a + b) / 2 for a, b in zip(*QUAD.vertices[:2]))
     shuffled = CredalSet.from_vertices(LRO, [*reversed(QUAD.vertices), midpoint])
     real = polytope_module.polytope_contains
     calls = []

@@ -30,6 +30,7 @@ from credalgames.dynamics import (
 from credalgames.exactmath import Vector
 from credalgames.cli import RunFlags, run
 from credalgames.gametree import UnboundParameterError, builtin_game
+from randtrees import terminal
 
 F = Fraction
 
@@ -492,7 +493,7 @@ def test_rectangularity_implies_consistency_downstream_filtration():
 def test_two_stage_own_play_projects_onto_cell_coordinates():
     # the player moves twice below one opponent branch: the cell problem
     # ranges over joint choices at both of his information sets
-    from credalgames.gametree import GameTree, decision, terminal
+    from credalgames.gametree import GameTree, decision
 
     inner = decision("2", [("e", terminal([0, 4])), ("f", terminal([0, 0]))])
     mid = decision("2", [("c", inner), ("d", terminal([0, 1]))])
@@ -519,7 +520,7 @@ def test_two_stage_own_play_projects_onto_cell_coordinates():
 
 
 def test_two_acting_cells_judged_independently():
-    from credalgames.gametree import GameTree, decision, terminal
+    from credalgames.gametree import GameTree, decision
 
     first = decision("2", [("u", terminal([0, 6])), ("v", terminal([0, 0]))])
     second = decision("2", [("w", terminal([0, 0])), ("z", terminal([0, 6]))])

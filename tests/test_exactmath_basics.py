@@ -62,7 +62,6 @@ def test_vector_arithmetic():
     assert (a + b) == Vector([1, 1]) and len(a + b) == 2
     assert (b - a) == Vector([0, "1/3"])
     assert a.dot(b) == F(1, 4) + F(2, 9)
-    assert a.scale(6) == Vector([3, 2])
     assert unit_vector(3, 1) == Vector([0, 1, 0])
     assert Vector([0, 1]) < Vector([1, 0])
 

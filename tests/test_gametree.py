@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from credalgames.exactmath import Vector
 from credalgames.gametree import (
+    BUILTIN_GAMES,
     BehavioralStrategy,
     GameTree,
     MalformedGameError,
@@ -19,10 +21,9 @@ from credalgames.gametree import (
     outcome_distribution,
     outcome_equivalent,
     pure_behavioral,
-    terminal,
     validate_perfect_recall,
 )
-from randtrees import random_behavioral, random_mixed, random_perfect_recall_game
+from randtrees import random_behavioral, random_mixed, random_perfect_recall_game, terminal
 
 F = Fraction
 
@@ -61,6 +62,16 @@ def test_fig4_structure(fig4):
 def test_builtin_games_have_perfect_recall(fig1, fig4):
     assert validate_perfect_recall(fig1).ok
     assert validate_perfect_recall(fig4).ok
+    # each build parses the module's own spec, which no build changes
+    specs = copy.deepcopy(BUILTIN_GAMES)
+    for name in specs:
+        first, second = builtin_game(name), builtin_game(name)
+        assert first is not second and first.root is not second.root
+        assert first.root == second.root and first.parameters == second.parameters
+        assert [first.information_sets_for(p) for p in first.players] == [
+            second.information_sets_for(p) for p in second.players
+        ]
+    assert BUILTIN_GAMES == specs
 
 
 def forgetful_game():

@@ -1,6 +1,7 @@
 """The package's value types: immutable slotted records, and what importing costs."""
 
 import copy
+import inspect
 import pickle
 import subprocess
 import sys
@@ -86,6 +87,61 @@ SAMPLES = _samples()
 def test_every_record_type_has_a_sample():
     assert {cls.__name__ for cls in Record.__subclasses__()} == set(SAMPLES)
     assert all(type(x).__name__ == name for name, x in SAMPLES.items())
+
+
+# name -> the constructor's parameters after self, in order, and its defaults
+CONSTRUCTORS = {
+    "BehavioralStrategy": (("player", "choices"), None),
+    "CellVerdict": (
+        ("cell", "status", "conditional_value", "restricted_value", "exante_face",
+         "conditional_face", "common_face"),
+        (None, None, None, None, None),
+    ),
+    "ConditionalSlot": (("cell", "projection"), None),
+    "ConsistencyReport": (("player", "exante_solution", "cells"), None),
+    "Constraint": (("coefficients", "relation", "rhs"), None),
+    "CredalSet": (("space", "set"), None),
+    "DecisionNode": (("player", "actions", "children"), None),
+    "DecisionProblem": (("space", "payoff", "beliefs"), None),
+    "Filtration": (("space", "stages"), None),
+    "InformationSet": (("player", "index", "paths", "actions"), None),
+    "LinearProgram": (("objective", "constraints", "free"), (frozenset(),)),
+    "LpSolution": (("status", "value", "point", "duals"), (None, None, None)),
+    "MaxminSolution": (("value", "optimal_face", "binding_vertices"), None),
+    "MixedStrategy": (("player", "weights"), None),
+    "OutcomeDistribution": (("terminals", "probabilities"), None),
+    "PayoffSearchResult": (("payoffs", "report"), None),
+    "PlayerProblem": (
+        ("player", "filtration", "conditionals", "strategy_labels", "rows", "values",
+         "posterior"),
+        None,
+    ),
+    "PlayerSpec": (("space", "center", "eps", "vertices", "n_interval"), None),
+    "Polytope": (("vertices",), None),
+    "RecallCheck": (("ok", "player", "witness"), (None, None)),
+    "RectangularityCheck": (("witness",), (None,)),
+    "RunFlags": (
+        ("player", "eps", "rectangularize", "analyses", "event", "interval", "grid", "slots",
+         "bindings", "layers", "svg_out"),
+        (None, None, False, None, None, None, None, None, None, ("beliefs", "update"), None),
+    ),
+    "Scenario": (("game", "player", "players", "bindings", "analyses", "grid", "slots"), None),
+    "StateSpace": (("labels",), None),
+    "SweepResult": (("entries", "threshold", "first_inconsistent"), None),
+    "TerminalNode": (("payoffs",), None),
+    "TriangleLayer": (("credal", "label", "fill", "stroke"), ("", None, "#404040")),
+    "TrianglePanel": (("layers", "title"), ("",)),
+    "_State": (("label", "path", "node", "infoset"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_constructor_parameters_and_defaults_are_pinned(name):
+    init = type(SAMPLES[name]).__init__
+    code = init.__code__
+    assert (code.co_varnames[1 : code.co_argcount], init.__defaults__) == CONSTRUCTORS[name]
+    assert not code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS)
+    assert code.co_kwonlyargcount == 0
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
