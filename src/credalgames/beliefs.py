@@ -67,7 +67,7 @@ class CredalSet(Record):
     """A minimized polytope of probability vectors over a state space.
 
     Invariant: ``set.vertices`` are exactly the extreme points, without
-    repeats, in sorted order, so ``equals`` compares them directly.
+    repeats, in sorted order, so ``==`` compares the hulls.
     ``from_vertices`` establishes it by minimizing; code that builds the
     polytope directly must already know every point is extreme (as
     ``compose`` does).
@@ -100,11 +100,6 @@ class CredalSet(Record):
 
     def contains(self, point: Vector) -> bool:
         return polytope_contains(self.set, point)
-
-    def equals(self, other: "CredalSet") -> bool:
-        """Hull equality: the sorted extreme points coincide exactly when the
-        hulls do."""
-        return self.space == other.space and self.vertices == other.vertices
 
     def event_mass(self, vertex: Vector, event: Cell) -> Fraction:
         return dot((vertex[self.space.index(s)] for s in event), itertools.repeat(1))
@@ -299,9 +294,8 @@ def _hull_over_stages(c: CredalSet, stages: tuple[Partition, ...]) -> CredalSet:
     stage = tuple(tuple(sorted(cell, key=c.space.index)) for cell in stages[0])
     marginal = one_step_ahead(c, stage)
     conditionals: dict[Cell, CredalSet] = {}
-    for cell in stage:
-        masses = [c.event_mass(v, cell) for v in c.vertices]
-        if all(m == 0 for m in masses):
+    for i, cell in enumerate(stage):
+        if all(m[i] == 0 for m in marginal.vertices):
             continue  # dead cell: no conditional needed, contributes zero
         if len(cell) == 1:
             # a one-state cell forces the point mass; no conditioning needed

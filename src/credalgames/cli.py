@@ -25,7 +25,6 @@ from .beliefs import (
     rectangular_hull,
 )
 from .dynamics import (
-    PlayerProblem,
     Posteriors,
     StateSpaceError,
     build_player_problem,
@@ -38,7 +37,6 @@ from .exactmath import Polytope, Record, Vector, approx_decimal, rat, read_ratio
 from .gametree import (
     BUILTIN_GAMES,
     GameJsonError,
-    MalformedGameError,
     UnboundParameterError,
     builtin_game,
     game_from_json,
@@ -285,7 +283,7 @@ def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
     for where, pid in (("player", data.get("player")), ("--player", flags.player)):
         if pid is not None and str(pid) not in players:
             out.append(f"{where}: {pid!r} has no entry under players")
-    player = flags.player or data.get("player")
+    player = data.get("player") if flags.player is None else flags.player
     if player is None:
         out.append("player: required, in the scenario or as --player")
     player = str(player)
@@ -293,7 +291,7 @@ def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
     if flags.eps is not None and spec is not None and spec.center is None:
         out.append(f"--eps: player {player}'s beliefs are credal, not eps_contamination")
 
-    bindings = data.get("bindings") or {}
+    bindings = data.get("bindings", {})
     if not isinstance(bindings, dict):
         out.append("bindings: must map parameter names to exact rationals")
         bindings = {}
@@ -351,8 +349,8 @@ def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
         {**specs, player: spec},
         {**bindings, **(flags.bindings or {})},
         default_analyses if flags.analyses is None else flags.analyses,
-        flags.grid or grid,
-        flags.slots or tuple(slots),
+        grid if flags.grid is None else flags.grid,
+        tuple(slots) if flags.slots is None else flags.slots,
     )
 
 
@@ -371,39 +369,25 @@ def scenario_hash(data: dict) -> str:
 # -- running analyses --------------------------------------------------------
 
 
-class Report:
-    def __init__(self, scenario_hash: str, version: str, scenario: str, player: str):
-        self.scenario_hash = scenario_hash
-        self.version = version
-        self.scenario = scenario
-        self.player = player
-        self.results: list[dict] = []
+class Report(Record):
+    """What a run prints: one JSON object per analysis in ``results``."""
+
+    __slots__ = ("scenario_hash", "version", "scenario", "player", "results")
 
     def to_json(self) -> dict:
-        return {
-            "scenario_hash": self.scenario_hash,
-            "version": self.version,
-            "scenario": self.scenario,
-            "player": self.player,
-            "results": self.results,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
-class _Prepared:
-    def __init__(
-        self,
-        base_beliefs: CredalSet,
-        induced: CredalSet | None,  # base beliefs pushed through the n_interval
-        problem: PlayerProblem,  # on the induced beliefs if any, hulled by --rectangularize
-        cells: list[tuple[str, ...]],  # the update cells: --event, else the acting cells
-    ):
-        self.base_beliefs = base_beliefs
-        self.induced = induced
-        self.problem = problem
-        self.cells = cells
+class _Prepared(Record):
+    """What every analysis of a run shares: ``induced`` is the base beliefs
+    pushed through the n_interval, None without one; ``problem`` is built on
+    the induced beliefs if any and hulled by --rectangularize; ``cells`` are
+    the update cells, --event or else the acting cells."""
+
+    __slots__ = ("base_beliefs", "induced", "problem", "cells")
 
 
 def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
@@ -488,7 +472,7 @@ def _run_analysis(name: str, prep: _Prepared, scenario: Scenario) -> dict:
             "analysis": name,
             "states": list(hull.space.labels),
             "vertices": [v.to_json() for v in hull.vertices],
-            "was_rectangular": hull.equals(pp.exante.beliefs),
+            "was_rectangular": hull == pp.exante.beliefs,
         }
     if name == "check-rect":
         check = is_rectangular(pp.exante.beliefs, pp.filtration)
@@ -537,11 +521,10 @@ def run(scenario: str | dict, flags: RunFlags = RunFlags()) -> Report:
     data = load_scenario(scenario) if isinstance(scenario, str) else scenario
     parsed = validate_scenario(data, flags)
     prep = _prepare(parsed, flags)
-    name = scenario if isinstance(scenario, str) else "(inline)"
-    report = Report(scenario_hash(data), __version__, name, parsed.player)
+    results = []
     for analysis in parsed.analyses:
         try:
-            report.results.append(_run_analysis(analysis, prep, parsed))
+            results.append(_run_analysis(analysis, prep, parsed))
         except (
             ZeroProbabilityReachError,
             StateSpaceError,
@@ -549,8 +532,9 @@ def run(scenario: str | dict, flags: RunFlags = RunFlags()) -> Report:
         ) as exc:
             raise AnalysisError(f"{analysis}: {exc}") from exc
     if flags.svg_out is not None:
-        report.results.append(_render(prep, parsed.player, flags))
-    return report
+        results.append(_render(prep, parsed.player, flags))
+    name = scenario if isinstance(scenario, str) else "(inline)"
+    return Report(scenario_hash(data), __version__, name, parsed.player, results)
 
 
 def _render(prep: _Prepared, player: str, flags: RunFlags) -> dict:
@@ -756,12 +740,13 @@ def _rational_pair(text: str, where: str, out: list[str]) -> tuple:
 
 
 def _flags_from_args(args: argparse.Namespace) -> RunFlags:
+    """The flags the command was given; an empty value is read, and rejected,
+    like any other."""
     out: list[str] = []
-    flags = RunFlags()
-    if getattr(args, "player", None):
-        flags = flags.replace(player=args.player)
-    if getattr(args, "eps", None):
-        flags = flags.replace(eps=_weight(args.eps, "--eps", out))
+    names = ("player", "eps", "rectangularize", "event", "interval", "grid", "slots", "layers")
+    given = {name: v for name in names if (v := getattr(args, name, None)) is not None}
+    if "eps" in given:
+        given["eps"] = _weight(given["eps"], "--eps", out)
     bindings = {}
     for item in getattr(args, "bind", []):
         name, sep, value = item.partition("=")
@@ -770,27 +755,22 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
         else:
             out.append(f"--bind: expected NAME=p/q, got {item!r}")
     if bindings:
-        flags = flags.replace(bindings=bindings)
-    if getattr(args, "event", None):
-        flags = flags.replace(event=tuple(args.event.split(",")))
-    if getattr(args, "interval", None):
-        pair = _rational_pair(args.interval, "--interval", out)
-        flags = flags.replace(interval=_chance_interval(pair, "--interval", out))
-    if getattr(args, "grid", None):
-        flags = flags.replace(grid=tuple(read_rational(g, "--grid", out) for g in args.grid.split(",")))
-    if getattr(args, "slots", None):
-        flags = flags.replace(slots=tuple(args.slots.split(",")))
-    if getattr(args, "rectangularize", False):
-        flags = flags.replace(rectangularize=True)
-    if getattr(args, "layers", None):
-        layers = tuple(args.layers.split(","))
-        out.extend(f"--layers: unknown layer {k!r}" for k in layers if k not in LAYERS)
-        if len(set(layers)) < len(layers):
-            out.append("--layers: repeats an earlier layer")
-        flags = flags.replace(layers=layers)
+        given["bindings"] = bindings
+    for name in ("event", "slots", "layers"):
+        if name in given:
+            given[name] = tuple(given[name].split(","))
+    if "interval" in given:
+        pair = _rational_pair(given["interval"], "--interval", out)
+        given["interval"] = _chance_interval(pair, "--interval", out)
+    if "grid" in given:
+        given["grid"] = tuple(read_rational(g, "--grid", out) for g in given["grid"].split(","))
+    layers = given.get("layers", ())
+    out.extend(f"--layers: unknown layer {k!r}" for k in layers if k not in LAYERS)
+    if len(set(layers)) < len(layers):
+        out.append("--layers: repeats an earlier layer")
     if out:
         raise ScenarioSchemaError(out)
-    return flags
+    return RunFlags(**given)
 
 
 def _points(vertices) -> str:
@@ -890,13 +870,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "sweep":
             bad: list[str] = []
-            eps_list = None
-            if args.eps_list:
+            eps_list = bisect = None
+            if args.eps_list is not None:
                 eps_list = [_weight(e, "--eps-list", bad) for e in args.eps_list.split(",")]
-            bisect = _rational_pair(args.bisect, "--bisect", bad) if args.bisect else None
-            if bisect and None not in bisect and not 0 < bisect[0] < bisect[1] < 1:
-                bad.append("--bisect: need 0 < low < high < 1")
-            if not eps_list and not bisect:
+            if args.bisect is not None:
+                bisect = _rational_pair(args.bisect, "--bisect", bad)
+                if None not in bisect and not 0 < bisect[0] < bisect[1] < 1:
+                    bad.append("--bisect: need 0 < low < high < 1")
+            if eps_list is None and bisect is None:
                 bad.append("sweep: provide --eps-list or --bisect")
             if bad:
                 raise ScenarioSchemaError(bad)
@@ -924,14 +905,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (
-        AnalysisError,
-        ZeroProbabilityReachError,
-        StateSpaceError,
-        UnboundParameterError,
-        MalformedGameError,
-        ValueError,
-    ) as exc:
+    except (ValueError, UnboundParameterError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 2
 

@@ -88,12 +88,9 @@ class GameTree:
         self._terminals: list[tuple[Path, TerminalNode]] = []
         self._walk((), root)
 
-        self._information_sets = self._build_information_sets(information_sets)
-        self._infoset_of_path: dict[Path, tuple[str, int]] = {}
-        for player, sets in self._information_sets.items():
-            for iset in sets:
-                for path in iset.paths:
-                    self._infoset_of_path[path] = (player, iset.index)
+        self._information_sets, self._infoset_of_path = self._build_information_sets(
+            information_sets
+        )
 
     def _walk(self, path: Path, node: Node) -> None:
         if isinstance(node, TerminalNode):
@@ -121,53 +118,43 @@ class GameTree:
         for label, child in zip(node.actions, node.children):
             self._walk(path + (label,), child)
 
-    def _build_information_sets(self, specs) -> dict[str, tuple[InformationSet, ...]]:
-        dfs_index = {path: i for i, path in enumerate(self._decision_nodes)}
-        assigned: dict[Path, int] = {}
-        groups: list[tuple[str, tuple[Path, ...], tuple[str, ...]]] = []
+    def _build_information_sets(self, specs):
+        """Each player's sets, numbered by their first node in depth-first
+        order, with unlisted nodes as singletons; and each decision path's
+        (player, set index)."""
+        listed: dict[Path, tuple[Path, ...]] = {}
         for spec in specs:
             paths = tuple(tuple(p) for p in spec)
             if not paths:
                 raise MalformedGameError("empty information set")
-            nodes = []
             for p in paths:
                 if p not in self._decision_nodes:
                     raise MalformedGameError(f"information set names unknown node {p}")
-                if p in assigned:
+                if p in listed:
                     raise MalformedGameError(f"node {p} listed in two information sets")
-                assigned[p] = len(groups)
-                nodes.append(self._decision_nodes[p])
-            player = nodes[0].player
-            actions = nodes[0].actions
-            for p, n in zip(paths, nodes):
-                if n.player != player:
+                listed[p] = paths
+            first = self._decision_nodes[paths[0]]
+            for p in paths:
+                n = self._decision_nodes[p]
+                if n.player != first.player:
                     raise MalformedGameError(
-                        f"information set mixes players {player!r} and {n.player!r}"
+                        f"information set mixes players {first.player!r} and {n.player!r}"
                     )
-                if n.actions != actions:
+                if n.actions != first.actions:
                     raise MalformedGameError(
                         f"information set mixes action lists at {p}"
                     )
-            groups.append((player, paths, actions))
+        sets: dict[str, list[InformationSet]] = {p: [] for p in self.players}
+        infoset_of_path: dict[Path, tuple[str, int]] = {}
         for path, node in self._decision_nodes.items():
-            if path not in assigned:
-                groups.append((node.player, (path,), node.actions))
-
-        by_player: dict[str, list[tuple[str, tuple[Path, ...], tuple[str, ...]]]] = {
-            p: [] for p in self.players
-        }
-        for group in groups:
-            by_player[group[0]].append(group)
-        result: dict[str, tuple[InformationSet, ...]] = {}
-        for player in self.players:
-            ordered = sorted(
-                by_player[player], key=lambda g: min(dfs_index[p] for p in g[1])
-            )
-            result[player] = tuple(
-                InformationSet(player, i, paths, actions)
-                for i, (_, paths, actions) in enumerate(ordered)
-            )
-        return result
+            if path in infoset_of_path:
+                continue  # a later node of a set made at its first
+            own = sets[node.player]
+            iset = InformationSet(node.player, len(own), listed.get(path, (path,)), node.actions)
+            own.append(iset)
+            for p in iset.paths:
+                infoset_of_path[p] = (node.player, iset.index)
+        return {player: tuple(own) for player, own in sets.items()}, infoset_of_path
 
     # -- structure access -------------------------------------------------
 
@@ -192,13 +179,11 @@ class GameTree:
     def own_history(self, player: str, path: Path) -> tuple[tuple[int, int], ...]:
         """The player's (information set, action index) pairs along a path."""
         history = []
-        node: Node = self.root
         for depth, label in enumerate(path):
-            assert isinstance(node, DecisionNode)
+            prefix = path[:depth]
+            node = self._decision_nodes[prefix]
             if node.player == player:
-                _, iset = self._infoset_of_path[path[:depth]]
-                history.append((iset, node.actions.index(label)))
-            node = node.children[node.actions.index(label)]
+                history.append((self._infoset_of_path[prefix][1], node.actions.index(label)))
         return tuple(history)
 
     def resolve_parameters(self, bindings: dict | None = None) -> dict[str, Fraction]:

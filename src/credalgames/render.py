@@ -8,7 +8,6 @@ arithmetic and fixed formatting, so identical input yields identical bytes.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .exactmath import Record, Vector
@@ -45,20 +44,14 @@ def _angular_order(points: list[Vector]) -> list[Vector]:
     cx = sum((p[0] for p in points), Fraction(0)) / n
     cy = sum((p[1] for p in points), Fraction(0)) / n
 
-    def half(p: Vector) -> int:
+    def key(p: Vector) -> tuple:
+        # the upper half-plane and rightward ray before the lower half-plane
+        # and leftward ray; within a half, the ray first, then by the angle,
+        # whose cotangent falls as it grows, then by the point itself
         dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+        return (dy < 0 or (dy == 0 and dx <= 0), dy != 0, -dx / dy if dy else 0, p)
 
-    def compare(a: Vector, b: Vector) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = (a[0] - cx) * (b[1] - cy) - (a[1] - cy) * (b[0] - cx)
-        if cross == 0:
-            return -1 if a < b else (1 if a > b else 0)
-        return -1 if cross > 0 else 1
-
-    return sorted(points, key=functools.cmp_to_key(compare))
+    return sorted(points, key=key)
 
 
 class _Panel:

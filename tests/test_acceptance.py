@@ -133,7 +133,7 @@ def test_04_rectangular_hull():
     assert not before.rectangular
     assert before.witness == Vector([F(3, 16), F(9, 16), F(1, 4)])
     assert is_rectangular(hull, F2).rectangular
-    assert rectangular_hull(hull, F2).equals(hull)
+    assert rectangular_hull(hull, F2) == hull
 
 
 @criterion(5, "hulled beliefs restore consistency with common optimum 1/102")

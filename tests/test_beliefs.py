@@ -255,7 +255,7 @@ def test_rectangular_hull_of_contamination():
 
 def test_rectangular_hull_singleton_fixed():
     single = CredalSet.singleton(LRO, [F(1, 8), F(5, 8), F(1, 4)])
-    assert rectangular_hull(single, FILTRATION).equals(single)
+    assert rectangular_hull(single, FILTRATION) == single
 
 
 def test_compose_from_scratch_builds_quadrilateral():
@@ -270,14 +270,14 @@ def test_compose_from_scratch_builds_quadrilateral():
         ("O",): CredalSet.singleton(StateSpace.of("O"), [1]),
     }
     built = compose(LRO, STAGE, marginal, conditionals)
-    assert built.equals(QUAD)
+    assert built == QUAD
     assert set(built.vertices) == set(QUAD.vertices)
 
 
 def test_hull_idempotent():
     hull = rectangular_hull(contamination("1/4"), FILTRATION)
     again = rectangular_hull(hull, FILTRATION)
-    assert again.equals(hull)
+    assert again == hull
     assert set(again.vertices) == set(hull.vertices)
 
 
@@ -320,8 +320,8 @@ def test_rectangularity_and_equality_make_no_membership_test(monkeypatch):
     monkeypatch.setattr(credalgames.beliefs, "rectangular_hull", lambda c, f: hulls[c])
     assert is_rectangular(c, FILTRATION).witness == Vector([F(3, 16), F(9, 16), F(1, 4)])
     assert is_rectangular(QUAD, FILTRATION).rectangular
-    assert not hulls[c].equals(c) and hulls[QUAD].equals(QUAD) and shuffled.equals(QUAD)
-    assert not QUAD.equals(CredalSet(StateSpace.of("A", "B", "C"), QUAD.set))
+    assert hulls[c] != c and hulls[QUAD] == QUAD and shuffled == QUAD
+    assert QUAD != CredalSet(StateSpace.of("A", "B", "C"), QUAD.set)
     assert calls == []
 
 
@@ -386,12 +386,10 @@ def test_hull_extensive_and_preserves_margins_and_conditionals():
         hull = rectangular_hull(c, FILTRATION)
         for v in c.vertices:
             assert hull.contains(v)
-        assert one_step_ahead(hull, STAGE).equals(one_step_ahead(c, STAGE))
-        assert full_bayes_update(hull, ("L", "R")).equals(
-            full_bayes_update(c, ("L", "R"))
-        )
+        assert one_step_ahead(hull, STAGE) == one_step_ahead(c, STAGE)
+        assert full_bayes_update(hull, ("L", "R")) == full_bayes_update(c, ("L", "R"))
         again = rectangular_hull(hull, FILTRATION)
-        assert again.equals(hull)
+        assert again == hull
 
 
 def test_sampled_recombination_stays_inside_hull():
@@ -456,7 +454,7 @@ def test_multi_stage_hull_recursion():
         hull = rectangular_hull(c, f)
         for v in c.vertices:
             assert hull.contains(v)
-        assert rectangular_hull(hull, f).equals(hull)
+        assert rectangular_hull(hull, f) == hull
 
 
 def test_filtration_validation():

@@ -296,8 +296,12 @@ def test_inline_scenario_runs():
     assert result_for(report, "check-dc")["overall"] is True
 
 
+NULL = object()  # a value _scenario_file writes as JSON null
+
+
 def _scenario_file(tmp_path, name, path, value):
-    """Write the built-in scenario with the entry at ``path`` set (None: deleted).
+    """Write the built-in scenario with the entry at ``path`` set (None: deleted,
+    NULL: null).
 
     The name "inline" gives fig1 with its game written out inline.
     """
@@ -312,7 +316,7 @@ def _scenario_file(tmp_path, name, path, value):
     if value is None:
         del node[path[-1]]
     else:
-        node[path[-1]] = value
+        node[path[-1]] = None if value is NULL else value
     out = tmp_path / "scenario.json"
     out.write_text(json.dumps(data))
     return str(out)
@@ -352,6 +356,11 @@ _FIG1_BELIEFS = {
     [
         ("fig1", ("players", "2", "beliefs", "states"), None, "players.2.beliefs.states"),
         ("fig1", ("bindings",), ["x"], "bindings"),
+        *[
+            ("fig1", ("bindings",), value,
+             "bindings: must map parameter names to exact rationals")
+            for value in ([], 0, "", False, NULL)
+        ],
         ("fig1", ("players", "2", "beliefs", "center"), ["0", "1"], "players.2.beliefs.center"),
         ("fig4", ("payoff_search", "grid", 0), "0.5", "payoff_search.grid[0]"),
         ("inline", ("game", "root", "actions", 0, "child"), None,
@@ -374,7 +383,8 @@ _FIG1_BELIEFS = {
         ("fig1", ("player",), None, "player: required, in the scenario or as --player"),
         ("fig1", ("players", "9"), {"beliefs": _FIG1_BELIEFS}, "players.9: not a player of the game"),
     ],
-    ids=["eps-without-states", "bindings-list", "center-length", "grid-entry",
+    ids=["eps-without-states", "bindings-list", "bindings-empty-list", "bindings-zero",
+         "bindings-empty-string", "bindings-false", "bindings-null", "center-length", "grid-entry",
          "game-action-without-child", "game-list-root", "game-int-information-sets",
          "game-undeclared-payoff", "game-zero-denominator-parameter", "game-decimal-payoff",
          "game-exponent-parameter", "game-int-label", "binding-undeclared",
@@ -400,12 +410,23 @@ def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tm
         (["render", "fig1", "--layers", "hull,foo"], "--layers: unknown layer 'foo'"),
         (["render", "fig4", "--layers", "beliefs,induced,induced"],
          "--layers: repeats an earlier layer"),
+        (["maxmin", "fig1", "--eps", ""], "--eps: '' is not an exact rational"),
+        (["maxmin", "fig1", "--player", ""], "--player: '' has no entry under players"),
+        (["update", "fig1", "--event", ""], "--event:  is not a set of player 2's states"),
+        (["induce", "fig4", "--interval", ""], "--interval: '' is not an exact rational"),
+        (["find-payoffs", "fig4", "--grid", ""], "--grid: '' is not an exact rational"),
+        (["find-payoffs", "fig4", "--slots", ""], "--slots : not a declared parameter"),
+        (["render", "fig1", "--layers", ""], "--layers: unknown layer ''"),
+        (["sweep", "--eps-list", ""], "--eps-list: '' is not an exact rational"),
+        (["sweep", "--bisect", ""], "--bisect: '' is not an exact rational"),
     ],
     ids=["eps", "interval", "bisect", "event-repeated", "event-unknown", "bind-undeclared",
          "slots-undeclared", "slots-repeated", "player-unknown", "layers-unknown",
-         "layers-repeated"],
+         "layers-repeated", "eps-empty", "player-empty", "event-empty", "interval-empty",
+         "grid-empty", "slots-empty", "layers-empty", "eps-list-empty", "bisect-empty"],
 )
-def test_out_of_range_flags_are_schema_errors(argv, where, capsys):
+def test_out_of_range_flags_are_schema_errors(argv, where, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where render would write its default triangle.svg
     assert main(argv) == 1
     assert f"schema error: {where}" in capsys.readouterr().err
 

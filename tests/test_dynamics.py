@@ -549,9 +549,7 @@ def test_full_bayes_update_unchanged_by_hull(fig1):
     c = contamination(F(1, 4))
     f = Filtration.build(LRO, [(("L", "R"), ("O",))])
     hull = rectangular_hull(c, f)
-    assert full_bayes_update(hull, ("L", "R")).equals(
-        full_bayes_update(c, ("L", "R"))
-    )
+    assert full_bayes_update(hull, ("L", "R")) == full_bayes_update(c, ("L", "R"))
 
 
 def test_derived_matrix_agrees_with_outcome_semantics():

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,74 @@ def test_information_set_must_not_mix_players(fig1):
         GameTree(["1", "2"], fig1.root, [[["L"], []]], {"x": 0})
     with pytest.raises(MalformedGameError):
         GameTree(["1", "2"], fig1.root, [[[], ["L"]]], {"x": 0})
+
+
+def numbering_game(information_sets=([["c"]], [["b"], ["a"]])):
+    # player 2's sets are listed in reverse depth-first order, and the set
+    # {a, b} lists its later node first
+    pair = lambda: terminal([0, 0])
+    moves = lambda *labels: [(label, pair()) for label in labels]
+    root = decision(
+        "1",
+        [
+            ("a", decision("2", [("x", decision("1", moves("u", "v"))), ("y", pair())])),
+            ("b", decision("2", moves("x", "y"))),
+            ("c", decision("2", moves("p", "q"))),
+        ],
+    )
+    return GameTree(["1", "2"], root, [list(spec) for spec in information_sets])
+
+
+def test_information_sets_are_numbered_by_their_first_node():
+    game = numbering_game()
+    sets1, sets2 = game.information_sets_for("1"), game.information_sets_for("2")
+    assert [(s.index, s.paths, s.actions) for s in sets1] == [
+        (0, ((),), ("a", "b", "c")),
+        (1, (("a", "x"),), ("u", "v")),
+    ]
+    assert [(s.index, s.paths, s.actions) for s in sets2] == [
+        (0, (("b",), ("a",)), ("x", "y")),
+        (1, (("c",),), ("p", "q")),
+    ]
+    for player, sets in (("1", sets1), ("2", sets2)):
+        for iset in sets:
+            assert all(game.infoset_at(path) == (player, iset.index) for path in iset.paths)
+    assert game.infoset_at(("b",)) == ("2", 0) and game.infoset_at(("c",)) == ("2", 1)
+
+
+def test_own_history_of_every_decision_path():
+    game = numbering_game()
+    expected = {
+        (): {"1": (), "2": ()},
+        ("a",): {"1": ((0, 0),), "2": ()},
+        ("a", "x"): {"1": ((0, 0),), "2": ((0, 0),)},
+        ("b",): {"1": ((0, 1),), "2": ()},
+        ("c",): {"1": ((0, 2),), "2": ()},
+    }
+    decision_paths = [path for p in game.players for s in game.information_sets_for(p)
+                      for path in s.paths]
+    assert {
+        path: {p: game.own_history(p, path) for p in game.players} for path in decision_paths
+    } == expected
+    assert validate_perfect_recall(game).ok
+
+
+@pytest.mark.parametrize(
+    "specs, message",
+    [
+        ([[]], "empty information set"),
+        ([[["z"]]], "information set names unknown node ('z',)"),
+        ([[["a"]], [["b"], ["a"]]], "node ('a',) listed in two information sets"),
+        ([[["a"], ["a"]]], "node ('a',) listed in two information sets"),
+        ([[["a", "x"], ["b"]]], "information set mixes players '1' and '2'"),
+        ([[["a"], ["c"]]], "information set mixes action lists at ('c',)"),
+    ],
+    ids=["empty", "unknown-node", "listed-twice", "listed-twice-in-one-set", "mixed-players",
+         "mixed-actions"],
+)
+def test_malformed_information_sets_are_named(specs, message):
+    with pytest.raises(MalformedGameError, match=f"^{re.escape(message)}$"):
+        numbering_game(specs)
 
 
 def test_undeclared_parameter_rejected():

@@ -78,6 +78,8 @@ def _samples() -> dict:
         "PlayerSpec": spec,
         "Scenario": scenario,
         "SweepResult": cli.sweep_eps(["1/200", "1/4"]),
+        "Report": cli.run("fig1", cli.RunFlags(analyses=("validate",))),
+        "_Prepared": cli._prepare(scenario, cli.RunFlags()),
     }
 
 
@@ -120,6 +122,7 @@ CONSTRUCTORS = {
     "Polytope": (("vertices",), None),
     "RecallCheck": (("ok", "player", "witness"), (None, None)),
     "RectangularityCheck": (("witness",), (None,)),
+    "Report": (("scenario_hash", "version", "scenario", "player", "results"), None),
     "RunFlags": (
         ("player", "eps", "rectangularize", "analyses", "event", "interval", "grid", "slots",
          "bindings", "layers", "svg_out"),
@@ -131,6 +134,7 @@ CONSTRUCTORS = {
     "TerminalNode": (("payoffs",), None),
     "TriangleLayer": (("credal", "label", "fill", "stroke"), ("", None, "#404040")),
     "TrianglePanel": (("layers", "title"), ("",)),
+    "_Prepared": (("base_beliefs", "induced", "problem", "cells"), None),
     "_State": (("label", "path", "node", "infoset"), None),
 }
 

@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from credalgames.beliefs import CredalSet, StateSpace
-from credalgames.render import TriangleLayer, TrianglePanel, render_triangle
+from credalgames.exactmath import Vector
+from credalgames.render import TriangleLayer, TrianglePanel, _angular_order, render_triangle
 
 F = Fraction
 
@@ -107,3 +109,47 @@ def test_vertex_order_is_a_simple_polygon():
         cx, cy = pts[(i + 2) % 4]
         crosses.append((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
     assert all(c > 0 for c in crosses) or all(c < 0 for c in crosses)
+
+
+def test_angular_order_starts_on_the_rightward_ray_from_any_input_order():
+    # two vertices lie level with the centroid (1/4, 1/4), one on each side
+    corners = [Vector([0, F(1, 4)]), Vector([F(1, 2), F(1, 4)]), Vector([F(1, 4), 0]),
+               Vector([F(1, 4), F(1, 2)])]
+    expected = [corners[1], corners[3], corners[0], corners[2]]
+    for order in itertools.permutations(corners):
+        assert _angular_order(list(order)) == expected
+
+
+def _pseudo_angle(dx: Fraction, dy: Fraction) -> Fraction:
+    """An exact stand-in for the angle from the rightward ray, in [0, 4):
+    monotone in the angle, 1 per quarter turn."""
+    if dy >= 0:
+        return dy / (dx + dy) if dx >= 0 else 1 + -dx / (-dx + dy)
+    return 2 + -dy / (-dx - dy) if dx < 0 else 3 + dx / (dx - dy)
+
+
+def test_angular_order_turns_counterclockwise_from_the_least_angle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def credal(draw):
+        weights = st.lists(st.integers(0, 20), min_size=3, max_size=3).filter(any)
+        points = draw(st.lists(weights, min_size=3, max_size=7))
+        vertices = [[F(w, sum(ws)) for w in ws] for ws in points]
+        return CredalSet.from_vertices(LRO, vertices), draw(st.randoms())
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(credal())
+    def check(case):
+        c, rng = case
+        pts = [Vector(v[:2]) for v in c.vertices]
+        hypothesis.assume(len(pts) >= 3)
+        rng.shuffle(pts)
+        ordered = _angular_order(list(pts))
+        assert sorted(ordered) == sorted(pts)
+        cx, cy = sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts)
+        angles = [_pseudo_angle(p[0] - cx, p[1] - cy) for p in ordered]
+        assert angles == sorted(angles) and len(set(angles)) == len(angles)
+
+    check()

@@ -1,4 +1,5 @@
-"""Every public name in ``src/`` is used by the program, or says why not."""
+"""Every public name in ``src/`` is used by the program, or says why not;
+every name a module imports is read there."""
 
 import ast
 from collections import defaultdict
@@ -56,3 +57,29 @@ def unreferenced_names() -> set[str]:
 def test_every_unreferenced_public_name_is_allowed_with_a_reason():
     assert unreferenced_names() == set(UNREFERENCED)
     assert all(reason.strip() for reason in UNREFERENCED.values())
+
+
+def unread_imports() -> set[str]:
+    """'module: name' for each name a ``src/`` module imports and never
+    reads; a name listed in the module's ``__all__`` is read by importers."""
+    unread = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        unread |= {f"{path.relative_to(SRC)}: {name}" for name in imported - read}
+    return unread
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports() == set()
