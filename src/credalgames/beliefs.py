@@ -86,9 +86,7 @@ class CredalSet(Record):
 
     @classmethod
     def from_vertices(cls, space: StateSpace, vertices) -> "CredalSet":
-        verts = [v if isinstance(v, Vector) else Vector(v) for v in vertices]
-        poly = polytope_minimize(Polytope(tuple(verts)))
-        return cls(space, poly)
+        return cls(space, polytope_minimize(Polytope.from_vertices(vertices)))
 
     @classmethod
     def singleton(cls, space: StateSpace, point) -> "CredalSet":

@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
-from math import lcm
 
 from . import __version__
 from .beliefs import (
@@ -34,6 +33,7 @@ from .dynamics import (
     player_states,
 )
 from .exactmath import Polytope, Record, Vector, approx_decimal, rat, read_rational
+from .exactmath.vector import _cleared
 from .gametree import (
     BUILTIN_GAMES,
     GameJsonError,
@@ -412,7 +412,7 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
     event, states = flags.event or (), problem.space.labels
     if len(set(event)) != len(event) or not set(event) <= set(states):
         raise ScenarioSchemaError(
-            [f"--event: {','.join(event)} is not a set of player {player}'s states "
+            [f"--event: {','.join(event)!r} is not a set of player {player}'s states "
              f"{','.join(states)}"]
         )
     cells = [event] if event else [s.cell for s in problem.conditionals]
@@ -628,8 +628,7 @@ def sweep_eps(
         lo, hi = (rat(x) for x in bisect)
         if not 0 < lo < hi < 1:
             raise AnalysisError("bisection bounds need 0 < low < high < 1")
-        den = lcm(lo.denominator, hi.denominator)
-        p0, p1 = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        p0, p1, den = _cleared([lo, hi, 1])
         v_lo, v_hi = verdict(lo), verdict(hi)
         entries.extend([(lo, v_lo), (hi, v_hi)])
         if v_lo != "consistent" or v_hi != "inconsistent":
@@ -734,9 +733,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _rational_pair(text: str, where: str, out: list[str]) -> tuple:
-    """Read a "low:high" flag value as two exact rationals."""
-    lo, _, hi = text.partition(":")
-    return (read_rational(lo, where, out), read_rational(hi, where, out))
+    """Read a "low:high" flag value as two exact rationals, or one violation."""
+    pair = tuple(read_rational(half, where, []) for half in text.split(":"))
+    if len(pair) == 2 and None not in pair:
+        return pair
+    out.append(f"{where}: {text!r} is not low:high, two exact rationals like 1/102")
+    return (None, None)
 
 
 def _flags_from_args(args: argparse.Namespace) -> RunFlags:

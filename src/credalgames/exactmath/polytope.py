@@ -1,28 +1,23 @@
 """Vertex-represented convex polytopes with exact membership and minimization.
 
 Everything is V-representation: a polytope is the convex hull of its listed
-vertices.  Membership solves ``[vertices; 1] . lambda = [x; 1]`` by one exact
-row reduction: an inconsistent system puts x outside the affine hull, and
-affinely independent vertices (a simplex) have unique weights whose signs
-decide.  Dependent vertices whose affine hull has dimension 2 or less (points
-on a segment or in a plane, such as every belief set over three states) are
-projected onto one or two coordinates that keep their affine hull one-to-one,
-where an exact interval or an exact monotone-chain hull (Andrew 1979)
-decides.  Only dependent sets of dimension 3 or more run an exact LP
-feasibility check.  Minimization yields the unique set of extreme points
-(sorted, so minimized polytopes have a canonical form).
+vertices.  Both questions clear their rows of denominators once, and one
+fraction-free elimination decides affinely independent sets (a simplex) and
+points outside the affine hull.  Dependent sets whose affine hull has
+dimension 2 or less (every belief set over three states) are projected onto
+one or two coordinates, where an exact interval or monotone-chain hull
+(Andrew 1979) decides.  Only dependent sets of dimension 3 or more run an
+exact LP feasibility check.  Minimized polytopes are sorted: a canonical form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 from .linprog import EQUAL, lp_feasible
 from .rational import rat
 from .record import Record
-from .vector import DimensionMismatchError, Vector, dot, row_reduce
+from .vector import DimensionMismatchError, Vector, _cleared, dot, eliminate
 
 
 class Polytope(Record):
@@ -55,15 +50,16 @@ class Polytope(Record):
 def polytope_contains(p: Polytope, x: Vector) -> bool:
     """Exact test that x is a convex combination of p's vertices.
 
-    One row reduction of ``[vertices; 1] . lambda = [x; 1]`` answers most
-    cases: an inconsistent system puts x outside the affine hull, and a
+    One integer elimination of ``[vertices; 1] . lambda = [x; 1]`` answers
+    most cases: an inconsistent system puts x outside the affine hull, and a
     full-rank one (affinely independent vertices) has unique weights, which
-    contain x iff all are nonnegative.  Dependent vertices leave a family of
-    weights.  When their affine hull has dimension 2 or less, x (inside that
-    hull, not a vertex) is in the polytope iff it is not an extreme point of
-    the vertices together with x, which ``polytope_minimize`` finds by an
-    interval or edge-side tests, with no LP; in higher dimensions an LP
-    feasibility check over the same system decides.
+    contain x iff their signs, read off the integers, are all nonnegative.
+    Dependent vertices leave a family of weights.  When their affine hull
+    has dimension 2 or less, x (inside that hull, not a vertex) is in the
+    polytope iff it is not an extreme point of the vertices together with x,
+    which ``polytope_minimize`` finds by an interval or edge-side tests,
+    with no LP; in higher dimensions an LP feasibility check over the same
+    system decides.
     """
     if x.dimension != p.ambient_dimension:
         raise DimensionMismatchError(
@@ -73,20 +69,18 @@ def polytope_contains(p: Polytope, x: Vector) -> bool:
     if x in verts:
         return True
     n = len(verts)
-    rows = [[v[coord] for v in verts] for coord in range(p.ambient_dimension)]
-    rows.append([Fraction(1)] * n)
-    rhs = list(x) + [Fraction(1)]
-    reduced = row_reduce(rows, rhs)
-    if reduced is None:
+    rows = [[*(v[coord] for v in verts), x[coord]] for coord in range(p.ambient_dimension)]
+    rows.append([1] * (n + 1))
+    aug = list(map(_cleared, rows))
+    rank, d = eliminate(aug, n)
+    if any(row[n] for row in aug[rank:]):
         return False
-    basis, weights = reduced
-    if len(basis) == n:
-        return all(w >= 0 for w in weights)
+    if rank == n:  # weight i is aug[i][n] / d
+        return all(row[n] * d >= 0 for row in aug[:rank])
     # the rank is the affine hull's dimension plus one
-    if len(basis) <= 3:
+    if rank <= 3:
         return x not in polytope_minimize(Polytope((*verts, x))).vertices
-    constraints = [(row, EQUAL, b) for row, b in zip(rows, rhs)]
-    return lp_feasible(constraints, n) is not None
+    return lp_feasible([(row[:n], EQUAL, row[n]) for row in rows], n) is not None
 
 
 def polytope_minimize(p: Polytope) -> Polytope:
@@ -94,12 +88,13 @@ def polytope_minimize(p: Polytope) -> Polytope:
 
     The extreme-point set of a polytope is unique, so the output is a
     canonical form: two polytopes are equal iff their minimized vertex
-    tuples are equal.  Affinely independent points are all extreme and are
-    only sorted; one or two distinct points always are, and more are found
-    so by one rank test of the points lifted by a trailing 1, which gives
-    their affine hull's dimension.  Dependent points in a hull of dimension
-    2 or less are minimized by ``_planar_extremes``; otherwise each point
-    is tested against the hull of the rest.
+    tuples are equal.  One or two distinct points are all extreme.  More
+    are lifted by a leading 1 and cleared of denominators, and one forward
+    elimination of those integer rows gives their rank, the affine hull's
+    dimension plus one: at their count, the points are affinely
+    independent, all extreme.  Dependent points in a hull of dimension 2 or
+    less are minimized by ``_planar_extremes``; otherwise each point is
+    tested against the hull of the rest.
     """
     verts: list[Vector] = []
     for v in p.vertices:
@@ -107,12 +102,15 @@ def polytope_minimize(p: Polytope) -> Polytope:
             verts.append(v)
     if len(verts) <= 2:
         return Polytope(tuple(sorted(verts)))
-    lifted = [list(v) + [Fraction(1)] for v in verts]
-    basis, _ = row_reduce(lifted, [Fraction(0)] * len(lifted))
-    if len(basis) == len(verts):
+    basis = [_cleared([1, *v]) for v in verts]
+    if (rank := eliminate(basis, p.ambient_dimension + 1, full=False)[0]) == len(verts):
         return Polytope(tuple(sorted(verts)))
-    if len(basis) <= 3:
-        return Polytope(tuple(sorted(_planar_extremes(verts, _hull_axes(basis)))))
+    if rank <= 3:
+        # clearing the first row's leading entry turns the rows below into
+        # differences of points, so they end as an echelon basis of the
+        # hull's directions: their pivot coordinates project it one-to-one
+        axes = [next(j for j, c in enumerate(row) if c) - 1 for row in basis[1:rank]]
+        return Polytope(tuple(sorted(_planar_extremes(verts, axes))))
     i = 0
     while i < len(verts) and len(verts) > 1:
         others = verts[:i] + verts[i + 1 :]
@@ -121,23 +119,6 @@ def polytope_minimize(p: Polytope) -> Polytope:
         else:
             i += 1
     return Polytope(tuple(sorted(verts)))
-
-
-def _hull_axes(basis: list[list[Fraction]]) -> list[int]:
-    """Coordinates whose projection is one-to-one on the affine hull of some
-    points, as many as its dimension, from the reduced rows ``basis`` of the
-    points lifted by a trailing 1.
-
-    The rows form an identity in their pivot columns, so every combination
-    of them has its weights as its pivot coordinates.  The lifted difference
-    of two hull points is such a combination with last entry 0, which fixes
-    the weight of a row with a nonzero last entry (one exists, as ``(v, 1)``
-    ends in 1) by the other weights.  So a difference that vanishes on the
-    other pivots vanishes.
-    """
-    pivots = [next(j for j, c in enumerate(row) if c) for row in basis]
-    drop = next(i for i, row in enumerate(basis) if row[-1])
-    return pivots[:drop] + pivots[drop + 1 :]
 
 
 def _planar_extremes(verts: list[Vector], axes: list[int]) -> list[Vector]:
@@ -153,10 +134,7 @@ def _planar_extremes(verts: list[Vector], axes: list[int]) -> list[Vector]:
     if len(axes) == 1:
         key = itemgetter(axes[0])
         return [min(verts, key=key), max(verts, key=key)]
-    scaled = []
-    for axis in axes:
-        scale = lcm(*(v[axis].denominator for v in verts))
-        scaled.append([v[axis].numerator * (scale // v[axis].denominator) for v in verts])
+    scaled = [_cleared([v[axis] for v in verts]) for axis in axes]
     points = sorted(zip(*scaled, verts))
 
     def chain(ordered):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 
 from .rational import rat
@@ -50,12 +49,11 @@ class Vector(tuple):
         self._check(other)
         return dot(self, other)
 
-    def total(self) -> Fraction:
-        return dot(self, repeat(1))
-
     def is_probability(self) -> bool:
-        # a Fraction's sign is its numerator's, read without Fraction's comparison
-        return all(e.numerator >= 0 for e in self) and self.total() == 1
+        # cleared with a trailing 1, which becomes the scale: the entries sum
+        # to 1 exactly when their cleared sum is the scale
+        *cleared, scale = _cleared([*self, 1])
+        return all(c >= 0 for c in cleared) and sum(cleared) == scale
 
     def __repr__(self) -> str:
         return "Vector(%s)" % ", ".join(str(e) for e in self)
@@ -97,14 +95,8 @@ def row_reduce(
 
     Returns the nonzero rows, ordered by pivot column, and their right-hand
     sides, so the row count is the rank and the rows form an identity in
-    the pivot columns.  None when the system is inconsistent.
-
-    The elimination runs on integers (fraction-free Gauss-Jordan; Edmonds
-    1967, Bareiss 1968): each row is cleared of denominators once, and a
-    pivot ``p`` updates every other row as ``(p*a - f*b) // d``, where the
-    division by the previous pivot ``d`` is exact because every entry is a
-    minor of the cleared system.  All pivot rows share the denominator
-    ``d``, so the reduced form is read off as ``a / d`` at the end.
+    the pivot columns.  None when the system is inconsistent.  Only the
+    result of ``eliminate`` on the cleared rows is read out as Fractions.
     """
     if len(rows) != len(rhs):
         raise DimensionMismatchError(f"{len(rows)} rows vs {len(rhs)} right-hand sides")
@@ -112,21 +104,7 @@ def row_reduce(
     if any(len(row) != ncols for row in rows):
         raise DimensionMismatchError("rows of the system differ in length")
     aug = [_cleared([*row, b]) for row, b in zip(rows, rhs)]
-    d = 1
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(aug)) if aug[r][col]), None)
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        pivot = aug[rank]
-        p = pivot[col]
-        for r, row in enumerate(aug):
-            if r != rank:
-                f = row[col]
-                aug[r] = [(p * a - f * b) // d for a, b in zip(row, pivot)]
-        d = p
-        rank += 1
+    rank, d = eliminate(aug, ncols)
     if any(row[ncols] for row in aug[rank:]):
         return None
     return (
@@ -135,11 +113,38 @@ def row_reduce(
     )
 
 
-def _cleared(row: list) -> list[int]:
-    """The row times the lcm of its denominators, as ints."""
-    row = [rat(c) for c in row]
-    scale = lcm(*(c.denominator for c in row))
-    return [c.numerator * (scale // c.denominator) for c in row]
+def eliminate(rows: list[Sequence[int]], ncols: int, full: bool = True) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan (Edmonds 1967, Bareiss 1968) of integer
+    rows over their first ``ncols`` columns, in place: the rank and the last
+    pivot ``d``.  A pivot ``p`` updates the other rows as ``(p*a - f*b) // d``
+    with the previous pivot ``d``, exactly, as every entry is a minor of the
+    input; the first ``rank`` rows end as ``d`` times the reduced row echelon
+    form.  ``full=False`` updates only the rows below a pivot, which gives
+    the rank and leaves those rows in echelon form.  Both stop once every
+    row holds a pivot.
+    """
+    d, rank = 1, 0
+    for col in range(ncols):
+        if rank == len(rows):
+            break
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot, p = rows[rank], rows[rank][col]
+        for r in range(0 if full else rank + 1, len(rows)):
+            if r != rank:
+                f = rows[r][col]
+                rows[r] = [(p * a - f * b) // d for a, b in zip(rows[r], pivot)]
+        d, rank = p, rank + 1
+    return rank, d
+
+
+def _cleared(row: Sequence[int | Fraction]) -> list[int]:
+    """The row of ints and Fractions times the lcm of its denominators."""
+    denominators = [c.denominator for c in row]
+    scale = lcm(*denominators)
+    return [c.numerator * (scale // d) for c, d in zip(row, denominators)]
 
 
 def solve_square_system(

@@ -240,6 +240,27 @@ def test_one_step_ahead_rejects_a_stage_that_does_not_partition(stage, message):
         one_step_ahead(contamination("1/4"), stage)
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([[F(-1, 4), F(5, 4), 0]], "vertex Vector(-1/4, 5/4, 0) is not a probability vector"),
+        ([[F(1, 2), F(1, 3), F(1, 7)]], "vertex Vector(1/2, 1/3, 1/7) is not a probability vector"),
+        (
+            [[1, 0, 0], [F(1, 2), F(1, 2), F(1, 2)]],
+            "vertex Vector(1/2, 1/2, 1/2) is not a probability vector",
+        ),
+    ],
+    ids=["negative-entry", "sum-below-one", "sum-above-one"],
+)
+def test_credal_set_rejects_a_vertex_that_is_not_a_probability_vector(vertices, message):
+    with pytest.raises(ValueError) as caught:
+        CredalSet.from_vertices(LRO, vertices)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        CredalSet(LRO, Polytope.from_vertices(vertices))
+    assert str(caught.value) == message
+
+
 HULL_QUARTER = {
     Vector([0, 1, 0]),
     Vector([F(1, 4), F(3, 4), 0]),

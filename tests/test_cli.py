@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,46 @@ def test_face_too_wide_to_enumerate_is_an_analysis_error(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["maxmin", str(path)]) == 2
     assert "analysis error: the optimal face over 80 strategies" in capsys.readouterr().err
+
+
+def test_too_many_pure_strategies_is_an_analysis_error_before_any_is_listed(
+    tmp_path, monkeypatch, capsys
+):
+    # player 1 makes a 12-way move, then player 2 moves at 12 singleton sets
+    # with two actions each: 4096 pure strategies, over the budget
+    k = 12
+    moves = [
+        {"label": f"A{i}", "child": {"player": "2", "actions": [
+            {"label": "M", "child": {"payoffs": ["0", str((7 * i + 3) % 11)]}},
+            {"label": "N", "child": {"payoffs": ["0", str((5 * i + 8) % 13)]}},
+        ]}}
+        for i in range(k)
+    ]
+    center = [f"1/{k}"] * k
+    beliefs = {"type": "eps_contamination", "states": [f"A{i}" for i in range(k)],
+               "center": center, "eps": "1/4"}
+    data = {
+        "game": {"players": ["1", "2"], "root": {"player": "1", "actions": moves}},
+        "player": "2",
+        "players": {"2": {"beliefs": beliefs}},
+    }
+    path = tmp_path / "singletons.json"
+    path.write_text(json.dumps(data))
+    listed = []
+    real = gametree.GameTree.pure_strategies
+    monkeypatch.setattr(
+        gametree.GameTree,
+        "pure_strategies",
+        lambda game, player: listed.append(player) or real(game, player),
+    )
+    start = time.perf_counter()
+    assert main(["check-dc", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "analysis error: player '2' has 4096 pure strategies; "
+        f"the pure-strategy problem stops at {dynamics.MAX_PURE_STRATEGIES}\n"
+    )
+    assert listed == []
 
 
 def test_cli_json_report_is_deterministic(capsys):
@@ -401,8 +442,8 @@ def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tm
         (["maxmin", "fig1", "--eps", "2"], "--eps: 2 outside [0, 1]"),
         (["induce", "fig4", "--interval", "1/2:1/3"], "--interval: need 0 <= low <= high <= 1"),
         (["sweep", "--bisect", "1/2:1/3"], "--bisect: need 0 < low < high < 1"),
-        (["update", "fig1", "--event", "L,L"], "--event: L,L is not a set of player 2's states L,R,O"),
-        (["update", "fig1", "--event", "X"], "--event: X is not a set of player 2's states L,R,O"),
+        (["update", "fig1", "--event", "L,L"], "--event: 'L,L' is not a set of player 2's states L,R,O"),
+        (["update", "fig1", "--event", "X"], "--event: 'X' is not a set of player 2's states L,R,O"),
         (["maxmin", "fig1", "--bind", "zz=1"], "--bind zz: not a declared parameter"),
         (["find-payoffs", "fig4", "--slots", "uRNS,zz"], "--slots zz: not a declared parameter"),
         (["find-payoffs", "fig4", "--slots", "uOS,uOS"], "--slots uOS: repeats an earlier slot"),
@@ -412,23 +453,39 @@ def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tm
          "--layers: repeats an earlier layer"),
         (["maxmin", "fig1", "--eps", ""], "--eps: '' is not an exact rational"),
         (["maxmin", "fig1", "--player", ""], "--player: '' has no entry under players"),
-        (["update", "fig1", "--event", ""], "--event:  is not a set of player 2's states"),
-        (["induce", "fig4", "--interval", ""], "--interval: '' is not an exact rational"),
+        (["update", "fig1", "--event", ""], "--event: '' is not a set of player 2's states"),
+        (["induce", "fig4", "--interval", ""], "--interval: '' is not low:high, two exact"),
+        (["induce", "fig4", "--interval", "1/3"], "--interval: '1/3' is not low:high, two exact"),
         (["find-payoffs", "fig4", "--grid", ""], "--grid: '' is not an exact rational"),
         (["find-payoffs", "fig4", "--slots", ""], "--slots : not a declared parameter"),
         (["render", "fig1", "--layers", ""], "--layers: unknown layer ''"),
         (["sweep", "--eps-list", ""], "--eps-list: '' is not an exact rational"),
-        (["sweep", "--bisect", ""], "--bisect: '' is not an exact rational"),
+        (["sweep", "--bisect", ""], "--bisect: '' is not low:high, two exact rationals"),
+        (["sweep", "--bisect", "1/3"], "--bisect: '1/3' is not low:high, two exact rationals"),
+        (["sweep", "--bisect", "x:1/3:1/2"], "--bisect: 'x:1/3:1/2' is not low:high"),
     ],
     ids=["eps", "interval", "bisect", "event-repeated", "event-unknown", "bind-undeclared",
          "slots-undeclared", "slots-repeated", "player-unknown", "layers-unknown",
          "layers-repeated", "eps-empty", "player-empty", "event-empty", "interval-empty",
-         "grid-empty", "slots-empty", "layers-empty", "eps-list-empty", "bisect-empty"],
+         "interval-no-colon", "grid-empty", "slots-empty", "layers-empty", "eps-list-empty",
+         "bisect-empty", "bisect-no-colon", "bisect-two-colons"],
 )
 def test_out_of_range_flags_are_schema_errors(argv, where, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where render would write its default triangle.svg
     assert main(argv) == 1
     assert f"schema error: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--bisect", ""], ["sweep", "--bisect", ":"], ["induce", "fig4", "--interval", "a:b"]],
+    ids=["bisect-empty", "bisect-both-halves-empty", "interval-both-halves-bad"],
+)
+def test_a_bad_low_high_value_is_one_violation(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("schema error:") == 1
+    assert f"{argv[-2]}: {argv[-1]!r} is not low:high, two exact rationals like 1/102" in err
 
 
 def test_file_and_flag_violations_are_listed_together(tmp_path, capsys):

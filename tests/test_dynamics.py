@@ -670,8 +670,11 @@ def test_check_fails_fast_on_a_face_too_wide_to_enumerate(monkeypatch):
     pp = build_player_problem(game, player, CredalSet.singleton(StateSpace.of("start"), [1]))
     assert len(pp.strategy_labels) == 768
     reductions = []
-    for module in (credalgames.maxmin, credalgames.exactmath.polytope):
-        monkeypatch.setattr(module, "row_reduce", lambda *args: reductions.append(args))
+    for module, name in (
+        (credalgames.maxmin, "row_reduce"),
+        (credalgames.exactmath.polytope, "eliminate"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args: reductions.append(args))
     with pytest.raises(ValueError, match="over 768 strategies has at least 254 free coordinates"):
         check_dynamic_consistency(pp)
     assert reductions == []

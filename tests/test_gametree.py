@@ -206,7 +206,7 @@ def test_outcome_distribution_three_player(fig4):
         "LM": F(1, 4), "LN": F(1, 4), "RM": F(1, 4), "RNS": F(1, 4),
         "RNT": 0, "OS": 0, "OT": 0,
     }
-    assert dist.probabilities.total() == 1
+    assert sum(dist.probabilities) == 1
 
 
 def test_missing_profile_entry(fig1):
@@ -317,7 +317,7 @@ def test_random_trees_probabilities_sum_to_one():
         assert validate_perfect_recall(game).ok
         profile = {p: random_behavioral(rng, game, p) for p in game.players}
         dist = outcome_distribution(game, profile)
-        assert dist.probabilities.total() == 1
+        assert sum(dist.probabilities) == 1
 
 
 def test_random_round_trip_small():

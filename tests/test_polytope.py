@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,9 @@ def test_affine_image_commutes_with_combination():
         assert polytope_contains(image, mapped)
 
 
+LARGE_PRIMES = (1_000_003, 998_244_353, 2_147_483_647, 1_000_000_007)
+
+
 def _lifted_rank(points) -> int:
     lifted = [list(v) + [F(1)] for v in points]
     return len(row_reduce(lifted, [F(0)] * len(lifted))[0])
@@ -193,32 +197,51 @@ def _lifted_rank(points) -> int:
 def _membership_cases(st):
     """A vertex set and a query point in dimension 1..4.
 
-    Vertices are probability vectors or free rationals (off the simplex);
-    the set is kept as drawn (independent when small), or gets a duplicate
-    or an affine combination of its points appended.  The query is a
+    Vertices are probability vectors, small integers (off the simplex) or
+    rationals over large primes; the set is kept as drawn (independent when
+    small), gets a duplicate or an affine combination of its points
+    appended, has every point repeated, or is cut to its first few points
+    and their affine combinations (any affine dimension 0..4).  The query is a
     vertex, a convex combination (zero weights put it on the boundary), an
     affine combination with negative weights (in the affine hull, often
     outside the polytope) or a shifted convex combination (often outside
     the affine hull).
     """
     small = st.integers(-3, 3)
+    # large primes, so the entries of a point rarely share a denominator
+    coprime = st.tuples(st.integers(-(10**6), 10**6), st.sampled_from(LARGE_PRIMES))
 
     @st.composite
     def case(draw):
         d = draw(st.integers(1, 4))
-        if draw(st.booleans()):
+        entries = draw(st.sampled_from(["probability", "small", "coprime"]))
+        if entries == "probability":
             weights = st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(any)
             point = weights.map(lambda w: Vector(F(x, sum(w)) for x in w))
-        else:
+        elif entries == "small":
             point = st.lists(small, min_size=d, max_size=d).map(Vector)
+        else:
+            point = st.lists(coprime, min_size=d, max_size=d).map(
+                lambda c: Vector(F(n, q) for n, q in c)
+            )
         verts = draw(st.lists(point, min_size=1, max_size=d + 2))
-        shape = draw(st.sampled_from(["drawn", "duplicate", "dependent"]))
+        shape = draw(st.sampled_from(["drawn", "duplicate", "dependent", "repeated", "flat"]))
         if shape == "duplicate":
             verts.append(draw(st.sampled_from(verts)))
         elif shape == "dependent":
             w = draw(st.lists(small, min_size=len(verts), max_size=len(verts)))
             w[-1] += 1 - sum(w)
             verts.append(_combine(verts, w))
+        elif shape == "repeated":
+            verts = draw(st.permutations(verts * draw(st.integers(2, 3))))
+        elif shape == "flat":
+            # the first k points and affine combinations of them: affine dimension below k
+            base = verts[: draw(st.integers(1, len(verts)))]
+            for _ in range(draw(st.integers(1, 4))):
+                w = draw(st.lists(small, min_size=len(base), max_size=len(base)))
+                w[-1] += 1 - sum(w)
+                base.append(_combine(base, w))
+            verts = base
         query = draw(st.sampled_from(["vertex", "convex", "affine", "shifted"]))
         if query == "vertex":
             x = draw(st.sampled_from(verts))
@@ -245,7 +268,7 @@ def test_membership_and_minimize_match_the_lp_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     seen = set()
 
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
     @hypothesis.given(_membership_cases(hypothesis.strategies))
     def check(case):
         p, x = case
@@ -259,11 +282,19 @@ def test_membership_and_minimize_match_the_lp_oracle():
         if not unique_weights and in_affine_hull:
             seen.add(("planar" if _lifted_rank(distinct) <= 3 else "lp", inside))
         seen.add(("duplicates", len(distinct) < len(p.vertices)))
+        seen.add(("repeats", len(distinct) + 1 < len(p.vertices)))
+        seen.add(("affine dimension", _lifted_rank(distinct) - 1))
+        denominators = [e.denominator for e in p.vertices[0]]
+        seen.add(("coprime", len(denominators) > 1 and max(denominators) in LARGE_PRIMES))
 
     check()
     # the draws reach every branch: unique weights in or out, outside the
     # affine hull, and dependent weights in or out, decided on one or two
-    # coordinates (affine dimension 2 or less) or by the LP
+    # coordinates (affine dimension 2 or less) or by the LP; they repeat
+    # points, clear large coprime denominators and span every affine
+    # dimension 0..4
+    assert {("affine dimension", r) for r in range(5)} <= seen
+    assert {("repeats", True), ("coprime", True)} <= seen
     assert {
         (True, True, True),
         (True, True, False),
@@ -326,23 +357,52 @@ def test_simplex_shaped_questions_need_no_lp(monkeypatch):
     ],
     ids=["one", "one-repeated", "two", "two-repeated", "two-on-a-line"],
 )
-def test_one_or_two_points_need_no_rank_test(points, monkeypatch):
+def test_one_or_two_points_need_no_rank_test(points):
     # any two distinct points are affinely independent, so minimizing them
-    # only sorts, with no row reduction
-    import credalgames.exactmath.polytope as polytope
-
-    reductions = []
-
-    def counting(rows, rhs):
-        reductions.append(rows)
-        return row_reduce(rows, rhs)
+    # only sorts, with no elimination of any kind
+    from credalgames.exactmath.vector import eliminate
 
     p = poly(*points)
-    monkeypatch.setattr(polytope, "row_reduce", counting)
-    minimized = polytope_minimize(p)
-    monkeypatch.undo()
-    assert reductions == []
+    minimized, called = _calls([row_reduce, eliminate], lambda: polytope_minimize(p))
+    assert called == []
     assert minimized == lp_minimize(p)
+
+
+def test_minimizing_independent_points_reads_no_fractions_back():
+    # affinely independent points are found so by an integer rank; the
+    # Fraction readout of row_reduce never runs
+    rng = random.Random(24)
+    trials = 0
+    while trials < 60:
+        d = rng.randint(2, 6)
+        verts = [
+            Vector([F(rng.randint(-9, 9), rng.choice([1, 2, 7, 1_000_003])) for _ in range(d)])
+            for _ in range(rng.randint(3, d + 1))
+        ]
+        if _lifted_rank(verts) < len(verts):
+            continue
+        trials += 1
+        p = Polytope(tuple(verts + verts[:1]))
+        minimized, called = _calls([row_reduce], lambda: polytope_minimize(p))
+        assert called == []
+        assert minimized == lp_minimize(p)
+
+
+def _calls(functions, thunk):
+    """The result of ``thunk()`` and the names of the given functions it
+    called, in order, under whatever name a module imported them."""
+    names = {f.__code__: f.__name__ for f in functions}
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            called.append(names[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        return thunk(), called
+    finally:
+        sys.setprofile(None)
 
 
 @pytest.mark.parametrize(
