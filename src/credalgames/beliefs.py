@@ -36,7 +36,8 @@ class ZeroProbabilityReachError(ValueError):
         self.event = tuple(event)
         self.vertex = vertex
         super().__init__(
-            f"event {self.event} has probability 0 under vertex {vertex}"
+            f"event {{{','.join(self.event)}}} has probability 0 under vertex "
+            f"({', '.join(vertex.to_json())})"
         )
 
 

@@ -30,7 +30,6 @@ from .dynamics import (
     check_dynamic_consistency,
     find_dc_violation_payoffs,
     induce_downstream,
-    player_states,
 )
 from .exactmath import Polytope, Record, Vector, approx_decimal, rat, read_rational
 from .exactmath.vector import _cleared
@@ -45,16 +44,6 @@ from .gametree import (
 from .maxmin import MaxminSolution, maxmin_solve
 from .render import TriangleLayer, TrianglePanel, render_triangle
 
-ANALYSES = (
-    "validate",
-    "maxmin",
-    "update",
-    "rect-hull",
-    "check-rect",
-    "check-dc",
-    "induce",
-    "find-payoffs",
-)
 LAYERS = ("beliefs", "update", "hull", "induced")
 
 
@@ -134,6 +123,16 @@ def _chance_interval(pair: tuple, path: str, out: list[str]) -> tuple:
     if None not in pair and not 0 <= pair[0] <= pair[1] <= 1:
         out.append(f"{path}: need 0 <= low <= high <= 1")
     return pair
+
+
+def _member(data: dict, path: str, kind: type, problem: str, out: list[str]):
+    """The entry at ``path``'s last key in ``data`` if it is a ``kind``; an
+    empty ``kind`` if it is absent or, with a violation, of another type."""
+    value = data.get(path.rpartition(".")[2], kind())
+    if isinstance(value, kind):
+        return value
+    out.append(f"{path}: {problem}")
+    return kind()
 
 
 def _distribution(value, n: int | None, path: str, out: list[str]) -> Vector | None:
@@ -274,10 +273,7 @@ def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
     else:
         out.append("game: a built-in name or an inline game object is required")
 
-    players = data.get("players", {})
-    if not isinstance(players, dict):
-        out.append("players: must map player ids to belief entries")
-        players = {}
+    players = _member(data, "players", dict, "must map player ids to belief entries", out)
     specs = {pid: _parse_player(e, f"players.{pid}", out) for pid, e in players.items()}
 
     for where, pid in (("player", data.get("player")), ("--player", flags.player)):
@@ -291,29 +287,17 @@ def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
     if flags.eps is not None and spec is not None and spec.center is None:
         out.append(f"--eps: player {player}'s beliefs are credal, not eps_contamination")
 
-    bindings = data.get("bindings", {})
-    if not isinstance(bindings, dict):
-        out.append("bindings: must map parameter names to exact rationals")
-        bindings = {}
+    bindings = _member(data, "bindings", dict, "must map parameter names to exact rationals", out)
     bindings = {name: read_rational(v, f"bindings.{name}", out) for name, v in bindings.items()}
 
-    analysis = data.get("analysis", [])
-    if not isinstance(analysis, list):
-        out.append("analysis: must be a list")
-        analysis = []
+    analysis = _member(data, "analysis", list, "must be a list", out)
     for i, a in enumerate(analysis):
         if a not in ANALYSES:
             out.append(f"analysis[{i}]: unknown analysis {a!r}")
     default_analyses = tuple(analysis) or ("validate", "maxmin", "check-dc")
 
-    search = data.get("payoff_search", {})
-    if not isinstance(search, dict):
-        out.append("payoff_search: must be an object with grid and slots")
-        search = {}
-    grid = search.get("grid", [])
-    if not isinstance(grid, list):
-        out.append("payoff_search.grid: must be a list of exact rationals")
-        grid = []
+    search = _member(data, "payoff_search", dict, "must be an object with grid and slots", out)
+    grid = _member(search, "payoff_search.grid", list, "must be a list of exact rationals", out)
     grid = tuple(read_rational(g, f"payoff_search.grid[{i}]", out) for i, g in enumerate(grid))
     slots = search.get("slots", [])
     if not isinstance(slots, list) or not all(isinstance(s, str) for s in slots):
@@ -377,9 +361,6 @@ class Report(Record):
     def to_json(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
-
 
 class _Prepared(Record):
     """What every analysis of a run shares: ``induced`` is the base beliefs
@@ -395,16 +376,7 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
     spec = scenario.players[player]
     base = spec.beliefs()
     induced = induce_downstream(base, spec.n_interval) if spec.n_interval else None
-    try:
-        problem = build_player_problem(scenario.game, player, induced or base, scenario.bindings)
-    except StateSpaceError as exc:
-        if induced is None:
-            raise
-        # induce_downstream builds fig4's third-mover states whatever the game
-        raise StateSpaceError(
-            f"the n_interval construction yields beliefs over {', '.join(induced.space.labels)} "
-            f"while player {player}'s states are {', '.join(player_states(scenario.game, player))}"
-        ) from exc
+    problem = build_player_problem(scenario.game, player, induced or base, scenario.bindings)
     if flags.rectangularize:
         # the hull lives on the same states and gets its own posteriors
         hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
@@ -601,9 +573,6 @@ class SweepResult(Record):
             ),
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
-
 
 def sweep_eps(
     eps_list=None, bisect: tuple[Fraction, Fraction] | None = None
@@ -615,7 +584,7 @@ def sweep_eps(
     """
     fig1 = validate_scenario(BUILTIN_SCENARIOS["fig1"])
     spec = fig1.players[fig1.player]
-    problem = build_player_problem(fig1.game, fig1.player, spec.beliefs(), fig1.bindings)
+    problem = _prepare(fig1, RunFlags()).problem
 
     def verdict(eps: Fraction) -> str:
         at_eps = problem.replace(posterior=Posteriors(spec.replace(eps=eps).beliefs()))
@@ -701,10 +670,12 @@ COMMANDS: dict[str, tuple[str, bool, dict]] = {
         "--out": {},
     }),
     "render": ("draw belief sets as an SVG triangle", True, {
-        "--layers": {"default": "beliefs,update", "help": "comma list of " + ",".join(LAYERS)},
+        "--layers": {"help": "comma list of " + ",".join(LAYERS)},
         "--interval": {"metavar": "a:b"},
     }),
 }
+# every subcommand but these runs the one analysis of its name
+ANALYSES = tuple(name for name in COMMANDS if name not in ("analyze", "sweep", "render"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -777,6 +748,11 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
 
 def _points(vertices) -> str:
     return "; ".join("(" + ", ".join(v) + ")" for v in vertices)
+
+
+def dumps(result: Report | SweepResult) -> str:
+    """The JSON text ``--json`` prints and ``--out`` writes."""
+    return json.dumps(result.to_json(), sort_keys=True, indent=2)
 
 
 def format_report(report: Report) -> str:
@@ -894,7 +870,7 @@ def main(argv=None) -> int:
             result, describe = run(args.scenario, flags), format_report
         json_out = None if args.command == "render" else args.out
         if args.json or json_out:
-            payload = result.dumps()
+            payload = dumps(result)
         print(payload if args.json else describe(result))
         if json_out:
             with open(json_out, "w", encoding="utf-8") as handle:

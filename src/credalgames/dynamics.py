@@ -283,16 +283,15 @@ def build_player_problem(
                 by_column.setdefault(tuple(row[i] for row in sym_rows), []).append(i)
             per_cell.append(list(by_column.values()))
     groups = sorted((g for cell in per_cell for g in cell), key=lambda g: g[0])
-    if len(groups) != len(want):
+    # a lone state keeps its own label; a merged group adopts the belief's
+    if len(groups) != len(want) or any(
+        len(g) == 1 and states[g[0]].label != label for label, g in zip(want, groups)
+    ):
         raise StateSpaceError(
-            f"{len(groups)} aggregated states cannot match beliefs over {want}"
+            f"player {player}'s states {', '.join(s.label for s in states)} "
+            f"do not fit beliefs over {', '.join(want)}"
         )
-    label_of: dict[int, str] = {}  # a group's first state -> its belief label
-    for label, group in zip(want, groups):
-        name = states[group[0]].label
-        if len(group) == 1 and name != label:
-            raise StateSpaceError(f"state {name!r} does not match belief state {label!r}")
-        label_of[group[0]] = label
+    label_of = {g[0]: label for label, g in zip(want, groups)}
 
     rows = tuple(tuple(row[g[0]] for g in groups) for row in sym_rows)
     stage = [[label_of[g[0]] for g in cell] for cell in per_cell]
@@ -325,28 +324,26 @@ def player_problem_from_matrix(
     return PlayerProblem(player, filtration, slots, labels, rows, {}, Posteriors(beliefs))
 
 
-def player_states(game: GameTree, player: str) -> tuple[str, ...]:
-    """The labels of the player's opponent-path states, before any merging."""
-    return tuple(s.label for s in _derive_structure(game, player)[0])
-
-
 def induce_downstream(p1_beliefs: CredalSet, n_interval) -> CredalSet:
     """Push first-mover beliefs through an independent second move.
 
-    A prior (l, r, o) combined with a second-mover chance n of continuing
-    yields (z, rn, o) = (l + r(1-n), rn, o).  The map is affine in n for a
-    fixed prior and affine in the prior for fixed n, so the hull of the
-    endpoint images contains every intermediate image.
+    A prior's entries l, r, o, read by their labels, and a second-mover
+    chance n of continuing yield (z, rn, o) = (l + r(1-n), rn, o).  The map
+    is affine in n for a fixed prior and affine in the prior for fixed n, so
+    the hull of the endpoint images contains every intermediate image.
     """
-    if len(p1_beliefs.space) != 3:
-        raise StateSpaceError("downstream induction expects a three-state prior")
+    space = p1_beliefs.space
+    if set(space.labels) != {"L", "R", "O"}:
+        raise StateSpaceError(
+            f"downstream induction reads beliefs over L, R, O, not {', '.join(space.labels)}"
+        )
     a, b = (rat(x) for x in n_interval)
     if not (0 <= a <= b <= 1):
         raise ValueError(f"malformed interval [{a}, {b}]")
     out_space = StateSpace.of("Z", "RN", "O")
     images = []
     for v in p1_beliefs.vertices:
-        l, r, o = v
+        l, r, o = (v[space.index(s)] for s in ("L", "R", "O"))
         for n in {a, b}:
             images.append(Vector([l + r * (1 - n), r * n, o]))
     return CredalSet.from_vertices(out_space, images)

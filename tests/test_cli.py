@@ -13,6 +13,7 @@ from credalgames.cli import (
     RunFlags,
     Scenario,
     ScenarioSchemaError,
+    dumps,
     load_scenario,
     main,
     run,
@@ -106,13 +107,13 @@ def test_run_reports_exact_strings_and_marked_decimals():
     result = result_for(report, "maxmin")
     assert result["value"] == "2474/25"
     assert result["value_approx"] == "98.96"
-    text = report.dumps()
+    text = dumps(report)
     assert "98.96" in text and "value_approx" in text
 
 
 def test_report_json_round_trip_and_hash_stability():
     report = run("fig1", RunFlags(analyses=("maxmin",)))
-    assert json.loads(report.dumps()) == report.to_json()
+    assert json.loads(dumps(report)) == report.to_json()
     data = load_scenario("fig1")
     reordered = {k: data[k] for k in reversed(list(data))}
     assert scenario_hash(data) == scenario_hash(reordered)
@@ -169,14 +170,24 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_induce_names_the_states_an_interval_cannot_reach(capsys):
-    # the n_interval construction pushes any three-state prior onto fig4's
+    # the n_interval construction pushes a prior over L, R, O onto fig4's
     # third-mover states, which fig1's second mover does not have
     assert main(["induce", "fig1", "--player", "2", "--interval", "1/3:1/2"]) == 2
     err = capsys.readouterr().err
-    assert err == (
-        "analysis error: the n_interval construction yields beliefs over Z, RN, O "
-        "while player 2's states are L, R, O\n"
-    )
+    assert err == "analysis error: player 2's states L, R, O do not fit beliefs over Z, RN, O\n"
+
+
+def test_induce_reads_the_prior_by_its_labels():
+    # fig4's player-3 prior listed over O, L, R induces fig4's four vertices
+    data = load_scenario("fig4")
+    beliefs = data["players"]["3"]["beliefs"]
+    order = [2, 0, 1]
+    beliefs["states"] = [beliefs["states"][i] for i in order]
+    beliefs["vertices"] = [[v[i] for i in order] for v in beliefs["vertices"]]
+    got = result_for(run(data, RunFlags(analyses=("induce",))), "induce")
+    want = result_for(run("fig4", RunFlags(analyses=("induce",))), "induce")
+    assert got == want
+    assert len(got["vertices"]) == 4
 
 
 def test_face_too_wide_to_enumerate_is_an_analysis_error(tmp_path, capsys):
@@ -342,7 +353,7 @@ NULL = object()  # a value _scenario_file writes as JSON null
 
 def _scenario_file(tmp_path, name, path, value):
     """Write the built-in scenario with the entry at ``path`` set (None: deleted,
-    NULL: null).
+    NULL: null); an empty path replaces the whole scenario.
 
     The name "inline" gives fig1 with its game written out inline.
     """
@@ -354,7 +365,9 @@ def _scenario_file(tmp_path, name, path, value):
     node = data
     for key in path[:-1]:
         node = node[key]
-    if value is None:
+    if not path:
+        data = value
+    elif value is None:
         del node[path[-1]]
     else:
         node[path[-1]] = None if value is NULL else value
@@ -423,13 +436,35 @@ _FIG1_BELIEFS = {
          "payoff_search.slots[2]: repeats an earlier slot"),
         ("fig1", ("player",), None, "player: required, in the scenario or as --player"),
         ("fig1", ("players", "9"), {"beliefs": _FIG1_BELIEFS}, "players.9: not a player of the game"),
+        ("fig1", (), ["fig1"], "scenario: must be a JSON object"),
+        ("fig1", ("players",), [], "players: must map player ids to belief entries"),
+        ("fig1", ("analysis",), "maxmin", "analysis: must be a list"),
+        ("fig4", ("payoff_search",), [], "payoff_search: must be an object with grid and slots"),
+        ("fig4", ("payoff_search", "grid"), "0",
+         "payoff_search.grid: must be a list of exact rationals"),
+        ("fig4", ("payoff_search", "slots"), "uOS",
+         "payoff_search.slots: must be a list of parameter names"),
+        ("fig1", ("players", "2"), [], "players.2: must be an object"),
+        ("fig1", ("players", "2", "beliefs"), [], "players.2.beliefs: an object is required"),
+        ("fig1", ("players", "2", "beliefs", "type"), "interval",
+         "players.2.beliefs.type: expected 'eps_contamination' or 'credal'"),
+        ("fig1", ("players", "2", "beliefs", "eps"), None, "players.2.beliefs.eps: required"),
+        ("fig4", ("players", "3", "beliefs", "vertices"), None,
+         "players.3.beliefs.vertices: at least one vertex is required"),
+        ("fig4", ("players", "3", "beliefs", "vertices", 0), "1/4",
+         "players.3.beliefs.vertices[0]: a probability vector is required"),
+        ("fig4", ("players", "3", "beliefs", "vertices", 0), ["-1/8", "1", "1/8"],
+         "players.3.beliefs.vertices[0]: negative probability"),
     ],
     ids=["eps-without-states", "bindings-list", "bindings-empty-list", "bindings-zero",
          "bindings-empty-string", "bindings-false", "bindings-null", "center-length", "grid-entry",
          "game-action-without-child", "game-list-root", "game-int-information-sets",
          "game-undeclared-payoff", "game-zero-denominator-parameter", "game-decimal-payoff",
          "game-exponent-parameter", "game-int-label", "binding-undeclared",
-         "slot-undeclared", "slot-repeated", "player-missing", "player-not-in-game"],
+         "slot-undeclared", "slot-repeated", "player-missing", "player-not-in-game",
+         "scenario-list", "players-list", "analysis-string", "payoff-search-list",
+         "grid-string", "slots-string", "player-entry-list", "beliefs-list", "beliefs-type-unknown",
+         "eps-missing", "vertices-missing", "vertex-string", "vertex-negative"],
 )
 def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tmp_path, capsys):
     assert main(["validate", _scenario_file(tmp_path, name, path, value)]) == 1
@@ -463,12 +498,13 @@ def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tm
         (["sweep", "--bisect", ""], "--bisect: '' is not low:high, two exact rationals"),
         (["sweep", "--bisect", "1/3"], "--bisect: '1/3' is not low:high, two exact rationals"),
         (["sweep", "--bisect", "x:1/3:1/2"], "--bisect: 'x:1/3:1/2' is not low:high"),
+        (["maxmin", "fig1", "--bind", "x"], "--bind: expected NAME=p/q, got 'x'"),
     ],
     ids=["eps", "interval", "bisect", "event-repeated", "event-unknown", "bind-undeclared",
          "slots-undeclared", "slots-repeated", "player-unknown", "layers-unknown",
          "layers-repeated", "eps-empty", "player-empty", "event-empty", "interval-empty",
          "interval-no-colon", "grid-empty", "slots-empty", "layers-empty", "eps-list-empty",
-         "bisect-empty", "bisect-no-colon", "bisect-two-colons"],
+         "bisect-empty", "bisect-no-colon", "bisect-two-colons", "bind-no-equals"],
 )
 def test_out_of_range_flags_are_schema_errors(argv, where, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where render would write its default triangle.svg
@@ -499,6 +535,71 @@ def test_file_and_flag_violations_are_listed_together(tmp_path, capsys):
 def test_eps_flag_rejected_on_credal_beliefs(capsys):
     assert main(["maxmin", "fig4", "--eps", "1/2"]) == 1
     assert "schema error: --eps" in capsys.readouterr().err
+
+
+# the cell {L,R} has probability 0 under the vertex on O
+_ZERO_ON_LR = {
+    "type": "credal",
+    "states": ["L", "R", "O"],
+    "vertices": [["0", "0", "1"], ["1/2", "1/2", "0"]],
+}
+# player 1's moves A then B spell the label of its move AB
+_AB_TWICE = {
+    "players": ["1", "2"],
+    "root": {"player": "1", "actions": [
+        {"label": "A", "child": {"player": "1", "actions": [
+            {"label": "B", "child": {"payoffs": ["0", "0"]}},
+            {"label": "C", "child": {"payoffs": ["0", "1"]}},
+        ]}},
+        {"label": "AB", "child": {"payoffs": ["1", "0"]}},
+    ]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, edit, message",
+    [
+        (["sweep", "--bisect", "1/2:3/4"], None,
+         "bisection needs a consistent low bound and an inconsistent high bound; "
+         "got inconsistent at 1/2 and inconsistent at 3/4"),
+        (["render", "fig1", "--layers", "induced"], None,
+         "the induced layer needs an n_interval"),
+        (["rect-hull"], ("fig1", ("players", "2", "beliefs"), _ZERO_ON_LR),
+         "rect-hull: event {L,R} has probability 0 under vertex (0, 0, 1)"),
+        (["check-dc", "--rectangularize"], ("fig1", ("players", "2", "beliefs"), _ZERO_ON_LR),
+         "event {L,R} has probability 0 under vertex (0, 0, 1)"),
+        (["validate"], ("fig1", ("game",), _AB_TWICE),
+         "ambiguous opponent-path labels: ['AB', 'AC', 'AB']"),
+        (["induce"], ("fig4", ("players", "3", "beliefs", "states"), ["A", "B", "C"]),
+         "downstream induction reads beliefs over L, R, O, not A, B, C"),
+    ],
+    ids=["bisect-both-inconsistent", "render-induced-without-interval", "rect-hull-zero-mass",
+         "check-dc-rectangularize-zero-mass", "ambiguous-labels", "induce-unknown-labels"],
+)
+def test_analysis_errors_exit_two_with_their_message(
+    argv, edit, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)  # where render would write its default triangle.svg
+    if edit is not None:
+        argv = argv + [_scenario_file(tmp_path, *edit)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"analysis error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line, key, value",
+    [
+        (["check-rect", "fig1", "--eps", "0"], "[check-rect] rectangular: yes", "rectangular", True),
+        (["find-payoffs", "fig4", "--grid", "0", "--slots", "uOS"],
+         "[find-payoffs] no grid assignment breaks consistency", "found", False),
+    ],
+    ids=["check-rect-yes", "find-payoffs-none"],
+)
+def test_negative_answers_are_reported(argv, line, key, value, capsys):
+    assert main(argv) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0][key] is value
 
 
 def _digest(text: str) -> str:

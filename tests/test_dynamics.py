@@ -123,10 +123,16 @@ def test_build_player2_in_three_player_game(fig4):
     assert pp.exante.payoff == ((F(0), F(101), F(-1)), (F(101), F(100), F(-1)))
 
 
-def test_build_rejects_mismatched_beliefs(fig4):
+def test_build_rejects_mismatched_beliefs(fig1, fig4):
     bad = CredalSet.singleton(StateSpace.of("a", "b"), [F(1, 2), F(1, 2)])
-    with pytest.raises(StateSpaceError):
+    with pytest.raises(StateSpaceError) as caught:
         build_player_problem(fig4, "3", bad)
+    assert str(caught.value) == "player 3's states LM, LN, RM, RN, O do not fit beliefs over a, b"
+    # as many states as belief states, but the lone state L is not Z: the same message
+    beliefs = CredalSet.singleton(ZRNO, [F(1, 2), F(1, 4), F(1, 4)])
+    with pytest.raises(StateSpaceError) as caught:
+        build_player_problem(fig1, "2", beliefs)
+    assert str(caught.value) == "player 2's states L, R, O do not fit beliefs over Z, RN, O"
 
 
 def test_constant_payoff_player_all_rows_equal(fig1):
@@ -145,6 +151,18 @@ def test_induce_downstream_quadrilateral():
     induced = induce_downstream(QUAD, (F(1, 3), F(1, 2)))
     assert induced.space.labels == ("Z", "RN", "O")
     assert set(induced.vertices) == INDUCED_VERTICES
+    # the prior is read by its labels: listed over O, L, R it induces the same set
+    permuted = CredalSet.from_vertices(
+        StateSpace.of("O", "L", "R"), [[o, l, r] for l, r, o in QUAD.vertices]
+    )
+    assert induce_downstream(permuted, (F(1, 3), F(1, 2))) == induced
+
+
+def test_induce_downstream_refuses_a_prior_not_over_l_r_o():
+    prior = CredalSet.singleton(StateSpace.of("A", "B", "C"), [F(1, 2), F(1, 4), F(1, 4)])
+    with pytest.raises(StateSpaceError) as caught:
+        induce_downstream(prior, (F(1, 3), F(1, 2)))
+    assert str(caught.value) == "downstream induction reads beliefs over L, R, O, not A, B, C"
 
 
 def test_induce_downstream_identity_at_one():
