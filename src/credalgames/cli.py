@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 from . import __version__
 from .beliefs import (
@@ -32,7 +33,6 @@ from .dynamics import (
     induce_downstream,
 )
 from .exactmath import Polytope, Record, Vector, approx_decimal, rat, read_rational
-from .exactmath.vector import _cleared
 from .gametree import (
     BUILTIN_GAMES,
     GameJsonError,
@@ -41,7 +41,7 @@ from .gametree import (
     game_from_json,
     validate_perfect_recall,
 )
-from .maxmin import MaxminSolution, maxmin_solve
+from .maxmin import maxmin_solve
 from .render import TriangleLayer, TrianglePanel, render_triangle
 
 LAYERS = ("beliefs", "update", "hull", "induced")
@@ -350,6 +350,8 @@ def scenario_hash(data: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+
+
 # -- running analyses --------------------------------------------------------
 
 
@@ -366,9 +368,10 @@ class _Prepared(Record):
     """What every analysis of a run shares: ``induced`` is the base beliefs
     pushed through the n_interval, None without one; ``problem`` is built on
     the induced beliefs if any and hulled by --rectangularize; ``cells`` are
-    the update cells, --event or else the acting cells."""
+    the update cells, --event or else the acting cells; ``layers`` and
+    ``svg_out`` are what render draws and where it writes."""
 
-    __slots__ = ("base_beliefs", "induced", "problem", "cells")
+    __slots__ = ("base_beliefs", "induced", "problem", "cells", "layers", "svg_out")
 
 
 def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
@@ -379,7 +382,10 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
     problem = build_player_problem(scenario.game, player, induced or base, scenario.bindings)
     if flags.rectangularize:
         # the hull lives on the same states and gets its own posteriors
-        hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
+        try:
+            hull = rectangular_hull(problem.exante.beliefs, problem.filtration)
+        except ZeroProbabilityReachError as exc:
+            raise AnalysisError(f"--rectangularize: {exc}") from exc
         problem = problem.replace(posterior=Posteriors(hull))
     event, states = flags.event or (), problem.space.labels
     if len(set(event)) != len(event) or not set(event) <= set(states):
@@ -388,104 +394,7 @@ def _prepare(scenario: Scenario, flags: RunFlags) -> _Prepared:
              f"{','.join(states)}"]
         )
     cells = [event] if event else [s.cell for s in problem.conditionals]
-    return _Prepared(base, induced, problem, cells)
-
-
-def _solution_json(sol: MaxminSolution, labels: tuple[str, ...]) -> dict:
-    return {
-        "value": str(sol.value),
-        "value_approx": approx_decimal(sol.value),
-        "strategy": dict(zip(labels, sol.strategy.to_json())),
-        "optimal_face": [v.to_json() for v in sol.optimal_face.vertices],
-        "binding_vertices": [v.to_json() for v in sol.binding_vertices],
-    }
-
-
-def _run_analysis(name: str, prep: _Prepared, scenario: Scenario) -> dict:
-    pp = prep.problem
-    if name == "validate":
-        return {
-            "analysis": name,
-            "schema": "ok",
-            # constant: build_player_problem has already rejected imperfect recall
-            "perfect_recall": True,
-            "players": list(scenario.game.players),
-            "states": list(pp.space.labels),
-            "filtration": [list(map(list, stage)) for stage in pp.filtration.stages],
-        }
-    if name == "maxmin":
-        sol = maxmin_solve(pp.exante)
-        return {"analysis": name, **_solution_json(sol, pp.strategy_labels)}
-    if name == "update":
-        out = []
-        for cell in prep.cells:
-            try:
-                post = pp.posterior(cell)
-                out.append(
-                    {
-                        "cell": list(cell),
-                        "status": "updated",
-                        "states": list(post.space.labels),
-                        "vertices": [v.to_json() for v in post.vertices],
-                    }
-                )
-            except ZeroProbabilityReachError as exc:
-                out.append(
-                    {
-                        "cell": list(cell),
-                        "status": "unreachable",
-                        "zero_vertex": exc.vertex.to_json(),
-                    }
-                )
-        return {"analysis": name, "cells": out}
-    if name == "rect-hull":
-        hull = rectangular_hull(pp.exante.beliefs, pp.filtration)
-        return {
-            "analysis": name,
-            "states": list(hull.space.labels),
-            "vertices": [v.to_json() for v in hull.vertices],
-            "was_rectangular": hull == pp.exante.beliefs,
-        }
-    if name == "check-rect":
-        check = is_rectangular(pp.exante.beliefs, pp.filtration)
-        return {
-            "analysis": name,
-            "rectangular": check.rectangular,
-            "witness": None if check.witness is None else check.witness.to_json(),
-        }
-    if name == "check-dc":
-        report = check_dynamic_consistency(pp)
-        result = {"analysis": name, **report.to_json()}
-        result["exante"]["strategy"] = dict(
-            zip(pp.strategy_labels, report.exante_solution.strategy.to_json())
-        )
-        judged = [c for c in report.cells if c.conditional_face is not None]
-        if judged:
-            face = judged[0].conditional_face
-            result["conditional_strategy"] = face.vertices[0].to_json()
-        return result
-    if name == "induce":
-        if prep.induced is None:
-            raise AnalysisError("induce needs an n_interval (scenario or --interval)")
-        return {
-            "analysis": name,
-            "interval": [str(x) for x in scenario.players[scenario.player].n_interval],
-            "states": list(prep.induced.space.labels),
-            "vertices": [v.to_json() for v in prep.induced.vertices],
-        }
-    if name == "find-payoffs":
-        if not scenario.grid or not scenario.slots:
-            raise AnalysisError("find-payoffs needs --grid and --slots")
-        found = find_dc_violation_payoffs(pp, scenario.grid, scenario.slots)
-        if found is None:
-            return {"analysis": name, "found": False}
-        return {
-            "analysis": name,
-            "found": True,
-            "payoffs": {k: str(v) for k, v in found.payoffs.items()},
-            "report": found.report.to_json(),
-        }
-    raise AnalysisError(f"unknown analysis {name!r}")
+    return _Prepared(base, induced, problem, cells, flags.layers, flags.svg_out)
 
 
 def run(scenario: str | dict, flags: RunFlags = RunFlags()) -> Report:
@@ -496,24 +405,193 @@ def run(scenario: str | dict, flags: RunFlags = RunFlags()) -> Report:
     results = []
     for analysis in parsed.analyses:
         try:
-            results.append(_run_analysis(analysis, prep, parsed))
-        except (
-            ZeroProbabilityReachError,
-            StateSpaceError,
-            UnboundParameterError,
-        ) as exc:
+            results.append({"analysis": analysis, **COMMANDS[analysis].compute(prep, parsed)})
+        except (ZeroProbabilityReachError, StateSpaceError, UnboundParameterError) as exc:
             raise AnalysisError(f"{analysis}: {exc}") from exc
-    if flags.svg_out is not None:
-        results.append(_render(prep, parsed.player, flags))
     name = scenario if isinstance(scenario, str) else "(inline)"
     return Report(scenario_hash(data), __version__, name, parsed.player, results)
 
 
-def _render(prep: _Prepared, player: str, flags: RunFlags) -> dict:
+# -- the analyses --------------------------------------------------------------
+# Each analysis is a compute function, (prepared, scenario) -> its JSON result
+# without the "analysis" key, and a text function, result -> its report lines
+# without the "[name] " prefix; COMMANDS pairs them under the analysis's name.
+
+
+def _cell(cell: list[str]) -> str:
+    return "{" + ",".join(cell) + "}"
+
+
+def _points(vertices) -> str:
+    return "; ".join("(" + ", ".join(v) + ")" for v in vertices)
+
+
+def _assignment(values: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in values.items())
+
+
+def _validate(prep: _Prepared, scenario: Scenario) -> dict:
+    pp = prep.problem
+    return {
+        "schema": "ok",
+        # constant: build_player_problem has already rejected imperfect recall
+        "perfect_recall": True,
+        "players": list(scenario.game.players),
+        "states": list(pp.space.labels),
+        "filtration": [list(map(list, stage)) for stage in pp.filtration.stages],
+    }
+
+
+def _validate_text(result: dict) -> list[str]:
+    return [
+        f"schema ok; perfect recall: {result['perfect_recall']}; "
+        f"states {', '.join(result['states'])}"
+    ]
+
+
+def _maxmin(prep: _Prepared, scenario: Scenario) -> dict:
+    pp = prep.problem
+    sol = maxmin_solve(pp.exante)
+    return {
+        "value": str(sol.value),
+        "value_approx": approx_decimal(sol.value),
+        "strategy": dict(zip(pp.strategy_labels, sol.strategy.to_json())),
+        "optimal_face": [v.to_json() for v in sol.optimal_face.vertices],
+        "binding_vertices": [v.to_json() for v in sol.binding_vertices],
+    }
+
+
+def _maxmin_text(result: dict) -> list[str]:
+    return [
+        f"value = {result['value']} (~{result['value_approx']}, approx); "
+        f"strategy {_assignment(result['strategy'])}"
+    ]
+
+
+def _update(prep: _Prepared, scenario: Scenario) -> dict:
+    cells = []
+    for cell in prep.cells:
+        entry = {"cell": list(cell)}
+        try:
+            post = prep.problem.posterior(cell)
+        except ZeroProbabilityReachError as exc:
+            entry.update(status="unreachable", zero_vertex=exc.vertex.to_json())
+        else:
+            vertices = [v.to_json() for v in post.vertices]
+            entry.update(status="updated", states=list(post.space.labels), vertices=vertices)
+        cells.append(entry)
+    return {"cells": cells}
+
+
+def _update_text(result: dict) -> list[str]:
+    return [
+        f"cell {_cell(cell['cell'])}: "
+        + (_points(cell["vertices"]) if cell["status"] == "updated" else "unreachable")
+        for cell in result["cells"]
+    ]
+
+
+def _rect_hull(prep: _Prepared, scenario: Scenario) -> dict:
+    beliefs = prep.problem.exante.beliefs
+    hull = rectangular_hull(beliefs, prep.problem.filtration)
+    return {
+        "states": list(hull.space.labels),
+        "vertices": [v.to_json() for v in hull.vertices],
+        "was_rectangular": hull == beliefs,
+    }
+
+
+def _rect_hull_text(result: dict) -> list[str]:
+    return [f"vertices {_points(result['vertices'])}"]
+
+
+def _check_rect(prep: _Prepared, scenario: Scenario) -> dict:
+    check = is_rectangular(prep.problem.exante.beliefs, prep.problem.filtration)
+    return {
+        "rectangular": check.rectangular,
+        "witness": None if check.witness is None else check.witness.to_json(),
+    }
+
+
+def _check_rect_text(result: dict) -> list[str]:
+    if result["rectangular"]:
+        return ["rectangular: yes"]
+    return [f"rectangular: no; witness ({', '.join(result['witness'])})"]
+
+
+def _check_dc(prep: _Prepared, scenario: Scenario) -> dict:
+    pp = prep.problem
+    report = check_dynamic_consistency(pp)
+    result = report.to_json()
+    result["exante"]["strategy"] = dict(
+        zip(pp.strategy_labels, report.exante_solution.strategy.to_json())
+    )
+    judged = [c for c in report.cells if c.conditional_face is not None]
+    if judged:
+        result["conditional_strategy"] = judged[0].conditional_face.vertices[0].to_json()
+    return result
+
+
+def _check_dc_text(result: dict) -> list[str]:
+    overall = "CONSISTENT" if result["overall"] else "INCONSISTENT"
+    lines = [f"overall {overall}; ex-ante strategy {_assignment(result['exante']['strategy'])}"]
+    for cell in result["cells"]:
+        tag = cell["status"]
+        extra = ""
+        if tag == "inconsistent":
+            extra = (
+                f"; conditional value {cell['conditional_value']}"
+                f"; ex-ante optimizers reach {cell['restricted_value']}"
+                f"; gap {cell['value_gap']}"
+            )
+        elif tag == "consistent" and "common_face" in cell:
+            extra = f"; common optimum {_points(cell['common_face']['vertices'])}"
+        lines.append(f"  cell {_cell(cell['cell'])}: {tag}{extra}")
+    return lines
+
+
+def _induce(prep: _Prepared, scenario: Scenario) -> dict:
+    if prep.induced is None:
+        raise AnalysisError("induce needs an n_interval (scenario or --interval)")
+    return {
+        "interval": [str(x) for x in scenario.players[scenario.player].n_interval],
+        "states": list(prep.induced.space.labels),
+        "vertices": [v.to_json() for v in prep.induced.vertices],
+    }
+
+
+def _induce_text(result: dict) -> list[str]:
+    low, high = result["interval"]
+    return [
+        f"n in [{low}, {high}] over {', '.join(result['states'])}: "
+        f"{_points(result['vertices'])}"
+    ]
+
+
+def _find_payoffs(prep: _Prepared, scenario: Scenario) -> dict:
+    if not scenario.grid or not scenario.slots:
+        raise AnalysisError("find-payoffs needs --grid and --slots")
+    found = find_dc_violation_payoffs(prep.problem, scenario.grid, scenario.slots)
+    if found is None:
+        return {"found": False}
+    return {
+        "found": True,
+        "payoffs": {k: str(v) for k, v in found.payoffs.items()},
+        "report": found.report.to_json(),
+    }
+
+
+def _find_payoffs_text(result: dict) -> list[str]:
+    if result["found"]:
+        return [f"inconsistent at {_assignment(result['payoffs'])}"]
+    return ["no grid assignment breaks consistency"]
+
+
+def _render(prep: _Prepared, scenario: Scenario) -> dict:
     panels: list[TrianglePanel] = []
     layers: list[TriangleLayer] = []
     pp = prep.problem
-    for kind in flags.layers:
+    for kind in prep.layers:
         if kind == "beliefs":
             layers.append(TriangleLayer(prep.base_beliefs, label="P"))
         elif kind == "hull":
@@ -548,14 +626,13 @@ def _render(prep: _Prepared, player: str, flags: RunFlags) -> dict:
         else:
             raise AnalysisError(f"unknown render layer {kind!r}")
     if layers:
-        panels.insert(0, TrianglePanel(tuple(layers), player))
-    doc = render_triangle(panels, flags.svg_out)
-    return {
-        "analysis": "render",
-        "path": flags.svg_out,
-        "bytes": len(doc.encode("utf-8")),
-        "sha256": hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16],
-    }
+        panels.insert(0, TrianglePanel(tuple(layers), scenario.player))
+    doc = render_triangle(panels, prep.svg_out).encode("utf-8")
+    return {"path": prep.svg_out, "bytes": len(doc), "sha256": hashlib.sha256(doc).hexdigest()[:16]}
+
+
+def _render_text(result: dict) -> list[str]:
+    return [f"wrote {result['path']} ({result['bytes']} bytes, sha256 {result['sha256']})"]
 
 
 # -- the contamination sweep --------------------------------------------------
@@ -581,6 +658,8 @@ def sweep_eps(
 
     Bisection runs on the integer grid over the bounds' common denominator,
     so when the true boundary lies on that grid it is returned exactly.
+    Without bisection the threshold is reported only when every consistent
+    weight in the list lies below every inconsistent one.
     """
     fig1 = validate_scenario(BUILTIN_SCENARIOS["fig1"])
     spec = fig1.players[fig1.player]
@@ -597,7 +676,8 @@ def sweep_eps(
         lo, hi = (rat(x) for x in bisect)
         if not 0 < lo < hi < 1:
             raise AnalysisError("bisection bounds need 0 < low < high < 1")
-        p0, p1, den = _cleared([lo, hi, 1])
+        den = lcm(lo.denominator, hi.denominator)
+        p0, p1 = int(lo * den), int(hi * den)
         v_lo, v_hi = verdict(lo), verdict(hi)
         entries.extend([(lo, v_lo), (hi, v_hi)])
         if v_lo != "consistent" or v_hi != "inconsistent":
@@ -617,10 +697,12 @@ def sweep_eps(
         threshold = Fraction(p0, den)
         first_bad = Fraction(p1, den)
     else:
-        kinds = {v for _, v in entries}
-        if kinds == {"consistent", "inconsistent"}:
-            threshold = max(e for e, v in entries if v == "consistent")
-            first_bad = min(e for e, v in entries if v == "inconsistent")
+        # the entries are in eps order: the verdicts separate when the
+        # consistent ones all come first
+        verdicts = [v for _, v in entries]
+        split = verdicts.count("consistent")
+        if 0 < split < len(verdicts) and "inconsistent" not in verdicts[:split]:
+            threshold, first_bad = entries[split - 1][0], entries[split][0]
     entries.sort(key=lambda t: t[0])
     return SweepResult(tuple(entries), threshold, first_bad)
 
@@ -641,41 +723,57 @@ SCENARIO_OPTIONS = {
     "--out": {"help": "write the JSON report (or SVG for render) here"},
 }
 
-# each subcommand: its help, whether it takes SCENARIO_OPTIONS, its own flags
-COMMANDS: dict[str, tuple[str, bool, dict]] = {
-    "validate": ("check the scenario schema and perfect recall", True, {}),
-    "analyze": ("run the scenario's own analysis list", True, {}),
-    "maxmin": ("solve the strategic-form worst-case problem", True, {}),
-    "rect-hull": ("smallest rectangular belief set for the filtration", True, {}),
-    "check-rect": ("test the beliefs for rectangularity", True, {}),
-    "update": ("full Bayesian updating per reached cell", True, {
+
+class Command(Record, defaults={"compute": None, "text": None}):
+    """A subcommand: its help, whether it takes SCENARIO_OPTIONS, its own
+    flags and, for an analysis, its compute and text functions."""
+
+    __slots__ = ("help", "scenario", "flags", "compute", "text")
+
+
+COMMANDS: dict[str, Command] = {
+    "validate": Command(
+        "check the scenario schema and perfect recall", True, {}, _validate, _validate_text
+    ),
+    "analyze": Command("run the scenario's own analysis list", True, {}),
+    "maxmin": Command(
+        "solve the strategic-form worst-case problem", True, {}, _maxmin, _maxmin_text
+    ),
+    "rect-hull": Command(
+        "smallest rectangular belief set for the filtration", True, {},
+        _rect_hull, _rect_hull_text,
+    ),
+    "check-rect": Command(
+        "test the beliefs for rectangularity", True, {}, _check_rect, _check_rect_text
+    ),
+    "update": Command("full Bayesian updating per reached cell", True, {
         "--event": {"help": "comma-separated states to condition on"},
-    }),
-    "check-dc": ("decide dynamic consistency", True, {
+    }, _update, _update_text),
+    "check-dc": Command("decide dynamic consistency", True, {
         "--rectangularize": {
             "action": "store_true", "help": "replace beliefs by their rectangular hull first"
         },
-    }),
-    "induce": ("push beliefs through the second mover", True, {
+    }, _check_dc, _check_dc_text),
+    "induce": Command("push beliefs through the second mover", True, {
         "--interval": {"metavar": "a:b", "help": "second-mover chance interval"},
-    }),
-    "find-payoffs": ("search for inconsistency payoffs", True, {
+    }, _induce, _induce_text),
+    "find-payoffs": Command("search for inconsistency payoffs", True, {
         "--grid": {"help": "comma-separated payoff grid values"},
         "--slots": {"help": "comma-separated free payoff parameters"},
-    }),
-    "sweep": ("verdict per contamination weight", False, {
+    }, _find_payoffs, _find_payoffs_text),
+    "sweep": Command("verdict per contamination weight", False, {
         "--eps-list": {"help": "comma-separated exact rationals"},
         "--bisect": {"metavar": "lo:hi", "help": "bisect for the threshold"},
         "--json": {"action": "store_true"},
         "--out": {},
     }),
-    "render": ("draw belief sets as an SVG triangle", True, {
+    "render": Command("draw belief sets as an SVG triangle", True, {
         "--layers": {"help": "comma list of " + ",".join(LAYERS)},
         "--interval": {"metavar": "a:b"},
-    }),
+    }, _render, _render_text),
 }
-# every subcommand but these runs the one analysis of its name
-ANALYSES = tuple(name for name in COMMANDS if name not in ("analyze", "sweep", "render"))
+# what a scenario file may list: render writes to a path only a flag names
+ANALYSES = tuple(name for name, entry in COMMANDS.items() if entry.compute and name != "render")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -695,10 +793,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = _Parser(prog="credalgames", description=__doc__)
     parser.one_command = command is not None
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, scenario, own) in COMMANDS.items():
+    for name, entry in COMMANDS.items():
         if command in (None, name):
-            sub = subs.add_parser(name, help=help_text)
-            for flag, options in ({**SCENARIO_OPTIONS, **own} if scenario else own).items():
+            sub = subs.add_parser(name, help=entry.help)
+            flags = {**SCENARIO_OPTIONS, **entry.flags} if entry.scenario else entry.flags
+            for flag, options in flags.items():
                 sub.add_argument(flag, **options)
     return parser
 
@@ -714,10 +813,14 @@ def _rational_pair(text: str, where: str, out: list[str]) -> tuple:
 
 def _flags_from_args(args: argparse.Namespace) -> RunFlags:
     """The flags the command was given; an empty value is read, and rejected,
-    like any other."""
+    like any other.  Every command but analyze runs the analysis of its name."""
     out: list[str] = []
     names = ("player", "eps", "rectangularize", "event", "interval", "grid", "slots", "layers")
     given = {name: v for name in names if (v := getattr(args, name, None)) is not None}
+    if args.command != "analyze":
+        given["analyses"] = (args.command,)
+    if args.command == "render":
+        given["svg_out"] = args.out or "triangle.svg"
     if "eps" in given:
         given["eps"] = _weight(given["eps"], "--eps", out)
     bindings = {}
@@ -746,10 +849,6 @@ def _flags_from_args(args: argparse.Namespace) -> RunFlags:
     return RunFlags(**given)
 
 
-def _points(vertices) -> str:
-    return "; ".join("(" + ", ".join(v) + ")" for v in vertices)
-
-
 def dumps(result: Report | SweepResult) -> str:
     """The JSON text ``--json`` prints and ``--out`` writes."""
     return json.dumps(result.to_json(), sort_keys=True, indent=2)
@@ -761,72 +860,8 @@ def format_report(report: Report) -> str:
         f"hash {report.scenario_hash}  credalgames {report.version}"
     ]
     for result in report.results:
-        kind = result["analysis"]
-        if kind == "validate":
-            lines.append(
-                f"[validate] schema ok; perfect recall: {result['perfect_recall']}; "
-                f"states {', '.join(result['states'])}"
-            )
-        elif kind == "maxmin":
-            strategy = ", ".join(f"{k}={v}" for k, v in result["strategy"].items())
-            lines.append(
-                f"[maxmin] value = {result['value']} "
-                f"(~{result['value_approx']}, approx); strategy {strategy}"
-            )
-        elif kind == "update":
-            for cell in result["cells"]:
-                if cell["status"] == "updated":
-                    lines.append(
-                        f"[update] cell {{{','.join(cell['cell'])}}}: {_points(cell['vertices'])}"
-                    )
-                else:
-                    lines.append(
-                        f"[update] cell {{{','.join(cell['cell'])}}}: unreachable"
-                    )
-        elif kind == "rect-hull":
-            lines.append(f"[rect-hull] vertices {_points(result['vertices'])}")
-        elif kind == "check-rect":
-            if result["rectangular"]:
-                lines.append("[check-rect] rectangular: yes")
-            else:
-                witness = "(" + ", ".join(result["witness"]) + ")"
-                lines.append(f"[check-rect] rectangular: no; witness {witness}")
-        elif kind == "check-dc":
-            overall = "CONSISTENT" if result["overall"] else "INCONSISTENT"
-            strategy = ", ".join(
-                f"{k}={v}" for k, v in result["exante"]["strategy"].items()
-            )
-            lines.append(f"[check-dc] overall {overall}; ex-ante strategy {strategy}")
-            for cell in result["cells"]:
-                tag = cell["status"]
-                extra = ""
-                if tag == "inconsistent":
-                    extra = (
-                        f"; conditional value {cell['conditional_value']}"
-                        f"; ex-ante optimizers reach {cell['restricted_value']}"
-                        f"; gap {cell['value_gap']}"
-                    )
-                elif tag == "consistent" and "common_face" in cell:
-                    extra = f"; common optimum {_points(cell['common_face']['vertices'])}"
-                lines.append(
-                    f"[check-dc]   cell {{{','.join(cell['cell'])}}}: {tag}{extra}"
-                )
-        elif kind == "induce":
-            lines.append(
-                f"[induce] n in [{result['interval'][0]}, {result['interval'][1]}] "
-                f"over {', '.join(result['states'])}: {_points(result['vertices'])}"
-            )
-        elif kind == "find-payoffs":
-            if result["found"]:
-                pays = ", ".join(f"{k}={v}" for k, v in result["payoffs"].items())
-                lines.append(f"[find-payoffs] inconsistent at {pays}")
-            else:
-                lines.append("[find-payoffs] no grid assignment breaks consistency")
-        elif kind == "render":
-            lines.append(
-                f"[render] wrote {result['path']} ({result['bytes']} bytes, "
-                f"sha256 {result['sha256']})"
-            )
+        name = result["analysis"]
+        lines.extend(f"[{name}] {line}" for line in COMMANDS[name].text(result))
     return "\n".join(lines)
 
 
@@ -861,13 +896,7 @@ def main(argv=None) -> int:
                 raise ScenarioSchemaError(bad)
             result, describe = sweep_eps(eps_list, bisect), format_sweep
         else:
-            flags = _flags_from_args(args)
-            if args.command == "render":
-                out = args.out or "triangle.svg"
-                flags = flags.replace(analyses=(), svg_out=out)
-            elif args.command in ANALYSES:
-                flags = flags.replace(analyses=(args.command,))
-            result, describe = run(args.scenario, flags), format_report
+            result, describe = run(args.scenario, _flags_from_args(args)), format_report
         json_out = None if args.command == "render" else args.out
         if args.json or json_out:
             payload = dumps(result)

@@ -286,8 +286,9 @@ def test_update_layer_pads_each_posterior_like_the_embed_matrix(name, monkeypatc
     drawn = []
     monkeypatch.setattr(cli, "render_triangle", lambda panels, path: drawn.extend(panels) or "")
     flags = RunFlags(layers=("update",), svg_out="unused.svg")
-    prep = cli._prepare(validate_scenario(load_scenario(name), flags), flags)
-    cli._render(prep, prep.problem.player, flags)
+    scenario = validate_scenario(load_scenario(name), flags)
+    prep = cli._prepare(scenario, flags)
+    cli._render(prep, scenario)
     pp = prep.problem
     expected = []
     for slot in pp.conditionals:
@@ -329,6 +330,32 @@ def test_sweep_returns_entries_in_eps_order():
     result = sweep_eps(["1/4", "1/200"])
     assert [str(e) for e, _ in result.entries] == ["1/200", "1/4"]
     assert [v for _, v in result.entries] == ["consistent", "inconsistent"]
+
+
+# verdicts that flip back, so no eps separates the consistent from the inconsistent
+_INTERLEAVED = {
+    "0,1/102,1/101,1/2,999/1000,1": ["consistent", "consistent", "inconsistent",
+                                     "inconsistent", "inconsistent", "consistent"],
+    "1/2,1": ["inconsistent", "consistent"],
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "eps_list", list(_INTERLEAVED), ids=["flips-back-at-1", "inconsistent-first"]
+)
+def test_sweep_claims_no_threshold_its_entries_contradict(eps_list, as_json, capsys):
+    assert main(["sweep", "--eps-list", eps_list] + ["--json"] * as_json) == 0
+    out = capsys.readouterr().out
+    verdicts = _INTERLEAVED[eps_list]
+    if as_json:
+        data = json.loads(out)
+        assert [v for _, v in data["entries"]] == verdicts
+        assert data["threshold"] is None
+        assert data["first_inconsistent"] is None
+    else:
+        eps = sorted(eps_list.split(","), key=F)
+        assert out.splitlines() == [f"eps = {e}: {v}" for e, v in zip(eps, verdicts)]
 
 
 def test_override_player_on_fig4():
@@ -439,6 +466,7 @@ _FIG1_BELIEFS = {
         ("fig1", (), ["fig1"], "scenario: must be a JSON object"),
         ("fig1", ("players",), [], "players: must map player ids to belief entries"),
         ("fig1", ("analysis",), "maxmin", "analysis: must be a list"),
+        ("fig1", ("analysis",), ["render"], "analysis[0]: unknown analysis 'render'"),
         ("fig4", ("payoff_search",), [], "payoff_search: must be an object with grid and slots"),
         ("fig4", ("payoff_search", "grid"), "0",
          "payoff_search.grid: must be a list of exact rationals"),
@@ -462,8 +490,9 @@ _FIG1_BELIEFS = {
          "game-undeclared-payoff", "game-zero-denominator-parameter", "game-decimal-payoff",
          "game-exponent-parameter", "game-int-label", "binding-undeclared",
          "slot-undeclared", "slot-repeated", "player-missing", "player-not-in-game",
-         "scenario-list", "players-list", "analysis-string", "payoff-search-list",
-         "grid-string", "slots-string", "player-entry-list", "beliefs-list", "beliefs-type-unknown",
+         "scenario-list", "players-list", "analysis-string", "analysis-render",
+         "payoff-search-list", "grid-string", "slots-string", "player-entry-list", "beliefs-list",
+         "beliefs-type-unknown",
          "eps-missing", "vertices-missing", "vertex-string", "vertex-negative"],
 )
 def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tmp_path, capsys):
@@ -567,14 +596,17 @@ _AB_TWICE = {
         (["rect-hull"], ("fig1", ("players", "2", "beliefs"), _ZERO_ON_LR),
          "rect-hull: event {L,R} has probability 0 under vertex (0, 0, 1)"),
         (["check-dc", "--rectangularize"], ("fig1", ("players", "2", "beliefs"), _ZERO_ON_LR),
-         "event {L,R} has probability 0 under vertex (0, 0, 1)"),
+         "--rectangularize: event {L,R} has probability 0 under vertex (0, 0, 1)"),
+        (["render", "--layers", "hull"], ("fig1", ("players", "2", "beliefs"), _ZERO_ON_LR),
+         "render: event {L,R} has probability 0 under vertex (0, 0, 1)"),
         (["validate"], ("fig1", ("game",), _AB_TWICE),
          "ambiguous opponent-path labels: ['AB', 'AC', 'AB']"),
         (["induce"], ("fig4", ("players", "3", "beliefs", "states"), ["A", "B", "C"]),
          "downstream induction reads beliefs over L, R, O, not A, B, C"),
     ],
     ids=["bisect-both-inconsistent", "render-induced-without-interval", "rect-hull-zero-mass",
-         "check-dc-rectangularize-zero-mass", "ambiguous-labels", "induce-unknown-labels"],
+         "check-dc-rectangularize-zero-mass", "render-hull-zero-mass", "ambiguous-labels",
+         "induce-unknown-labels"],
 )
 def test_analysis_errors_exit_two_with_their_message(
     argv, edit, message, tmp_path, monkeypatch, capsys
@@ -704,6 +736,20 @@ def test_help_texts_through_main_match_golden_digests(command, digest, monkeypat
     assert _digest(capsys.readouterr().out) == digest
 
 
+def test_a_new_table_entry_is_parsed_run_and_printed(monkeypatch, capsys):
+    entry = cli.Command(
+        "count the update cells", True, {},
+        lambda prep, scenario: {"player": scenario.player, "cells": len(prep.cells)},
+        lambda result: [f"player {result['player']} acts at {result['cells']} cell(s)"],
+    )
+    monkeypatch.setitem(cli.COMMANDS, "cells", entry)
+    assert main(["cells", "fig1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["[cells] player 2 acts at 1 cell(s)"]
+    assert main(["cells", "fig1", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results == [{"analysis": "cells", "player": "2", "cells": 1}]
+
+
 def _argv_matrix() -> list[list[str]]:
     """Help, parse errors and runs of every command, and top-level oddities."""
     matrix = [
@@ -711,8 +757,8 @@ def _argv_matrix() -> list[list[str]]:
         ["nosuch", "fig1"], ["Analyze", "fig1"], ["-x", "analyze", "fig1"],
         ["--", "analyze", "fig1"], ["--help", "analyze"],
     ]
-    for name, (_, scenario, _) in cli.COMMANDS.items():
-        run = [name, "fig1"] if scenario else [name, "--eps-list", "1/200,1/4"]
+    for name, command in cli.COMMANDS.items():
+        run = [name, "fig1"] if command.scenario else [name, "--eps-list", "1/200,1/4"]
         if name == "render":
             run += ["--out", "figure.svg"]
         matrix += [

@@ -80,6 +80,7 @@ def _samples() -> dict:
         "SweepResult": cli.sweep_eps(["1/200", "1/4"]),
         "Report": cli.run("fig1", cli.RunFlags(analyses=("validate",))),
         "_Prepared": cli._prepare(scenario, cli.RunFlags()),
+        "Command": cli.COMMANDS["update"],
     }
 
 
@@ -99,6 +100,7 @@ CONSTRUCTORS = {
          "conditional_face", "common_face"),
         (None, None, None, None, None),
     ),
+    "Command": (("help", "scenario", "flags", "compute", "text"), (None, None)),
     "ConditionalSlot": (("cell", "projection"), None),
     "ConsistencyReport": (("player", "exante_solution", "cells"), None),
     "Constraint": (("coefficients", "relation", "rhs"), None),
@@ -134,7 +136,9 @@ CONSTRUCTORS = {
     "TerminalNode": (("payoffs",), None),
     "TriangleLayer": (("credal", "label", "fill", "stroke"), ("", None, "#404040")),
     "TrianglePanel": (("layers", "title"), ("",)),
-    "_Prepared": (("base_beliefs", "induced", "problem", "cells"), None),
+    "_Prepared": (
+        ("base_beliefs", "induced", "problem", "cells", "layers", "svg_out"), None
+    ),
     "_State": (("label", "path", "node", "infoset"), None),
 }
 
