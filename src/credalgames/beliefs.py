@@ -100,37 +100,35 @@ class CredalSet(Record):
     def contains(self, point: Vector) -> bool:
         return polytope_contains(self.set, point)
 
-    def event_mass(self, vertex: Vector, event: Cell) -> Fraction:
-        return dot((vertex[self.space.index(s)] for s in event), itertools.repeat(1))
-
 
 class Filtration(Record):
     """Intermediate stages of information, each strictly refining the last.
 
     The trivial coarsest stage and the final singleton stage are implicit;
     ``stages`` lists only what lies between them (the games here need one).
+    The constructor stores every stage in state order: each cell's states,
+    and the cells by their first state.
     """
 
     __slots__ = ("space", "stages")
 
     def __init__(self, space: StateSpace, stages: tuple[Partition, ...]):
+        ordered = []
         previous: Partition = (tuple(space.labels),)
         for stage in stages:
-            _ordered_cells(space, stage)  # raises unless the stage partitions the space
+            # raises unless the stage partitions the space
+            stage = tuple(sorted(_ordered_cells(space, stage), key=lambda c: space.index(c[0])))
             for cell in stage:
                 if not any(set(cell) <= set(prev) for prev in previous):
                     raise ValueError(f"cell {cell} does not refine the previous stage")
+            ordered.append(stage)
             previous = stage
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "stages", tuple(ordered))
 
     @classmethod
     def build(cls, space: StateSpace, stages) -> "Filtration":
-        norm = tuple(
-            tuple(sorted(_ordered_cells(space, stage), key=lambda c: space.index(c[0])))
-            for stage in stages
-        )
-        return cls(space, norm)
+        return cls(space, stages)
 
 
 def _ordered_cells(space: StateSpace, stage) -> Partition:
@@ -224,8 +222,10 @@ def one_step_ahead(c: CredalSet, stage: Partition) -> CredalSet:
     must partition the set's states."""
     cells = _ordered_cells(c.space, stage)
     space = StateSpace(tuple(cell_label(cell) for cell in cells))
+    positions = [[c.space.index(s) for s in cell] for cell in cells]
     margs = [
-        Vector(c.event_mass(v, cell) for cell in cells) for v in c.vertices
+        Vector(dot((v[i] for i in pos), itertools.repeat(1)) for pos in positions)
+        for v in c.vertices
     ]
     return CredalSet.from_vertices(space, margs)
 
@@ -250,34 +250,25 @@ def compose(
     conditional ``q_c``, since ``q_c`` is extreme; cells with ``m_c = 0``
     hold zeros.  So both points equal ``p``.
     """
-    cells = tuple(tuple(sorted(cell, key=space.index)) for cell in stage)
-    active = [cell for cell in cells if cell in conditionals]
-    for cell in cells:
+    # each active cell's marginal index, state positions and conditional
+    active = []
+    for i, cell in enumerate(stage):
+        cell = tuple(sorted(cell, key=space.index))
         if cell in conditionals:
-            continue
-        i = cells.index(cell)
-        for m in marginal.vertices:
-            if m[i] != 0:
-                raise ValueError(
-                    f"cell {cell} has marginal mass but no conditional"
-                )
+            active.append((i, [space.index(s) for s in cell], conditionals[cell].vertices))
+        elif any(m[i] != 0 for m in marginal.vertices):
+            raise ValueError(f"cell {cell} has marginal mass but no conditional")
     # each cell's (state index, mass x conditional entry) products are made
     # once per marginal vertex and conditional vertex, and the hull vertices
     # that reuse them share the Fractions, as they share one zero
-    positions = {cell: [space.index(s) for s in cell] for cell in active}
     zero = Fraction(0)
     zeros = [zero] * len(space)
     points = set()
     for m in marginal.vertices:
-        pools = []
-        for cell in active:
-            mass = m[cells.index(cell)]
-            pools.append(
-                [
-                    list(zip(positions[cell], (mass * x or zero for x in q)))
-                    for q in conditionals[cell].vertices
-                ]
-            )
+        pools = [
+            [list(zip(pos, (m[i] * x or zero for x in q))) for q in verts]
+            for i, pos, verts in active
+        ]
         for combo in itertools.product(*pools):
             entries = zeros.copy()
             for part in combo:
@@ -290,7 +281,9 @@ def compose(
 def _hull_over_stages(c: CredalSet, stages: tuple[Partition, ...]) -> CredalSet:
     if not stages:
         return c
-    stage = tuple(tuple(sorted(cell, key=c.space.index)) for cell in stages[0])
+    # in state order: the Filtration stores its stages so, and restricting
+    # them to a cell below keeps the order
+    stage = stages[0]
     marginal = one_step_ahead(c, stage)
     conditionals: dict[Cell, CredalSet] = {}
     for i, cell in enumerate(stage):

@@ -291,9 +291,14 @@ def validate_scenario(data, flags: RunFlags = RunFlags()) -> Scenario:
     bindings = {name: read_rational(v, f"bindings.{name}", out) for name, v in bindings.items()}
 
     analysis = _member(data, "analysis", list, "must be a list", out)
-    for i, a in enumerate(analysis):
-        if a not in ANALYSES:
-            out.append(f"analysis[{i}]: unknown analysis {a!r}")
+    # a caller's own list may name render, which writes where its flags say
+    runnable = tuple(name for name, entry in COMMANDS.items() if entry.compute)
+    for where, names, known in (
+        ("analysis", analysis, ANALYSES), ("RunFlags.analyses", flags.analyses or (), runnable)
+    ):
+        out.extend(
+            f"{where}[{i}]: unknown analysis {a!r}" for i, a in enumerate(names) if a not in known
+        )
     default_analyses = tuple(analysis) or ("validate", "maxmin", "check-dc")
 
     search = _member(data, "payoff_search", dict, "must be an object with grid and slots", out)

@@ -166,77 +166,66 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
                 row.append(-c)
         return row
 
-    # equality standard form: one slack per inequality, rhs made nonnegative
+    # equality standard form: one slack per inequality, rhs made nonnegative;
+    # a slack that enters its row with +1 is the row's initial basic column
     nslack = sum(1 for con in lp.constraints if con.relation != EQUAL)
-    ncols = ny + nslack
+    nreal = ny + nslack
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    slack_sign: list[Fraction | None] = []
+    basis: list[int] = []
     flipped: list[bool] = []
     s = 0
     for con in lp.constraints:
         full = to_y(con.coefficients) + [Fraction(0)] * nslack
         b = con.rhs
-        sign = None
+        flip = b < 0
+        basic = -1
         if con.relation != EQUAL:
-            sign = one if con.relation == LESS_EQUAL else -one
-            full[ny + s] = sign
+            full[ny + s] = one if con.relation == LESS_EQUAL else -one
+            if (con.relation == LESS_EQUAL) != flip:
+                basic = ny + s
             s += 1
-        flipped.append(b < 0)
-        if b < 0:
+        flipped.append(flip)
+        if flip:
             full = [-a for a in full]
             b = -b
-            sign = None if sign is None else -sign
         rows.append(full)
         rhs.append(b)
-        slack_sign.append(sign)
+        basis.append(basic)
 
-    # initial basis: slacks where they enter with +1, artificials elsewhere;
-    # either way the basic column is the row's unit column
-    basis = [-1] * len(rows)
-    art_cols: list[int] = []
-    for i, sign in enumerate(slack_sign):
-        if sign == one:
-            col = next(j for j in range(ny, ncols) if rows[i][j] == one)
-            basis[i] = col
+    # an artificial column for every other row; either way the basic column
+    # is the row's unit column
+    ncols = nreal
     for i in range(len(rows)):
         if basis[i] == -1:
             for r in rows:
                 r.append(Fraction(0))
             rows[i][-1] = one
             basis[i] = ncols
-            art_cols.append(ncols)
             ncols += 1
 
     unit_cols = list(basis)
     tab = _Tableau(rows, rhs, basis)
     tab.ncols = ncols
 
-    if art_cols:
-        cost1 = [Fraction(0)] * ncols
-        for j in art_cols:
-            cost1[j] = Fraction(-1)
+    if ncols > nreal:
+        # the artificial columns are those from nreal on; phase 1 keeps every
+        # rhs nonnegative, so their sum is zero only when each basic one is
+        cost1 = [Fraction(0)] * nreal + [Fraction(-1)] * (ncols - nreal)
         tab.run(cost1, [True] * ncols)
-        infeas = sum(
-            (tab.rhs[r] for r, b in enumerate(tab.basis) if b in set(art_cols)),
-            Fraction(0),
-        )
-        if infeas != 0:
+        if any(tab.rhs[r] for r, b in enumerate(tab.basis) if b >= nreal):
             return LpSolution(INFEASIBLE)
         # pivot leftover artificials out of the basis; drop redundant rows
-        art_set = set(art_cols)
         for r in range(len(tab.rows) - 1, -1, -1):
-            if tab.basis[r] in art_set:
-                col = next(
-                    (j for j in range(ny + nslack) if tab.rows[r][j] != 0), None
-                )
+            if tab.basis[r] >= nreal:
+                col = next((j for j in range(nreal) if tab.rows[r][j] != 0), None)
                 if col is None:
                     del tab.rows[r], tab.rhs[r], tab.basis[r]
                 else:
                     tab.pivot(r, col)
 
     cost2 = to_y(lp.objective) + [Fraction(0)] * (ncols - ny)
-    allowed = [j < ny + nslack for j in range(ncols)]
+    allowed = [j < nreal for j in range(ncols)]
     status = tab.run(cost2, allowed)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)

@@ -38,8 +38,6 @@ def _fmt(x: Fraction) -> str:
 
 def _angular_order(points: list[Vector]) -> list[Vector]:
     """Order 2-d hull vertices counterclockwise around their centroid."""
-    if len(points) <= 2:
-        return points
     n = Fraction(len(points))
     cx = sum((p[0] for p in points), Fraction(0)) / n
     cy = sum((p[1] for p in points), Fraction(0)) / n

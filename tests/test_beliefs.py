@@ -494,6 +494,19 @@ def test_filtration_build_names_a_state_outside_the_space():
         Filtration.build(LRO, [(("L", "X"), ("R", "O"))])
 
 
+def test_filtration_holds_its_stages_in_state_order_however_built():
+    # each cell's states in the space's order, and the cells by their first
+    unordered = ((("O",), ("R", "L")),)
+    built = Filtration.build(LRO, unordered)
+    c = contamination(F(1, 4))
+    for f in (Filtration(LRO, unordered), built.replace(stages=unordered), built):
+        assert f.stages == ((("L", "R"), ("O",)),)
+        assert rectangular_hull(c, f) == rectangular_hull(c, FILTRATION)
+    space = StateSpace.of("a", "b", "c", "d")
+    f = Filtration(space, ((("d",), ("c", "a", "b")), (("d",), ("c",), ("b", "a"))))
+    assert f.stages == ((("a", "b", "c"), ("d",)), (("a", "b"), ("c",), ("d",)))
+
+
 def _products(space, stage, marginal, conditionals):
     """Every product compose recombines, built here as the oracle's input."""
     cells = [tuple(sorted(cell, key=space.index)) for cell in stage]

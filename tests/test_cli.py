@@ -146,6 +146,15 @@ def test_scenario_schema_lists_every_violation(tmp_path):
     assert main(["validate", str(path)]) == 1
 
 
+@pytest.mark.parametrize("name", ["bogus", "analyze", "sweep"])
+def test_run_flags_naming_no_analysis_are_schema_errors(name):
+    # render may be named here, as main does, though not in a scenario file
+    assert [r["analysis"] for r in run("fig1", RunFlags(analyses=("render",))).results] == ["render"]
+    with pytest.raises(ScenarioSchemaError) as caught:
+        run("fig1", RunFlags(analyses=("maxmin", name)))
+    assert caught.value.violations == [f"RunFlags.analyses[1]: unknown analysis {name!r}"]
+
+
 def test_vertex_sum_violation_exits_one(tmp_path, capsys):
     data = load_scenario("fig4")
     data["players"]["3"]["beliefs"]["vertices"][1][0] = "1/2"
@@ -430,6 +439,11 @@ _FIG1_BELIEFS = {
     "center": ["0", "1", "0"],
     "eps": "1/4",
 }
+# fig1's root with player 1 at both of player 2's nodes, whose information
+# set then joins player 1's own moves L and R
+_NO_RECALL_ROOT = json.loads(json.dumps(BUILTIN_GAMES["fig1"]["root"]))
+for _action in _NO_RECALL_ROOT["actions"][:2]:
+    _action["child"]["player"] = "1"
 
 
 @pytest.mark.parametrize(
@@ -483,6 +497,20 @@ _FIG1_BELIEFS = {
          "players.3.beliefs.vertices[0]: a probability vector is required"),
         ("fig4", ("players", "3", "beliefs", "vertices", 0), ["-1/8", "1", "1/8"],
          "players.3.beliefs.vertices[0]: negative probability"),
+        ("inline", ("game", "root", "player"), "9", "game: unknown player '9' at ()"),
+        ("inline", ("game", "root", "actions", 1, "label"), "L",
+         "game: duplicate action label at ()"),
+        ("inline", ("game", "root", "actions", 2, "child", "payoffs"), ["x"],
+         "game: terminal ('O',) has 1 payoffs for 2 players"),
+        ("inline", ("game", "information_sets", 0, 1), ["R", "M"],
+         "game: information set names unknown node ('R', 'M')"),
+        ("inline", ("game", "root"), _NO_RECALL_ROOT,
+         "game: player '1' lacks perfect recall at (('L',), ('R',))"),
+        ("fig1", ("game",), 7, "game: a built-in name or an inline game object is required"),
+        ("fig4", ("players", "3", "n_interval"), ["1/3"],
+         "players.3.n_interval: expected [low, high]"),
+        ("fig4", ("players", "3", "beliefs", "vertices", 0, 0), "x",
+         "players.3.beliefs.vertices[0][0]: 'x' is not an exact rational like 1/102"),
     ],
     ids=["eps-without-states", "bindings-list", "bindings-empty-list", "bindings-zero",
          "bindings-empty-string", "bindings-false", "bindings-null", "center-length", "grid-entry",
@@ -493,7 +521,10 @@ _FIG1_BELIEFS = {
          "scenario-list", "players-list", "analysis-string", "analysis-render",
          "payoff-search-list", "grid-string", "slots-string", "player-entry-list", "beliefs-list",
          "beliefs-type-unknown",
-         "eps-missing", "vertices-missing", "vertex-string", "vertex-negative"],
+         "eps-missing", "vertices-missing", "vertex-string", "vertex-negative",
+         "game-unknown-player", "game-duplicate-label", "game-short-payoffs",
+         "game-information-set-unknown-node", "game-without-perfect-recall", "game-int",
+         "n-interval-one-entry", "vertex-entry-not-rational"],
 )
 def test_malformed_scenario_files_are_schema_errors(name, path, value, where, tmp_path, capsys):
     assert main(["validate", _scenario_file(tmp_path, name, path, value)]) == 1
