@@ -18,12 +18,12 @@ from .exactmath import (
     Polytope,
     Record,
     Vector,
+    cleared,
     dot,
     polytope_contains,
     polytope_minimize,
     rat,
 )
-from .exactmath.vector import _cleared
 
 Cell = tuple[str, ...]
 Partition = tuple[Cell, ...]
@@ -168,8 +168,8 @@ def eps_contamination(center: Vector, eps: Fraction | int | str, space: StateSpa
     The hull of the mixed unit vectors equals the full eps-blend of the
     simplex around the center.  Every mixed point is extreme: for eps > 0
     they are the unit vectors' images under the injective affine map
-    x -> (1 - eps) center + eps x, and for eps = 0 they are all the center.
-    So the points are deduplicated and sorted, not minimized.
+    x -> (1 - eps) center + eps x, and for eps = 0 they are all the center,
+    kept once.  So the points are sorted, not deduplicated or minimized.
     """
     e = rat(eps)
     if not 0 <= e <= 1:
@@ -181,15 +181,15 @@ def eps_contamination(center: Vector, eps: Fraction | int | str, space: StateSpa
     # ((q - p) C + p D e_s) / (q D): it shares every entry but the s-th
     # with the others.
     p, q = e.numerator, e.denominator
-    cleared = _cleared(center)
-    scale = sum(cleared)
+    ints = cleared(center)
+    scale = sum(ints)
     den = q * scale
-    shared = [Fraction((q - p) * x, den) for x in cleared]
-    points = set()
-    for s, x in enumerate(cleared):
+    shared = [Fraction((q - p) * x, den) for x in ints]
+    points = []
+    for s, x in enumerate(ints if p else ints[:1]):
         entries = shared.copy()
         entries[s] = Fraction((q - p) * x + p * scale, den)
-        points.add(Vector(entries))
+        points.append(Vector(entries))
     return CredalSet(space, Polytope(tuple(sorted(points))))
 
 
@@ -209,11 +209,11 @@ def full_bayes_update(c: CredalSet, event) -> CredalSet:
         # the cell's entries as integers over their lcm, whose sum is the
         # event's mass over the same lcm, so each posterior entry is the
         # ratio of two integers
-        cleared = _cleared([v[i] for i in indices])
-        mass = sum(cleared)
+        ints = cleared([v[i] for i in indices])
+        mass = sum(ints)
         if mass == 0:
             raise ZeroProbabilityReachError(cell, v)
-        posts.append(Vector(Fraction(x, mass) for x in cleared))
+        posts.append(Vector(Fraction(x, mass) for x in ints))
     return CredalSet.from_vertices(StateSpace(cell), posts)
 
 
@@ -244,11 +244,11 @@ def compose(
     Precondition: ``marginal`` and every conditional are minimized, so their
     vertices are extreme (every CredalSet built by this module is).  Then
     each product ``p = m x q`` is extreme in the hull, so the products are
-    deduplicated and sorted, not minimized.  Proof: if ``p`` is the midpoint
-    of two hull points, both have marginal ``m``, since the cell masses are
-    linear and ``m`` is extreme; on each cell with ``m_c > 0`` both have
-    conditional ``q_c``, since ``q_c`` is extreme; cells with ``m_c = 0``
-    hold zeros.  So both points equal ``p``.
+    sorted, not minimized.  Proof: if ``p`` is the midpoint of two hull
+    points, both have marginal ``m``, since the cell masses are linear and
+    ``m`` is extreme; on each cell with ``m_c > 0`` both have conditional
+    ``q_c``, since ``q_c`` is extreme; cells with ``m_c = 0`` hold zeros,
+    made once, so no two products are equal.
     """
     # each active cell's marginal index, state positions and conditional
     active = []
@@ -263,10 +263,10 @@ def compose(
     # that reuse them share the Fractions, as they share one zero
     zero = Fraction(0)
     zeros = [zero] * len(space)
-    points = set()
+    points = []
     for m in marginal.vertices:
         pools = [
-            [list(zip(pos, (m[i] * x or zero for x in q))) for q in verts]
+            [list(zip(pos, (m[i] * x or zero for x in q))) for q in verts] if m[i] else [()]
             for i, pos, verts in active
         ]
         for combo in itertools.product(*pools):
@@ -274,7 +274,7 @@ def compose(
             for part in combo:
                 for i, x in part:
                     entries[i] = x
-            points.add(Vector(entries))
+            points.append(Vector(entries))
     return CredalSet(space, Polytope(tuple(sorted(points))))
 
 
@@ -340,5 +340,4 @@ def is_rectangular(c: CredalSet, f: Filtration) -> RectangularityCheck:
     ``c.vertices``, and when every hull vertex is, the hull equals c.
     """
     hull = rectangular_hull(c, f)
-    own = set(c.vertices)
-    return RectangularityCheck(next((v for v in hull.vertices if v not in own), None))
+    return RectangularityCheck(next((v for v in hull.vertices if v not in c.vertices), None))

@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
-from math import lcm
 
 from . import __version__
 from .beliefs import (
@@ -32,7 +31,7 @@ from .dynamics import (
     find_dc_violation_payoffs,
     induce_downstream,
 )
-from .exactmath import Polytope, Record, Vector, approx_decimal, rat, read_rational
+from .exactmath import Polytope, Record, Vector, approx_decimal, cleared, rat, read_rational
 from .gametree import (
     BUILTIN_GAMES,
     GameJsonError,
@@ -681,8 +680,7 @@ def sweep_eps(
         lo, hi = (rat(x) for x in bisect)
         if not 0 < lo < hi < 1:
             raise AnalysisError("bisection bounds need 0 < low < high < 1")
-        den = lcm(lo.denominator, hi.denominator)
-        p0, p1 = int(lo * den), int(hi * den)
+        p0, p1, den = cleared([lo, hi, 1])
         v_lo, v_hi = verdict(lo), verdict(hi)
         entries.extend([(lo, v_lo), (hi, v_hi)])
         if v_lo != "consistent" or v_hi != "inconsistent":

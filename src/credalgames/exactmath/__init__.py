@@ -19,11 +19,12 @@ from .polytope import (
     polytope_contains,
     polytope_minimize,
 )
-from .rational import approx_decimal, rat, read_rational
+from .rational import approx_decimal, fixed, rat, read_rational
 from .record import Record
 from .vector import (
     DimensionMismatchError,
     Vector,
+    cleared,
     dot,
     row_reduce,
     solve_square_system,
@@ -46,7 +47,9 @@ __all__ = [
     "Vector",
     "affine_image",
     "approx_decimal",
+    "cleared",
     "dot",
+    "fixed",
     "lp_feasible",
     "lp_solve",
     "polytope_contains",

@@ -17,7 +17,7 @@ from operator import itemgetter
 from .linprog import EQUAL, lp_feasible
 from .rational import rat
 from .record import Record
-from .vector import DimensionMismatchError, Vector, _cleared, dot, eliminate
+from .vector import DimensionMismatchError, Vector, cleared, dot, eliminate
 
 
 class Polytope(Record):
@@ -71,7 +71,7 @@ def polytope_contains(p: Polytope, x: Vector) -> bool:
     n = len(verts)
     rows = [[*(v[coord] for v in verts), x[coord]] for coord in range(p.ambient_dimension)]
     rows.append([1] * (n + 1))
-    aug = list(map(_cleared, rows))
+    aug = list(map(cleared, rows))
     rank, d = eliminate(aug, n)
     if any(row[n] for row in aug[rank:]):
         return False
@@ -104,7 +104,7 @@ def polytope_minimize(p: Polytope) -> Polytope:
             verts.append(v)
     if len(verts) <= 2:
         return Polytope(tuple(sorted(verts)))
-    basis = [_cleared([1, *v]) for v in verts]
+    basis = [cleared([1, *v]) for v in verts]
     if (rank := eliminate(basis, p.ambient_dimension + 1, full=False)[0]) == len(verts):
         return Polytope(tuple(sorted(verts)))
     if rank <= 3:
@@ -113,6 +113,11 @@ def polytope_minimize(p: Polytope) -> Polytope:
         # hull's directions: their pivot coordinates project it one-to-one
         axes = [next(j for j, c in enumerate(row) if c) - 1 for row in basis[1:rank]]
         return Polytope(tuple(sorted(_planar_extremes(verts, axes))))
+    return Polytope(tuple(sorted(_pairwise_extremes(verts))))
+
+
+def _pairwise_extremes(verts: list[Vector]) -> list[Vector]:
+    """Drop, in place, each distinct point that the rest's hull contains."""
     i = 0
     while i < len(verts) and len(verts) > 1:
         others = verts[:i] + verts[i + 1 :]
@@ -120,7 +125,7 @@ def polytope_minimize(p: Polytope) -> Polytope:
             verts.pop(i)
         else:
             i += 1
-    return Polytope(tuple(sorted(verts)))
+    return verts
 
 
 def _planar_extremes(verts: list[Vector], axes: list[int]) -> list[Vector]:
@@ -136,7 +141,7 @@ def _planar_extremes(verts: list[Vector], axes: list[int]) -> list[Vector]:
     if len(axes) == 1:
         key = itemgetter(axes[0])
         return [min(verts, key=key), max(verts, key=key)]
-    scaled = [_cleared([v[axis] for v in verts]) for axis in axes]
+    scaled = [cleared([v[axis] for v in verts]) for axis in axes]
     points = sorted(zip(*scaled, verts))
 
     def chain(ordered):

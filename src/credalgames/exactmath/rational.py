@@ -42,16 +42,18 @@ def read_rational(value, path: str, out: list[str]) -> Fraction | None:
     return None
 
 
-def approx_decimal(value: Fraction) -> str:
-    """Six-decimal rendering for display only, computed by integer arithmetic.
-
-    The result is marked approximate by callers; it never feeds computation.
-    """
+def fixed(value: Fraction, places: int) -> str:
+    """``value`` to ``places`` >= 1 decimals for display, by integer arithmetic:
+    floor(|value| 10**places + 1/2), signed unless it rounds to zero."""
     mag = abs(value)
-    scale = 10**6
+    scale = 10**places
     scaled = (mag.numerator * scale + mag.denominator // 2) // mag.denominator
-    # a negative value that rounds to zero prints unsigned
     sign = "-" if value < 0 and scaled else ""
     whole, frac = divmod(scaled, scale)
-    text = f"{sign}{whole}.{frac:06d}".rstrip("0")
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def approx_decimal(value: Fraction) -> str:
+    """Six decimals less trailing zeros, marked approximate by callers."""
+    text = fixed(value, 6).rstrip("0")
     return text + "0" if text.endswith(".") else text

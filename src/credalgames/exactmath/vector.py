@@ -52,8 +52,8 @@ class Vector(tuple):
     def is_probability(self) -> bool:
         # cleared with a trailing 1, which becomes the scale: the entries sum
         # to 1 exactly when their cleared sum is the scale
-        *cleared, scale = _cleared([*self, 1])
-        return all(c >= 0 for c in cleared) and sum(cleared) == scale
+        *ints, scale = cleared([*self, 1])
+        return all(c >= 0 for c in ints) and sum(ints) == scale
 
     def __repr__(self) -> str:
         return "Vector(%s)" % ", ".join(str(e) for e in self)
@@ -103,7 +103,7 @@ def row_reduce(
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
         raise DimensionMismatchError("rows of the system differ in length")
-    aug = [_cleared([*row, b]) for row, b in zip(rows, rhs)]
+    aug = [cleared([*row, b]) for row, b in zip(rows, rhs)]
     rank, d = eliminate(aug, ncols)
     if any(row[ncols] for row in aug[rank:]):
         return None
@@ -140,8 +140,9 @@ def eliminate(rows: list[Sequence[int]], ncols: int, full: bool = True) -> tuple
     return rank, d
 
 
-def _cleared(row: Sequence[int | Fraction]) -> list[int]:
-    """The row of ints and Fractions times the lcm of its denominators."""
+def cleared(row: Sequence[int | Fraction]) -> list[int]:
+    """The row of ints and Fractions times the lcm of its denominators, as
+    ints; a trailing 1 returns that lcm."""
     denominators = [c.denominator for c in row]
     scale = lcm(*denominators)
     return [c.numerator * (scale // d) for c, d in zip(row, denominators)]

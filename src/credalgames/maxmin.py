@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from .beliefs import CredalSet, StateSpace
 from .exactmath import (
@@ -33,6 +32,7 @@ from .exactmath import (
     Record,
     Vector,
     affine_image,
+    cleared,
     dot,
     lp_solve,
     rat,
@@ -148,11 +148,8 @@ def _envelope(gains: list[Vector]) -> tuple:
     that scale, the mix as integer weights over ``den`` keyed by gain index,
     and ``(lo, hi)`` as ratios ``(p, q)`` with ``q > 0``.
     """
-    scale = lcm(*(x.denominator for g in gains for x in g))
-    lines = []
-    for g0, g1 in gains:
-        a = g0.numerator * (scale // g0.denominator)
-        lines.append((a, g1.numerator * (scale // g1.denominator) - a))
+    *ints, scale = cleared([*itertools.chain(*gains), 1])
+    lines = [(a, b - a) for a, b in zip(ints[::2], ints[1::2])]
     num, best = min((max(a, a + d), i) for i, (a, d) in enumerate(lines))
     den, mix = 1, {best: 1}
     rising = [(i, a, d) for i, (a, d) in enumerate(lines) if d > 0]
@@ -229,17 +226,27 @@ def _solve(
         p, q = hi
         binding = tuple(i for i, (a, d) in enumerate(lines) if (a * q + p * d) * den == num * q)
         return value, tuple(Vector([Fraction(q - p, q), Fraction(p, q)]) for p, q in ends), binding
-    if len(gains) <= 2:
-        # negating the lines turns nature's least upper envelope into the
-        # peak of a lower one, whose mix over the lines is a strategy
-        scale, _, (num, den), weights, ((p, q), _) = _envelope(
-            [(-a, -b) for a, b in zip(gains[0], gains[-1])]
-        )
-        value = Fraction(-num, den * scale)
-        point = Vector(Fraction(weights.get(i, 0), den) for i in range(k))
-        mix = [Fraction(q - p, q), Fraction(p, q)] if len(gains) == 2 else [Fraction(1)]
-    else:
-        value, point, mix = _value_lp(gains, k)
+    solve = _transposed if len(gains) <= 2 else _value_lp
+    return (*_face(gains, k, *solve(gains, k)), None)
+
+
+def _transposed(gains: list[Vector], k: int) -> tuple[Fraction, Vector, list[Fraction]]:
+    """Value, an optimal strategy and nature's mix against one or two gains
+    (one gain stands for both), from the envelope of one line per strategy."""
+    # negating the lines turns nature's least upper envelope into the
+    # peak of a lower one, whose mix over the lines is a strategy
+    scale, _, (num, den), weights, ((p, q), _) = _envelope(
+        [(-a, -b) for a, b in zip(gains[0], gains[-1])]
+    )
+    value = Fraction(-num, den * scale)
+    point = Vector(Fraction(weights.get(i, 0), den) for i in range(k))
+    mix = [Fraction(q - p, q), Fraction(p, q)] if len(gains) == 2 else [Fraction(1)]
+    return value, point, mix
+
+
+def _face(gains: list[Vector], k: int, value: Fraction, point: Vector, mix: list) -> tuple:
+    """The value and the sorted optimal face, once the value, an optimal
+    point and nature's mix y pass their certificate check."""
     payoff = [dot(mix, column) for column in zip(*gains)]
     if (
         any(y < 0 for y in mix)
@@ -275,7 +282,7 @@ def _solve(
     pivots = [next(j for j, c in enumerate(row) if c != 0) for row in basis]
     free = [j for j in range(k) if j not in pivots]
     if not free:
-        return value, (point,), None
+        return value, (point,)
 
     # the face is {point + D z : every reduced inequality holds}, where D's
     # columns span the solutions of the homogeneous equalities
@@ -298,7 +305,7 @@ def _solve(
         tuple(x + dot(z, col) for x, col in zip(point, zip(*directions)))
         for z in corners
     }
-    return value, tuple(Vector(p) for p in sorted(face)), None
+    return value, tuple(Vector(p) for p in sorted(face))
 
 
 def _binding(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import Record, Vector
+from .exactmath import Record, Vector, fixed
 
 VIEW = 512
 PALETTE = ("#9e9e9e", "#c7c7c7", "#7d9fc4", "#caa8a8", "#a8caa8")
@@ -22,18 +22,6 @@ class TriangleLayer(Record, defaults={"label": "", "fill": None, "stroke": "#404
 
 class TrianglePanel(Record, defaults={"title": ""}):
     __slots__ = ("layers", "title")
-
-
-def _fmt(x: Fraction) -> str:
-    """Round to two decimals, halves away from zero."""
-    scale = 100
-    scaled = x * scale
-    n = scaled.numerator
-    d = scaled.denominator
-    rounded = (n + d // 2) // d if n >= 0 else -((-n + d // 2) // d)
-    whole, frac = divmod(abs(rounded), scale)
-    sign = "-" if rounded < 0 else ""
-    return f"{sign}{whole}.{frac:02d}"
 
 
 def _angular_order(points: list[Vector]) -> list[Vector]:
@@ -65,7 +53,7 @@ class _Panel:
     def xy(self, u: Fraction, v: Fraction) -> tuple[str, str]:
         px = self.x0 + u * self.side
         py = self.y0 - v * self.side
-        return _fmt(px), _fmt(py)
+        return fixed(px, 2), fixed(py, 2)
 
 
 def _panel_svg(panel: TrianglePanel, geom: _Panel) -> list[str]:

@@ -295,6 +295,75 @@ def test_compose_from_scratch_builds_quadrilateral():
     assert set(built.vertices) == set(QUAD.vertices)
 
 
+def _products_by_set(space, stage, marginal, conditionals):
+    """compose's vertices as once built: every product of a marginal vertex
+    with one vertex per conditional, deduplicated through a set."""
+    cells = [(i, tuple(sorted(cell, key=space.index))) for i, cell in enumerate(stage)]
+    active = [(i, cell) for i, cell in cells if cell in conditionals]
+    points = set()
+    for m in marginal.vertices:
+        for qs in itertools.product(*(conditionals[cell].vertices for _, cell in active)):
+            entries = [F(0)] * len(space)
+            for (i, cell), q in zip(active, qs):
+                for state, x in zip(cell, q):
+                    entries[space.index(state)] = m[i] * x
+            points.add(Vector(entries))
+    return tuple(sorted(points))
+
+
+def test_compose_and_contamination_keep_the_set_based_vertices():
+    # products repeat only where a marginal vertex gives an active cell no
+    # mass, or where eps = 0 makes every contaminated point the center
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(60):
+        n_cells = rng.randint(2, 3)
+        sizes = [rng.randint(1, 3) for _ in range(n_cells)]
+        labels = [f"s{i}" for i in range(sum(sizes))]
+        space = StateSpace(tuple(labels))
+        stage, start = [], 0
+        for size in sizes:
+            stage.append(tuple(labels[start : start + size]))
+            start += size
+        dead = rng.randrange(n_cells) if rng.random() < 0.3 else None
+        margs = []
+        for _ in range(rng.randint(1, 4)):
+            w = [0 if i == dead else rng.randint(0, 3) for i in range(n_cells)]
+            if not any(w):
+                w[1 if dead == 0 else 0] = 1
+            margs.append([F(x, sum(w)) for x in w])
+        marginal = CredalSet.from_vertices(StateSpace(tuple(map(str, range(n_cells)))), margs)
+        conditionals = {}
+        for i, cell in enumerate(stage):
+            if all(m[i] == 0 for m in marginal.vertices):
+                continue
+            verts = []
+            for _ in range(rng.randint(1, 3)):
+                w = [rng.randint(1, 3) for _ in cell]
+                verts.append([F(x, sum(w)) for x in w])
+            conditionals[cell] = CredalSet.from_vertices(StateSpace(cell), verts)
+        built = compose(space, tuple(stage), marginal, conditionals).vertices
+        assert built == _products_by_set(space, stage, marginal, conditionals)
+        for i, cell in enumerate(stage):
+            if cell not in conditionals:
+                seen.add("a dead cell")
+            elif len(conditionals[cell].vertices) > 1 and not all(m[i] for m in marginal.vertices):
+                seen.add("a vertex without mass on a cell of several conditionals")
+    assert seen == {"a dead cell", "a vertex without mass on a cell of several conditionals"}
+
+    for center in ([0, 1, 0], [F(1, 3), F(1, 6), F(1, 2)], [F(2, 7), F(5, 7), 0]):
+        center = Vector(center)
+        for eps in (0, F(1, 102), 1):
+            mixed = {
+                Vector((1 - eps) * c + eps * (i == s) for i, c in enumerate(center))
+                for s in range(3)
+            }
+            assert eps_contamination(center, eps, LRO).vertices == tuple(sorted(mixed))
+    assert eps_contamination(Vector([F(1, 3), F(1, 6), F(1, 2)]), 0, LRO).vertices == (
+        Vector([F(1, 3), F(1, 6), F(1, 2)]),
+    )
+
+
 def test_hull_idempotent():
     hull = rectangular_hull(contamination("1/4"), FILTRATION)
     again = rectangular_hull(hull, FILTRATION)

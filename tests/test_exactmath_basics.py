@@ -9,7 +9,9 @@ from credalgames.exactmath import (
     DimensionMismatchError,
     Vector,
     approx_decimal,
+    cleared,
     dot,
+    fixed,
     rat,
     row_reduce,
     solve_square_system,
@@ -54,6 +56,53 @@ def test_approx_decimal_marks():
     assert approx_decimal(F(2474, 25)) == "98.96"
     assert approx_decimal(F(-1, 10**7)) == "0.0"
     assert approx_decimal(F(-1, 2 * 10**6)) == "-0.000001"
+
+
+def _two_decimals(x: Fraction) -> str:
+    """The two-decimal rounding SVG coordinates were written with before
+    ``fixed``: halves away from zero, on the reduced ``100 x``."""
+    scaled = x * 100
+    n, d = scaled.numerator, scaled.denominator
+    rounded = (n + d // 2) // d if n >= 0 else -((-n + d // 2) // d)
+    whole, frac = divmod(abs(rounded), 100)
+    return f"{'-' if rounded < 0 else ''}{whole}.{frac:02d}"
+
+
+def test_fixed_rounds_as_the_svg_coordinates_did():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+    # exact halves of the last place (odd over 200), negatives that round
+    # to zero, and free fractions, some not in lowest terms on their
+    # hundredfold
+    values = st.one_of(
+        st.builds(F, st.integers(-10**4, 10**4).map(lambda n: 2 * n + 1), st.just(200)),
+        st.builds(F, st.integers(-1, 0), st.integers(201, 10**6)),
+        st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(values)
+    def check(x):
+        text = fixed(x, 2)
+        assert text == _two_decimals(x)
+        if (x * 200).denominator == 1 and (x * 100).denominator == 2:
+            seen.add("half up" if x > 0 else "half down")
+        if x < 0 and text == "0.00":
+            seen.add("negative to zero")
+
+    check()
+    assert seen == {"half up", "half down", "negative to zero"}
+    assert fixed(F(-5, 2), 1) == "-2.5" and fixed(F(2, 3), 6) == "0.666667"
+    # a copy that rounds halves to even gives 0.12 and -0.12 here
+    assert (fixed(F(1, 8), 2), fixed(F(-1, 8), 2)) == ("0.13", "-0.13")
+
+
+def test_cleared_scales_by_the_lcm_of_the_denominators():
+    assert cleared([F(1, 4), F(-5, 6), 3]) == [3, -10, 36]
+    assert cleared([F(1, 4), F(-5, 6), 1]) == [3, -10, 12]  # a trailing 1 gives the lcm
+    assert cleared([0, 2]) == [0, 2]
+    assert all(type(c) is int for c in cleared([F(2, 3), F(4, 1)]))
 
 
 def test_vector_arithmetic():

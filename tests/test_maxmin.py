@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 
@@ -656,6 +657,27 @@ def test_two_strategy_envelope_matches_lp_oracle(monkeypatch):
     assert sol.optimal_face.vertices == (sol.strategy,)
     assert maxmin_value_of(sol.strategy, problem) == sol.value
     assert sol.binding_vertices == binding(problem, sol)
+
+
+def test_envelope_lines_match_the_hand_cleared_ones():
+    # the envelope clears its gains through exactmath.cleared; the lines
+    # must be the ones it once built by hand from the lcm
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.builds(F, st.integers(-10**4, 10**4), st.sampled_from([1, 2, 3, 7, 12, 10**6 + 3]))
+    gains = st.lists(st.builds(lambda a, b: Vector([a, b]), entry, entry), min_size=1, max_size=6)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(gains)
+    def check(gains):
+        scale = lcm(*(x.denominator for g in gains for x in g))
+        lines = []
+        for g0, g1 in gains:
+            a = g0.numerator * (scale // g0.denominator)
+            lines.append((a, g1.numerator * (scale // g1.denominator) - a))
+        assert credalgames.maxmin._envelope(gains)[:2] == (scale, lines)
+
+    check()
 
 
 @pytest.mark.parametrize(
