@@ -5,13 +5,12 @@ every number is exact, and the fixed rule makes the returned optimum
 deterministic for a given program.  Problem sizes in this library are tiny
 (a handful of variables and rows), so clarity wins over sparse tricks.
 
-Every variable is nonnegative unless listed in ``LinearProgram.free``.  An
-optimal solution also carries ``duals``, one multiplier per entry of
-``LinearProgram.constraints``, read off the final tableau.  They are shadow
-prices of the maximization: ``y >= 0`` on ``<=`` rows, ``y <= 0`` on ``>=``
-rows, free on ``==`` rows.  They always form an optimal dual solution:
-``(A^T y)_j >= c_j`` on nonnegative variables, ``(A^T y)_j = c_j`` on free
-ones, and ``b . y`` equals the optimal value.
+Every variable is nonnegative.  An optimal solution also carries
+``duals``, one multiplier per entry of ``LinearProgram.constraints``, read
+off the final tableau.  They are shadow prices of the maximization:
+``y >= 0`` on ``<=`` rows, ``y <= 0`` on ``>=`` rows, free on ``==`` rows.
+They always form an optimal dual solution: ``A^T y >= c``, and ``b . y``
+equals the optimal value.
 """
 
 from __future__ import annotations
@@ -43,37 +42,29 @@ class Constraint(Record):
 
 
 class LinearProgram(Record):
-    """Maximize ``objective . x`` subject to linear constraints.
+    """Maximize ``objective . x`` over ``x >= 0`` subject to linear
+    constraints."""
 
-    Every variable is nonnegative except those whose indexes are in
-    ``free``.
-    """
+    __slots__ = ("objective", "constraints")
 
-    __slots__ = ("objective", "constraints", "free")
-
-    def __init__(
-        self, objective: Vector, constraints: tuple[Constraint, ...], free: frozenset[int] = frozenset()
-    ):
+    def __init__(self, objective: Vector, constraints: tuple[Constraint, ...]):
         n = objective.dimension
         for c in constraints:
             if c.coefficients.dimension != n:
                 raise DimensionMismatchError(
                     f"constraint has {c.coefficients.dimension} coefficients, expected {n}"
                 )
-        if not all(0 <= j < n for j in free):
-            raise DimensionMismatchError(f"free variable index outside 0..{n - 1}")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "free", free)
 
     @classmethod
-    def build(cls, objective, constraints, free=()) -> "LinearProgram":
+    def build(cls, objective, constraints) -> "LinearProgram":
         obj = objective if isinstance(objective, Vector) else Vector(objective)
         rows = []
         for coeffs, rel, rhs in constraints:
             vec = coeffs if isinstance(coeffs, Vector) else Vector(coeffs)
             rows.append(Constraint(vec, rel, rat(rhs)))
-        return cls(obj, tuple(rows), frozenset(free))
+        return cls(obj, tuple(rows))
 
 
 class LpSolution(Record, defaults={"value": None, "point": None, "duals": None}):
@@ -152,38 +143,26 @@ class _Tableau:
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve exactly; deterministic for a fixed program (Bland's rule)."""
-    # a free variable becomes the difference of two nonnegative columns
-    split = [j in lp.free for j in range(lp.objective.dimension)]
-    ny = len(split) + sum(split)
+    n = lp.objective.dimension
     one = Fraction(1)
-
-    def to_y(coeffs) -> list[Fraction]:
-        """Rewrite a row over x as a row over the nonnegative columns."""
-        row = []
-        for c, free in zip(coeffs, split):
-            row.append(c)
-            if free:
-                row.append(-c)
-        return row
-
     # equality standard form: one slack per inequality, rhs made nonnegative;
     # a slack that enters its row with +1 is the row's initial basic column
     nslack = sum(1 for con in lp.constraints if con.relation != EQUAL)
-    nreal = ny + nslack
+    nreal = n + nslack
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     basis: list[int] = []
     flipped: list[bool] = []
     s = 0
     for con in lp.constraints:
-        full = to_y(con.coefficients) + [Fraction(0)] * nslack
+        full = list(con.coefficients) + [Fraction(0)] * nslack
         b = con.rhs
         flip = b < 0
         basic = -1
         if con.relation != EQUAL:
-            full[ny + s] = one if con.relation == LESS_EQUAL else -one
+            full[n + s] = one if con.relation == LESS_EQUAL else -one
             if (con.relation == LESS_EQUAL) != flip:
-                basic = ny + s
+                basic = n + s
             s += 1
         flipped.append(flip)
         if flip:
@@ -224,20 +203,16 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
                 else:
                     tab.pivot(r, col)
 
-    cost2 = to_y(lp.objective) + [Fraction(0)] * (ncols - ny)
+    cost2 = list(lp.objective) + [Fraction(0)] * (ncols - n)
     allowed = [j < nreal for j in range(ncols)]
     status = tab.run(cost2, allowed)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
-    y = [Fraction(0)] * ncols
+    x = [Fraction(0)] * ncols
     for r, b in enumerate(tab.basis):
-        y[b] = tab.rhs[r]
-    entries, col = [], 0
-    for free in split:
-        entries.append(y[col] - y[col + 1] if free else y[col])
-        col += 1 + free
-    point = Vector(entries)
+        x[b] = tab.rhs[r]
+    point = Vector(x[:n])
     value = lp.objective.dot(point)
     duals = _duals(tab, cost2, unit_cols, flipped, len(lp.constraints))
     return LpSolution(OPTIMAL, value, point, duals)

@@ -43,11 +43,13 @@ from .exactmath import (
 
 # _solve rejects an optimal face whose equalities leave more free coordinates
 # than this (at least k minus their count, known before the row reduction):
-# with f free coordinates every candidate vertex solves an f x f system.  On
-# all-tied one-prior problems (bound k - 2; rows (1, 2), prior (1, 0))
-# maxmin_solve took 0.01 s at k = 16, 0.09 s at k = 32 and 1.05 s at k = 64
-# (best of three, CPython 3.11.7, shared 2-CPU x86-64 host), growing about
-# as k**3, so the cap admits those that finish within seconds.
+# with f free coordinates every candidate vertex solves a k x k system, the
+# equalities' basis plus f tight inequalities.  On all-tied one-prior
+# problems (bound k - 2; rows (1, 2), prior (1, 0), k candidates)
+# maxmin_solve took 0.013 s at k = 16, 0.14 s at k = 32 and 1.7-2.1 s at
+# k = 64 (best of three, CPython 3.11.7, shared 2-CPU x86-64 host), growing
+# 10-15x per doubling of k, so the cap admits those that finish within
+# seconds.
 MAX_FREE_COORDINATES = 64
 
 
@@ -114,16 +116,18 @@ def maxmin_value_of(strategy: Vector, p: DecisionProblem) -> Fraction:
 
 def _value_lp(gains: list[Vector], k: int) -> tuple[Fraction, Vector, list[Fraction]]:
     """Value, an optimal strategy and nature's mix from the value LP."""
+    # shifted so every gain is at least 1: the shifted value is then
+    # positive, so its variable is nonnegative like the strategy's
+    shift = 1 - min(min(g) for g in gains)
     constraints = []
     for g in gains:
-        constraints.append((list(g) + [Fraction(-1)], GREATER_EQUAL, 0))
+        constraints.append(([x + shift for x in g] + [Fraction(-1)], GREATER_EQUAL, 0))
     constraints.append(([Fraction(1)] * k + [Fraction(0)], EQUAL, 1))
-    # the strategy is nonnegative, the value variable free
-    sol = lp_solve(LinearProgram.build([Fraction(0)] * k + [Fraction(1)], constraints, [k]))
+    sol = lp_solve(LinearProgram.build([Fraction(0)] * k + [Fraction(1)], constraints))
     if not sol.is_optimal:
         raise RuntimeError("simplex-constrained maxmin LP is not optimal")
     # a >= row's multiplier is <= 0 in a maximization
-    return sol.value, Vector(sol.point[:k]), [-y for y in sol.duals[: len(gains)]]
+    return sol.value - shift, Vector(sol.point[:k]), [-y for y in sol.duals[: len(gains)]]
 
 
 def _envelope(gains: list[Vector]) -> tuple:
@@ -200,9 +204,9 @@ def _solve(
     complementary slackness holds for every optimal y, so every optimal
     strategy s satisfies y's equalities: ``g_j . s = v`` where ``y_j > 0``,
     and ``s_i = 0`` where ``(G^T y)_i < v``.  When they pin s down, the
-    point is the whole face.  Otherwise the face is parametrized over the
-    solutions of those equalities, and its vertices come from the square
-    systems of the remaining inequalities in the reduced coordinates.
+    point is the whole face.  Otherwise each vertex of the face solves the
+    square system of those equalities' row basis plus as many tight
+    inequalities as the basis lacks rows.
     """
     if k == 1:
         return min(g[0] for g in gains), (Vector([1]),), None
@@ -257,55 +261,32 @@ def _face(gains: list[Vector], k: int, value: Fraction, point: Vector, mix: list
     ):
         raise RuntimeError(f"maxmin solution fails its certificate at value {value}")
 
-    # the equalities' right-hand sides are not needed: the face runs from
-    # the optimal point along their null space
-    equalities = [[Fraction(1)] * k]
+    # every optimal strategy meets the equalities; the other gains and
+    # simplex bounds are inequalities on the face
+    equalities = [([Fraction(1)] * k, Fraction(1))]
     inequalities = []
     for y, g in zip(mix, gains):
-        if y > 0:
-            equalities.append(list(g))
-        else:
-            inequalities.append((list(g), value))
+        (equalities if y > 0 else inequalities).append((list(g), value))
     for i in range(k):
-        unit = list(unit_vector(k, i))
-        if payoff[i] < value:
-            equalities.append(unit)
-        else:
-            inequalities.append((unit, Fraction(0)))
+        unit = (list(unit_vector(k, i)), Fraction(0))
+        (equalities if payoff[i] < value else inequalities).append(unit)
     # each equality removes at most one free coordinate
     if k - len(equalities) > MAX_FREE_COORDINATES:
         raise ValueError(
             f"the optimal face over {k} strategies has at least {k - len(equalities)} "
             f"free coordinates; enumerating its vertices stops at {MAX_FREE_COORDINATES}"
         )
-    basis, _ = row_reduce(equalities, [Fraction(0)] * len(equalities))
-    pivots = [next(j for j, c in enumerate(row) if c != 0) for row in basis]
-    free = [j for j in range(k) if j not in pivots]
-    if not free:
+    basis, rhs = row_reduce(*zip(*equalities))
+    if len(basis) == k:
         return value, (point,)
 
-    # the face is {point + D z : every reduced inequality holds}, where D's
-    # columns span the solutions of the homogeneous equalities
-    directions = []
-    for q in free:
-        d = list(unit_vector(k, q))
-        for row, p in zip(basis, pivots):
-            d[p] = -row[q]
-        directions.append(d)
-    reduced = [
-        ([dot(a, d) for d in directions], b - dot(a, point))
-        for a, b in inequalities
-    ]
+    # each vertex makes k - rank of the inequalities tight
     corners = set()
-    for combo in itertools.combinations(reduced, len(free)):
-        z = solve_square_system([c for c, _ in combo], [r for _, r in combo])
-        if z is not None and all(dot(c, z) >= r for c, r in reduced):
-            corners.add(tuple(z))
-    face = {
-        tuple(x + dot(z, col) for x, col in zip(point, zip(*directions)))
-        for z in corners
-    }
-    return value, tuple(Vector(p) for p in sorted(face))
+    for combo in itertools.combinations(inequalities, k - len(basis)):
+        x = solve_square_system(basis + [a for a, _ in combo], rhs + [b for _, b in combo])
+        if x is not None and all(dot(a, x) >= b for a, b in inequalities):
+            corners.add(tuple(x))
+    return value, tuple(Vector(p) for p in sorted(corners))
 
 
 def _binding(

@@ -21,24 +21,19 @@ from credalgames.exactmath import (
 F = Fraction
 
 
-def solve(objective, constraints, free=()):
-    return lp_solve(LinearProgram.build(objective, constraints, free))
+def solve(objective, constraints):
+    return lp_solve(LinearProgram.build(objective, constraints))
 
 
 def test_single_variable_identity():
-    sol = solve([1], [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 0)], free=[0])
+    sol = solve([1], [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 0)])
     assert sol.is_optimal
     assert sol.value == 1
     assert sol.point == Vector([1])
 
 
-def test_contradictory_bounds_infeasible():
-    sol = solve([1], [([1], GREATER_EQUAL, 2), ([1], LESS_EQUAL, 1)], free=[0])
-    assert sol.status == INFEASIBLE
-
-
 def test_unbounded():
-    sol = solve([1], [([1], GREATER_EQUAL, 0)], free=[0])
+    sol = solve([1], [([1], GREATER_EQUAL, 0)])
     assert sol.status == UNBOUNDED
 
 
@@ -50,30 +45,21 @@ def test_equality_constraint():
 
 
 def test_variable_bounds_both_sides():
-    sol = solve([-1], [([1], GREATER_EQUAL, F(1, 3)), ([1], LESS_EQUAL, 2)], free=[0])
+    sol = solve([-1], [([1], GREATER_EQUAL, F(1, 3)), ([1], LESS_EQUAL, 2)])
     assert sol.is_optimal
     assert sol.value == F(-1, 3)
     assert sol.point == Vector([F(1, 3)])
 
 
 def test_upper_bound_only():
-    sol = solve([1], [([1], LESS_EQUAL, F(7, 2))], free=[0])
+    sol = solve([1], [([1], LESS_EQUAL, F(7, 2))])
     assert sol.is_optimal
     assert sol.point == Vector([F(7, 2)])
 
 
 def test_crossed_bounds_infeasible():
-    # the free-variable case is test_contradictory_bounds_infeasible
     sol = solve([1], [([1], GREATER_EQUAL, 2), ([1], LESS_EQUAL, 1)])
     assert sol.status == INFEASIBLE
-
-
-def test_free_variable_with_equalities():
-    # x free, y >= 0: maximize x subject to x + y = -3, y <= 1
-    sol = solve([1, 0], [([1, 1], EQUAL, -3), ([0, 1], LESS_EQUAL, 1)], free=[0])
-    assert sol.is_optimal
-    assert sol.value == -3
-    assert sol.point == Vector([-3, 0])
 
 
 def exante_strategic_lp(eps):
@@ -94,8 +80,8 @@ def exante_strategic_lp(eps):
         slope = r - 101 * l
         # t - slope*m <= const
         constraints.append(([-slope, F(1)], LESS_EQUAL, const))
-    constraints.append(([1, 0], LESS_EQUAL, 1))  # m in [0, 1], t free
-    return LinearProgram.build([0, 1], constraints, free=[1])
+    constraints.append(([1, 0], LESS_EQUAL, 1))  # m in [0, 1]; t is positive here
+    return LinearProgram.build([0, 1], constraints)
 
 
 def test_exante_strategic_form_at_eps_one_fiftieth():
@@ -168,12 +154,12 @@ def test_random_box_lps_equal_best_vertex_exactly():
     rng = random.Random(606)
     for _ in range(30):
         n = rng.choice([2, 3])
-        lo = [F(rng.randint(-3, 0)) for _ in range(n)]
+        lo = [F(rng.randint(0, 3)) for _ in range(n)]
         hi = [l + F(rng.randint(1, 5), rng.choice([1, 2])) for l in lo]
         objective = [F(rng.randint(-4, 4), rng.choice([1, 3])) for _ in range(n)]
         box = [(unit_vector(n, j), GREATER_EQUAL, l) for j, l in enumerate(lo)]
         box += [(unit_vector(n, j), LESS_EQUAL, h) for j, h in enumerate(hi)]
-        sol = solve(objective, box, free=range(n))
+        sol = solve(objective, box)
         assert sol.is_optimal
         best = brute_force_max(objective, list(product(*zip(lo, hi))))
         assert sol.value == best
@@ -193,8 +179,8 @@ def test_degenerate_cycling_guard():
     assert sol.value == F(1, 20)
 
 
-def assert_dual_certificate(objective, constraints, sol, free=()):
-    """Dual signs, (A^T y)_j >= c_j (= c_j on free variables) and b . y = value."""
+def assert_dual_certificate(objective, constraints, sol):
+    """Dual signs, (A^T y)_j >= c_j and b . y = value."""
     assert sol.is_optimal and len(sol.duals) == len(constraints)
     for (_, relation, _), y in zip(constraints, sol.duals):
         if relation == LESS_EQUAL:
@@ -203,7 +189,7 @@ def assert_dual_certificate(objective, constraints, sol, free=()):
             assert y <= 0
     for j, c in enumerate(objective):
         column = sum(row[j] * y for (row, _, _), y in zip(constraints, sol.duals))
-        assert column == c if j in free else column >= c
+        assert column >= c
     assert sum(F(b) * y for (_, _, b), y in zip(constraints, sol.duals)) == sol.value
 
 
@@ -227,11 +213,8 @@ def test_random_lps_duals_certify_the_value():
     # feasible by construction (rows are built around a point x0 >= 0) and
     # bounded by a final sum row; entries of both signs make negative
     # right-hand sides common, and repeated equality rows are redundant.
-    # Each program is solved again with some variables free, each held
-    # above -20 so that the program stays bounded.
     rng = random.Random(1408)
-    free_rng = random.Random(1409)
-    flipped = redundant = negative = 0
+    flipped = redundant = 0
     for _ in range(300):
         n, m = rng.randint(1, 4), rng.randint(1, 5)
         x0 = [F(rng.randint(0, 4)) for _ in range(n)]
@@ -251,23 +234,17 @@ def test_random_lps_duals_certify_the_value():
         objective = [F(rng.randint(-4, 4)) for _ in range(n)]
         sol = solve(objective, constraints)
         assert_dual_certificate(objective, constraints, sol)
-        free = [j for j in range(n) if free_rng.random() < 0.5]
-        held = constraints + [(unit_vector(n, j), GREATER_EQUAL, -20) for j in free]
-        sol = solve(objective, held, free)
-        assert_dual_certificate(objective, held, sol, free)
-        negative += any(sol.point[j] < 0 for j in free)
-    assert flipped > 100 and redundant > 50 and negative > 50
+    assert flipped > 100 and redundant > 50
 
 
 def _lps(st, certified: bool):
-    """A small LP: objective, constraints and free variables.
+    """A small LP: objective and constraints.
 
-    Rows mix ``<=``, ``==`` and ``>=`` with int or fraction coefficients,
-    and free variables take negative values, so negative right-hand sides
-    are common; an equality row may be repeated at a scale (redundant).
-    ``certified`` programs are built around a point x0 and bounded (every
-    free variable held above -5, the variables' sum below 12), so they have
-    an optimum.  Otherwise the right-hand sides are drawn freely and the
+    Rows mix ``<=``, ``==`` and ``>=`` with int or fraction coefficients of
+    both signs, so negative right-hand sides are common; an equality row
+    may be repeated at a scale (redundant).  ``certified`` programs are
+    built around a point x0 >= 0 and bounded (the variables' sum below 12),
+    so they have an optimum.  Otherwise the right-hand sides are drawn freely and the
     bounding rows may be missing, so programs are also infeasible or
     unbounded.
     """
@@ -276,8 +253,7 @@ def _lps(st, certified: bool):
     @st.composite
     def lp(draw):
         n = draw(st.integers(1, 4))
-        free = draw(st.frozensets(st.integers(0, n - 1)))
-        x0 = [F(draw(st.integers(-3 if j in free else 0, 3))) for j in range(n)]
+        x0 = [F(draw(st.integers(0, 3))) for _ in range(n)]
         feasible = certified or draw(st.booleans())
         constraints = []
         for _ in range(draw(st.integers(1, 5))):
@@ -296,15 +272,14 @@ def _lps(st, certified: bool):
             scale = draw(st.sampled_from([F(2), F(-1), F(1, 2)]))
             constraints.append(([scale * a for a in row], EQUAL, scale * rhs))
         if certified or draw(st.booleans()):
-            constraints += [(unit_vector(n, j), GREATER_EQUAL, -5) for j in sorted(free)]
             constraints.append(([F(1)] * n, LESS_EQUAL, 12))
         objective = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
-        return objective, constraints, free
+        return objective, constraints
 
     return lp()
 
 
-def _highs(objective, constraints, free):
+def _highs(objective, constraints):
     """scipy HiGHS on the same program: (status, value) in lp_solve's terms."""
     from scipy.optimize import linprog
 
@@ -317,7 +292,7 @@ def _highs(objective, constraints, free):
         b_ub=[b for _, b in upper] or None,
         A_eq=[r for r, _ in rows[EQUAL]] or None,
         b_eq=[b for _, b in rows[EQUAL]] or None,
-        bounds=[(None, None) if j in free else (0, None) for j in range(len(objective))],
+        bounds=[(0, None)] * len(objective),
         method="highs",
     )
     cost = [-float(c) for c in objective]
@@ -337,9 +312,9 @@ def test_lp_solve_matches_highs():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     @hypothesis.given(_lps(hypothesis.strategies, certified=False))
     def check(lp):
-        objective, constraints, free = lp
-        sol = solve(objective, constraints, free)
-        status, value = _highs(objective, constraints, free)
+        objective, constraints = lp
+        sol = solve(objective, constraints)
+        status, value = _highs(objective, constraints)
         assert sol.status == status
         if status == OPTIMAL:
             exact = float(sol.value)
@@ -357,14 +332,12 @@ def test_duals_certify_every_drawn_optimum():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     @hypothesis.given(_lps(hypothesis.strategies, certified=True))
     def check(lp):
-        objective, constraints, free = lp
-        sol = solve(objective, constraints, free)
-        assert_dual_certificate(objective, constraints, sol, free)
+        objective, constraints = lp
+        sol = solve(objective, constraints)
+        assert_dual_certificate(objective, constraints, sol)
         seen.update(relation for _, relation, _ in constraints)
         if any(rhs < 0 for _, _, rhs in constraints):
             seen.add("negative rhs")
-        if any(sol.point[j] < 0 for j in free):
-            seen.add("free variable below 0")
         equalities = [(row, rhs) for row, relation, rhs in constraints if relation == EQUAL]
         if equalities:
             rank = len(row_reduce(*zip(*equalities))[0])
@@ -377,6 +350,5 @@ def test_duals_certify_every_drawn_optimum():
         EQUAL,
         GREATER_EQUAL,
         "negative rhs",
-        "free variable below 0",
         "redundant equality",
     } <= seen

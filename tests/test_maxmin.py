@@ -227,10 +227,15 @@ def test_validation_errors():
 
 
 def oracle_value(gains, k):
-    """The value LP: max t subject to g.s >= t for every gain g, s in the simplex."""
-    constraints = [(list(g) + [F(-1)], GREATER_EQUAL, 0) for g in gains]
+    """The value LP: max t subject to g.s >= t for every gain g, s in the simplex.
+
+    The gains are shifted by 1 - b, for the least gain entry b, so t is
+    positive and can be nonnegative like s; t is shifted back.
+    """
+    shift = 1 - min(min(g) for g in gains)
+    constraints = [([x + shift for x in g] + [F(-1)], GREATER_EQUAL, 0) for g in gains]
     constraints.append(([F(1)] * k + [F(0)], EQUAL, 1))
-    return lp_solve(LinearProgram.build([F(0)] * k + [F(1)], constraints, [k])).value
+    return lp_solve(LinearProgram.build([F(0)] * k + [F(1)], constraints)).value - shift
 
 
 def oracle_face(gains, value, k):

@@ -109,7 +109,7 @@ CONSTRUCTORS = {
     "DecisionProblem": (("space", "payoff", "beliefs"), None),
     "Filtration": (("space", "stages"), None),
     "InformationSet": (("player", "index", "paths", "actions"), None),
-    "LinearProgram": (("objective", "constraints", "free"), (frozenset(),)),
+    "LinearProgram": (("objective", "constraints"), None),
     "LpSolution": (("status", "value", "point", "duals"), (None, None, None)),
     "MaxminSolution": (("value", "optimal_face", "binding_vertices"), None),
     "MixedStrategy": (("player", "weights"), None),
