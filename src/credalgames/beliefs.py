@@ -18,8 +18,8 @@ from .exactmath import (
     Polytope,
     Record,
     Vector,
+    affine_image,
     cleared,
-    dot,
     polytope_contains,
     polytope_minimize,
     rat,
@@ -222,12 +222,8 @@ def one_step_ahead(c: CredalSet, stage: Partition) -> CredalSet:
     must partition the set's states."""
     cells = _ordered_cells(c.space, stage)
     space = StateSpace(tuple(cell_label(cell) for cell in cells))
-    positions = [[c.space.index(s) for s in cell] for cell in cells]
-    margs = [
-        Vector(dot((v[i] for i in pos), itertools.repeat(1)) for pos in positions)
-        for v in c.vertices
-    ]
-    return CredalSet.from_vertices(space, margs)
+    matrix = [[int(s in cell) for s in c.space.labels] for cell in cells]
+    return CredalSet(space, affine_image(c.set, matrix))
 
 
 def compose(

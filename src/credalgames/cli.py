@@ -31,7 +31,7 @@ from .dynamics import (
     find_dc_violation_payoffs,
     induce_downstream,
 )
-from .exactmath import Polytope, Record, Vector, approx_decimal, cleared, rat, read_rational
+from .exactmath import Record, Vector, affine_image, approx_decimal, cleared, rat, read_rational
 from .gametree import (
     BUILTIN_GAMES,
     GameJsonError,
@@ -607,16 +607,11 @@ def _render(prep: _Prepared, scenario: Scenario) -> dict:
                     post = pp.posterior(slot.cell)
                 except ZeroProbabilityReachError:
                     continue  # an unreachable cell has no posterior to draw
-                # pad each posterior vertex with zeros off the cell: the
-                # padded vertices stay extreme and sorted
-                at = {s: i for i, s in enumerate(post.space.labels)}
-                padded = [
-                    Vector(v[at[s]] if s in at else 0 for s in pp.space.labels)
-                    for v in post.vertices
-                ]
+                # pad each posterior vertex with zeros off the cell
+                embed = [[int(s == c) for c in post.space.labels] for s in pp.space.labels]
                 layers.append(
                     TriangleLayer(
-                        CredalSet(pp.space, Polytope.from_vertices(padded)),
+                        CredalSet(pp.space, affine_image(post.set, embed)),
                         label="conditional",
                         stroke="#000000",
                     )

@@ -22,7 +22,7 @@ from .beliefs import (
     ZeroProbabilityReachError,
     full_bayes_update,
 )
-from .exactmath import Polytope, Record, Vector, polytope_minimize, rat
+from .exactmath import Record, Vector, affine_image, rat
 from .gametree import (
     GameTree,
     Node,
@@ -432,13 +432,8 @@ def check_dynamic_consistency(pp: PlayerProblem) -> ConsistencyReport:
             payoff, conditional_beliefs.space, conditional_beliefs
         )
         conditional = maxmin_solve(problem)
-        images = []
-        for v in exante.optimal_face.vertices:
-            image = [Fraction(0)] * width
-            for j, weight in zip(slot.projection, v):
-                image[j] += weight
-            images.append(Vector(image))
-        projected = polytope_minimize(Polytope.from_vertices(images))
+        matrix = [[int(p == j) for p in slot.projection] for j in range(width)]
+        projected = affine_image(exante.optimal_face, matrix)
         restricted = constrained_maxmin(problem, projected)
         consistent = restricted.value == conditional.value
         verdicts.append(

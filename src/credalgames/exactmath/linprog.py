@@ -7,7 +7,7 @@ deterministic for a given program.  Problem sizes in this library are tiny
 
 Every variable is nonnegative.  An optimal solution also carries
 ``duals``, one multiplier per entry of ``LinearProgram.constraints``, read
-off the final tableau.  They are shadow prices of the maximization:
+off the final reduced costs.  They are shadow prices of the maximization:
 ``y >= 0`` on ``<=`` rows, ``y <= 0`` on ``>=`` rows, free on ``==`` rows.
 They always form an optimal dual solution: ``A^T y >= c``, and ``b . y``
 equals the optimal value.
@@ -106,10 +106,10 @@ class _Tableau:
     def run(self, cost: list[Fraction], allowed: list[bool]) -> str:
         """Maximize cost.x from the current basic feasible point.
 
-        Returns OPTIMAL or UNBOUNDED.  ``allowed`` masks columns that may
-        enter (used to lock artificial columns out of phase 2).
+        Returns OPTIMAL, with the final reduced costs in ``self.reduced``,
+        or UNBOUNDED.  ``allowed`` masks columns that may enter (used to
+        lock artificial columns out of phase 2).
         """
-        # reduced costs relative to the current basis
         z = list(cost)
         for r, b in enumerate(self.basis):
             cb = cost[b]
@@ -120,6 +120,7 @@ class _Tableau:
                 (j for j in range(self.ncols) if allowed[j] and z[j] > 0), None
             )
             if enter is None:
+                self.reduced = z
                 return OPTIMAL
             leave, best = None, None
             for r in range(len(self.rows)):
@@ -214,29 +215,12 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         x[b] = tab.rhs[r]
     point = Vector(x[:n])
     value = lp.objective.dot(point)
-    duals = _duals(tab, cost2, unit_cols, flipped, len(lp.constraints))
+    # the multipliers are pi = c_B B^-1; row i's unit column (its +1 slack or
+    # its artificial) costs 0, so its reduced cost is -pi_i, also for a row
+    # that phase 1 deleted as redundant.  A negated row gets its sign back.
+    z = tab.reduced
+    duals = tuple(z[col] if flip else -z[col] for col, flip in zip(unit_cols, flipped))
     return LpSolution(OPTIMAL, value, point, duals)
-
-
-def _duals(
-    tab: _Tableau, cost: list[Fraction], unit_cols: list[int], flipped: list[bool], count: int
-) -> tuple[Fraction, ...]:
-    """Multipliers of the first ``count`` rows from the optimal tableau.
-
-    The simplex multipliers are ``pi = c_B B^-1``.  Row i's unit column
-    (its +1 slack or its artificial) has zero cost, so its reduced cost is
-    ``-pi_i`` and ``pi_i`` is the basic costs dotted with that column.  Phase
-    1 may delete redundant rows; the remaining rows still give every column's
-    reduced cost, so the formula holds for the deleted rows too.  A row whose
-    right-hand side was negated for the tableau gets its sign back.
-    """
-    basic = [(r, cost[b]) for r, b in enumerate(tab.basis) if cost[b] != 0]
-    duals = []
-    for i in range(count):
-        col = unit_cols[i]
-        pi = sum((c * tab.rows[r][col] for r, c in basic), Fraction(0))
-        duals.append(-pi if flipped[i] else pi)
-    return tuple(duals)
 
 
 def lp_feasible(constraints, n: int) -> Vector | None:

@@ -42,14 +42,14 @@ from .exactmath import (
 )
 
 # _solve rejects an optimal face whose equalities leave more free coordinates
-# than this (at least k minus their count, known before the row reduction):
-# with f free coordinates every candidate vertex solves a k x k system, the
-# equalities' basis plus f tight inequalities.  On all-tied one-prior
-# problems (bound k - 2; rows (1, 2), prior (1, 0), k candidates)
-# maxmin_solve took 0.013 s at k = 16, 0.14 s at k = 32 and 1.7-2.1 s at
-# k = 64 (best of three, CPython 3.11.7, shared 2-CPU x86-64 host), growing
-# 10-15x per doubling of k, so the cap admits those that finish within
-# seconds.
+# than this (at least t minus their count, over the face's support of t
+# strategies, known before the row reduction): with f free coordinates every
+# candidate vertex solves a t x t system, the equalities' basis plus f tight
+# inequalities.  On all-tied one-prior problems (t = k, bound k - 2; rows
+# (1, 2), prior (1, 0), k candidates) maxmin_solve took 0.013 s at k = 16,
+# 0.14 s at k = 32 and 1.7-2.1 s at k = 64 (best of three, CPython 3.11.7,
+# shared 2-CPU x86-64 host), growing 10-15x per doubling of k, so the cap
+# admits those that finish within seconds.
 MAX_FREE_COORDINATES = 64
 
 
@@ -204,8 +204,9 @@ def _solve(
     complementary slackness holds for every optimal y, so every optimal
     strategy s satisfies y's equalities: ``g_j . s = v`` where ``y_j > 0``,
     and ``s_i = 0`` where ``(G^T y)_i < v``.  When they pin s down, the
-    point is the whole face.  Otherwise each vertex of the face solves the
-    square system of those equalities' row basis plus as many tight
+    point is the whole face.  Otherwise each vertex of the face is 0 off
+    the support, the t strategies with ``(G^T y)_i = v``, and solves there
+    the t x t system of those equalities' row basis plus as many tight
     inequalities as the basis lacks rows.
     """
     if k == 1:
@@ -261,31 +262,35 @@ def _face(gains: list[Vector], k: int, value: Fraction, point: Vector, mix: list
     ):
         raise RuntimeError(f"maxmin solution fails its certificate at value {value}")
 
-    # every optimal strategy meets the equalities; the other gains and
-    # simplex bounds are inequalities on the face
-    equalities = [([Fraction(1)] * k, Fraction(1))]
+    # every optimal strategy is 0 off the support, the strategies paying the
+    # value against y, and meets the equalities there; the other gains and
+    # the support's simplex bounds are inequalities on the face
+    support = [i for i in range(k) if payoff[i] == value]
+    t = len(support)
+    equalities = [([Fraction(1)] * t, Fraction(1))]
     inequalities = []
     for y, g in zip(mix, gains):
-        (equalities if y > 0 else inequalities).append((list(g), value))
-    for i in range(k):
-        unit = (list(unit_vector(k, i)), Fraction(0))
-        (equalities if payoff[i] < value else inequalities).append(unit)
+        (equalities if y > 0 else inequalities).append(([g[i] for i in support], value))
+    inequalities += [(list(unit_vector(t, i)), Fraction(0)) for i in range(t)]
     # each equality removes at most one free coordinate
-    if k - len(equalities) > MAX_FREE_COORDINATES:
+    if t - len(equalities) > MAX_FREE_COORDINATES:
         raise ValueError(
-            f"the optimal face over {k} strategies has at least {k - len(equalities)} "
+            f"the optimal face over {k} strategies has at least {t - len(equalities)} "
             f"free coordinates; enumerating its vertices stops at {MAX_FREE_COORDINATES}"
         )
     basis, rhs = row_reduce(*zip(*equalities))
-    if len(basis) == k:
+    if len(basis) == t:
         return value, (point,)
 
-    # each vertex makes k - rank of the inequalities tight
+    # each vertex makes t - rank of the inequalities tight
     corners = set()
-    for combo in itertools.combinations(inequalities, k - len(basis)):
+    for combo in itertools.combinations(inequalities, t - len(basis)):
         x = solve_square_system(basis + [a for a, _ in combo], rhs + [b for _, b in combo])
         if x is not None and all(dot(a, x) >= b for a, b in inequalities):
-            corners.add(tuple(x))
+            lifted = [Fraction(0)] * k
+            for i, xi in zip(support, x):
+                lifted[i] = xi
+            corners.add(tuple(lifted))
     return value, tuple(Vector(p) for p in sorted(corners))
 
 

@@ -10,6 +10,7 @@ from credalgames.beliefs import (
     Filtration,
     StateSpace,
     ZeroProbabilityReachError,
+    cell_label,
     compose,
     eps_contamination,
     full_bayes_update,
@@ -17,7 +18,7 @@ from credalgames.beliefs import (
     one_step_ahead,
     rectangular_hull,
 )
-from credalgames.exactmath import Polytope, Vector, polytope_minimize
+from credalgames.exactmath import Polytope, Vector, dot, polytope_minimize
 from polytope_oracle import lp_minimize, membership_witness
 
 F = Fraction
@@ -222,6 +223,46 @@ def test_one_step_ahead_full_simplex():
     simplex = CredalSet.from_vertices(LRO, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     marg = one_step_ahead(simplex, (("L",), ("R", "O")))
     assert set(marg.vertices) == {Vector([1, 0]), Vector([0, 1])}
+
+
+def _per_cell_sums(c, stage):
+    """The marginal as one_step_ahead built it before it took affine_image:
+    each vertex's sums over each cell, minimized."""
+    cells = [tuple(sorted(cell, key=c.space.index)) for cell in stage]
+    space = StateSpace(tuple(cell_label(cell) for cell in cells))
+    positions = [[c.space.index(s) for s in cell] for cell in cells]
+    margs = [
+        Vector(dot((v[i] for i in pos), itertools.repeat(1)) for pos in positions)
+        for v in c.vertices
+    ]
+    return CredalSet.from_vertices(space, margs)
+
+
+def test_one_step_ahead_matches_the_per_cell_sums():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def case(draw):
+        n = draw(st.integers(1, 6))
+        labels = draw(st.permutations([f"s{i}" for i in range(n)]))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+        stage = tuple(tuple(labels[a:b]) for a, b in zip([0, *cuts], [*cuts, n]))
+        weight = st.integers(0, 3) | st.integers(0, 10**6)
+        prior = st.lists(weight, min_size=n, max_size=n).filter(any)
+        priors = draw(st.lists(prior, min_size=1, max_size=6))
+        # kept as drawn, so later vertices may repeat or lie inside the hull
+        vertices = tuple(Vector(F(w, sum(ws)) for w in ws) for ws in priors)
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        return CredalSet(space, Polytope(vertices)), stage
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(case())
+    def check(drawn):
+        c, stage = drawn
+        assert one_step_ahead(c, stage) == _per_cell_sums(c, stage)
+
+    check()
 
 
 @pytest.mark.parametrize(

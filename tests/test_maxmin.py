@@ -375,6 +375,30 @@ def test_wide_problem_needs_no_square_solves(monkeypatch):
     assert maxmin_value_of(sol.strategy, problem) == sol.value
 
 
+@pytest.mark.parametrize("k, tied", [(108, 18), (128, 32)])
+def test_face_solves_systems_over_its_support_only(k, tied, monkeypatch):
+    # against the one prior (1, 0) the tied rows (1, 2) pay the value 1 and
+    # the rows (0, 5) pay 0, so the face is the simplex over the tied
+    # strategies; each of its vertices solves a tied x tied system, and a
+    # k x k system would take seconds
+    rows = [[1, 2]] * tied + [[0, 5]] * (k - tied)
+    problem = DecisionProblem.build(rows, LR, CredalSet.singleton(LR, [1, 0]))
+    calls = []
+
+    def recording(rows, rhs):
+        if len(rows) > tied:
+            raise AssertionError(f"a {len(rows)} x {len(rows)} system over {tied} tied strategies")
+        calls.append(len(rows))
+        return solve_square_system(rows, rhs)
+
+    monkeypatch.setattr(credalgames.maxmin, "solve_square_system", recording)
+    sol = maxmin_solve(problem)
+    assert sol.value == 1
+    units = [Vector(int(i == j) for i in range(k)) for j in range(tied)]
+    assert sol.optimal_face.vertices == tuple(sorted(units))
+    assert calls == [tied] * tied
+
+
 def test_one_vertex_restriction_needs_no_lp(monkeypatch):
     # over a one-point restriction the value is the least expected payoff of
     # that strategy, so constrained_maxmin must not run the value LP
