@@ -653,12 +653,13 @@ class SweepResult(Record):
 def sweep_eps(
     eps_list=None, bisect: tuple[Fraction, Fraction] | None = None
 ) -> SweepResult:
-    """Verdict per contamination weight; optionally locate the threshold.
+    """Verdict per contamination weight; optionally bisect for the threshold.
 
     Bisection runs on the integer grid over the bounds' common denominator,
-    so when the true boundary lies on that grid it is returned exactly.
-    Without bisection the threshold is reported only when every consistent
-    weight in the list lies below every inconsistent one.
+    so when the true boundary lies on that grid it is returned exactly.  A
+    threshold is reported only when, in eps order, every consistent entry
+    comes before every inconsistent one, whether the entries come from the
+    list, the bisection or both.
     """
     fig1 = validate_scenario(BUILTIN_SCENARIOS["fig1"])
     spec = fig1.players[fig1.player]
@@ -669,8 +670,6 @@ def sweep_eps(
         return "consistent" if check_dynamic_consistency(at_eps).overall else "inconsistent"
 
     entries = [(e, verdict(e)) for e in sorted(rat(e) for e in eps_list or ())]
-    threshold = None
-    first_bad = None
     if bisect is not None:
         lo, hi = (rat(x) for x in bisect)
         if not 0 < lo < hi < 1:
@@ -692,16 +691,13 @@ def sweep_eps(
                 p0 = mid
             else:
                 p1 = mid
-        threshold = Fraction(p0, den)
-        first_bad = Fraction(p1, den)
-    else:
-        # the entries are in eps order: the verdicts separate when the
-        # consistent ones all come first
-        verdicts = [v for _, v in entries]
-        split = verdicts.count("consistent")
-        if 0 < split < len(verdicts) and "inconsistent" not in verdicts[:split]:
-            threshold, first_bad = entries[split - 1][0], entries[split][0]
     entries.sort(key=lambda t: t[0])
+    # the verdicts separate when the consistent ones all come first
+    verdicts = [v for _, v in entries]
+    split = verdicts.count("consistent")
+    threshold = first_bad = None
+    if 0 < split < len(verdicts) and "inconsistent" not in verdicts[:split]:
+        threshold, first_bad = entries[split - 1][0], entries[split][0]
     return SweepResult(tuple(entries), threshold, first_bad)
 
 

@@ -1,13 +1,15 @@
 """Vertex-represented convex polytopes with exact membership and minimization.
 
 Everything is V-representation: a polytope is the convex hull of its listed
-vertices.  Both questions clear their rows of denominators once, and one
-fraction-free elimination decides affinely independent sets (a simplex) and
-points outside the affine hull.  Dependent sets whose affine hull has
-dimension 2 or less (every belief set over three states) are projected onto
-one or two coordinates, where an exact interval or monotone-chain hull
-(Andrew 1979) decides.  Only dependent sets of dimension 3 or more run an
-exact LP feasibility check.  Minimized polytopes are sorted: a canonical form.
+vertices.  Membership of a point that is not a vertex is one exact LP
+feasibility check over the convex weights.  Minimization clears its points
+of denominators once, and one fraction-free elimination finds affinely
+independent points (a simplex), all extreme.  Dependent points whose affine
+hull has dimension 2 or less (every belief set over three states) are
+projected onto one or two coordinates, where an exact interval or
+monotone-chain hull (Andrew 1979) decides; only in higher dimensions is
+each point tested for membership in the hull of the rest.  Minimized
+polytopes are sorted: a canonical form.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .linprog import EQUAL, lp_feasible
-from .rational import rat
 from .record import Record
 from .vector import DimensionMismatchError, Vector, cleared, dot, eliminate
 
@@ -50,16 +51,8 @@ class Polytope(Record):
 def polytope_contains(p: Polytope, x: Vector) -> bool:
     """Exact test that x is a convex combination of p's vertices.
 
-    One integer elimination of ``[vertices; 1] . lambda = [x; 1]`` answers
-    most cases: an inconsistent system puts x outside the affine hull, and a
-    full-rank one (affinely independent vertices) has unique weights, which
-    contain x iff their signs, read off the integers, are all nonnegative.
-    Dependent vertices leave a family of weights.  When their affine hull
-    has dimension 2 or less, x (inside that hull, not a vertex) is in the
-    polytope iff it is not an extreme point of the vertices together with x,
-    which ``polytope_minimize`` finds by an interval or edge-side tests,
-    with no LP; in higher dimensions an LP feasibility check over the same
-    system decides.
+    A vertex is in.  Any other point is in iff one exact phase-1 LP finds
+    nonnegative weights ``lambda`` with ``[vertices; 1] . lambda = [x; 1]``.
     """
     if x.dimension != p.ambient_dimension:
         raise DimensionMismatchError(
@@ -69,18 +62,9 @@ def polytope_contains(p: Polytope, x: Vector) -> bool:
     if x in verts:
         return True
     n = len(verts)
-    rows = [[*(v[coord] for v in verts), x[coord]] for coord in range(p.ambient_dimension)]
-    rows.append([1] * (n + 1))
-    aug = list(map(cleared, rows))
-    rank, d = eliminate(aug, n)
-    if any(row[n] for row in aug[rank:]):
-        return False
-    if rank == n:  # weight i is aug[i][n] / d
-        return all(row[n] * d >= 0 for row in aug[:rank])
-    # the rank is the affine hull's dimension plus one
-    if rank <= 3:
-        return x not in polytope_minimize(Polytope((*verts, x))).vertices
-    return lp_feasible([(row[:n], EQUAL, row[n]) for row in rows], n) is not None
+    rows = [([v[coord] for v in verts], EQUAL, x[coord]) for coord in range(p.ambient_dimension)]
+    rows.append(([1] * n, EQUAL, 1))
+    return lp_feasible(rows, n) is not None
 
 
 def polytope_minimize(p: Polytope) -> Polytope:
@@ -161,14 +145,14 @@ def _planar_extremes(verts: list[Vector], axes: list[int]) -> list[Vector]:
 def affine_image(p: Polytope, matrix) -> Polytope:
     """Image of the hull under x -> matrix.x, minimized.
 
+    ``matrix`` is a sequence of rows of ints or Fractions, read as they are.
     Linear maps carry vertex sets onto supersets of the image's vertex set,
     so mapping vertices and minimizing is exact.
     """
-    rows = [[rat(c) for c in r] for r in matrix]
-    for row in rows:
+    for row in matrix:
         if len(row) != p.ambient_dimension:
             raise DimensionMismatchError(
                 f"matrix has {len(row)} columns, polytope dimension is {p.ambient_dimension}"
             )
-    images = [Vector(dot(row, v) for row in rows) for v in p.vertices]
+    images = [Vector(dot(row, v) for row in matrix) for v in p.vertices]
     return polytope_minimize(Polytope.from_vertices(images))

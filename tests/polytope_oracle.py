@@ -4,8 +4,8 @@ reduction over ``Fraction``.
 
 Every membership question is one exact phase-1 LP over the convex weights,
 and minimization tests each point against the hull of the others.  The
-library answers most of these questions by row reduction; these functions
-never do, so they check that shortcut.  The library's row reduction runs on
+library minimizes most point sets by row reduction; these functions never
+do, so they check that shortcut.  The library's row reduction runs on
 integers; ``fraction_row_reduce`` is the plain ``Fraction`` elimination it
 must agree with, value for value.
 """

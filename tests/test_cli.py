@@ -341,30 +341,33 @@ def test_sweep_returns_entries_in_eps_order():
     assert [v for _, v in result.entries] == ["consistent", "inconsistent"]
 
 
-# verdicts that flip back, so no eps separates the consistent from the inconsistent
+# verdicts that flip back, so no eps separates the consistent from the
+# inconsistent: in eps lists, and in a list sorted in with a bisection's probes
+C, I = "consistent", "inconsistent"
 _INTERLEAVED = {
-    "0,1/102,1/101,1/2,999/1000,1": ["consistent", "consistent", "inconsistent",
-                                     "inconsistent", "inconsistent", "consistent"],
-    "1/2,1": ["inconsistent", "consistent"],
+    "0,1/102,1/101,1/2,999/1000,1": [
+        ("0", C), ("1/102", C), ("1/101", I), ("1/2", I), ("999/1000", I), ("1", C)
+    ],
+    "1/2,1": [("1/2", I), ("1", C)],
+    "1 --bisect 1/204:1/51": [("1/204", C), ("1/102", C), ("1/68", I), ("1/51", I), ("1", C)],
 }
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize(
-    "eps_list", list(_INTERLEAVED), ids=["flips-back-at-1", "inconsistent-first"]
+    "args", list(_INTERLEAVED), ids=["flips-back-at-1", "inconsistent-first", "with-bisect"]
 )
-def test_sweep_claims_no_threshold_its_entries_contradict(eps_list, as_json, capsys):
-    assert main(["sweep", "--eps-list", eps_list] + ["--json"] * as_json) == 0
+def test_sweep_claims_no_threshold_its_entries_contradict(args, as_json, capsys):
+    assert main(["sweep", "--eps-list", *args.split()] + ["--json"] * as_json) == 0
     out = capsys.readouterr().out
-    verdicts = _INTERLEAVED[eps_list]
+    expected = _INTERLEAVED[args]
     if as_json:
         data = json.loads(out)
-        assert [v for _, v in data["entries"]] == verdicts
+        assert data["entries"] == [list(entry) for entry in expected]
         assert data["threshold"] is None
         assert data["first_inconsistent"] is None
     else:
-        eps = sorted(eps_list.split(","), key=F)
-        assert out.splitlines() == [f"eps = {e}: {v}" for e, v in zip(eps, verdicts)]
+        assert out.splitlines() == [f"eps = {e}: {v}" for e, v in expected]
 
 
 def test_override_player_on_fig4():

@@ -288,9 +288,10 @@ def test_membership_and_minimize_match_the_lp_oracle():
         seen.add(("coprime", len(denominators) > 1 and max(denominators) in LARGE_PRIMES))
 
     check()
-    # the draws reach every branch: unique weights in or out, outside the
-    # affine hull, and dependent weights in or out, decided on one or two
-    # coordinates (affine dimension 2 or less) or by the LP; they repeat
+    # the draws reach every shape of question: unique weights in or out,
+    # outside the affine hull, and dependent weights in or out, in a hull of
+    # affine dimension 2 or less (minimized on one or two coordinates) or
+    # more (minimized pairwise); they repeat
     # points, clear large coprime denominators and span every affine
     # dimension 0..4
     assert {("affine dimension", r) for r in range(5)} <= seen
@@ -310,8 +311,8 @@ def test_membership_and_minimize_match_the_lp_oracle():
 
 
 def test_simplex_shaped_questions_need_no_lp(monkeypatch):
-    # affinely independent vertices are all extreme and give unique convex
-    # weights, so neither minimizing nor membership may run the LP
+    # affinely independent vertices are all extreme, so minimizing them may
+    # not run the LP; membership of a point that is not a vertex is one LP
     import credalgames.exactmath.linprog as linprog
 
     rng = random.Random(12)
@@ -339,11 +340,13 @@ def test_simplex_shaped_questions_need_no_lp(monkeypatch):
         x = _combine(verts, [c / sum(w) for c in w])
         monkeypatch.setattr(linprog, "lp_solve", counting)
         minimized = polytope_minimize(p)
+        assert solves == []
         inside = polytope_contains(p, x)
         monkeypatch.setattr(linprog, "lp_solve", real)
+        assert len(solves) == (x not in verts)
+        solves.clear()
         assert minimized == lp_minimize(p)
         assert inside == lp_contains(p, x)
-    assert solves == []
 
 
 @pytest.mark.parametrize(
@@ -500,8 +503,9 @@ def _one_side(a, b, points) -> bool:
 
 
 def test_planar_hulls_match_the_lp_oracle_without_an_lp(monkeypatch):
-    # points of affine dimension 2 or less are minimized and tested by an
-    # interval or a monotone chain on two coordinates, never by the LP
+    # points of affine dimension 2 or less are minimized by an interval or a
+    # monotone chain on two coordinates, never by the LP; membership of a
+    # point that is not a vertex is one LP
     hypothesis = pytest.importorskip("hypothesis")
     import credalgames.exactmath.linprog as linprog
 
@@ -514,17 +518,19 @@ def test_planar_hulls_match_the_lp_oracle_without_an_lp(monkeypatch):
 
     seen = set()
 
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=600, deadline=None, derandomize=True)
     @hypothesis.given(_planar_cases(hypothesis.strategies))
     def check(case):
         p, x, query = case
         monkeypatch.setattr(linprog, "lp_solve", counting)
         minimized = polytope_minimize(p)
+        assert solves == []
         inside = polytope_contains(p, x)
         monkeypatch.setattr(linprog, "lp_solve", real)
+        assert len(solves) == (x not in p.vertices)
+        solves.clear()
         assert minimized == lp_minimize(p)
         assert inside == lp_contains(p, x)
-        assert solves == []
         seen.add((_lifted_rank(set(p.vertices)) - 1, query, inside))
         seen.add(("ambient", p.ambient_dimension))
         seen.add(("duplicates", len(set(p.vertices)) < len(p.vertices)))
