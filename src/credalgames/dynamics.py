@@ -264,17 +264,19 @@ def build_player_problem(
 ) -> PlayerProblem:
     """Wire a player's strategic and conditional problems from the game.
 
-    The beliefs' states may be either the raw opponent-path states or their
-    aggregation, inside each stage-1 cell, of states with identical payoff
-    columns (the merged states adopt the beliefs' labels, as with a combined
-    state named Z).
+    The beliefs' states may be either the raw opponent-path states, listed
+    in any order, or their aggregation, inside each stage-1 cell, of states
+    with identical payoff columns (the merged states adopt the beliefs'
+    labels in the game's order, as with a combined state named Z).
     """
     states, cells, projections, sym_rows, labels = _derive_structure(game, player)
     space = opponent_beliefs.space
     want = space.labels
 
-    if tuple(s.label for s in states) == want:  # the all-singleton grouping
+    raw = [s.label for s in states]
+    if set(raw) == set(want):  # the all-singleton grouping, in the beliefs' order
         per_cell = [[[i] for i in m] for m in cells]
+        groups = [[raw.index(label)] for label in want]
     else:
         per_cell = []
         for members in cells:
@@ -282,13 +284,13 @@ def build_player_problem(
             for i in members:
                 by_column.setdefault(tuple(row[i] for row in sym_rows), []).append(i)
             per_cell.append(list(by_column.values()))
-    groups = sorted((g for cell in per_cell for g in cell), key=lambda g: g[0])
+        groups = sorted((g for cell in per_cell for g in cell), key=lambda g: g[0])
     # a lone state keeps its own label; a merged group adopts the belief's
     if len(groups) != len(want) or any(
-        len(g) == 1 and states[g[0]].label != label for label, g in zip(want, groups)
+        len(g) == 1 and raw[g[0]] != label for label, g in zip(want, groups)
     ):
         raise StateSpaceError(
-            f"player {player}'s states {', '.join(s.label for s in states)} "
+            f"player {player}'s states {', '.join(raw)} "
             f"do not fit beliefs over {', '.join(want)}"
         )
     label_of = {g[0]: label for label, g in zip(want, groups)}

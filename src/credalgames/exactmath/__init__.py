@@ -7,7 +7,6 @@ from .linprog import (
     LESS_EQUAL,
     OPTIMAL,
     UNBOUNDED,
-    Constraint,
     LinearProgram,
     LpSolution,
     lp_feasible,
@@ -32,7 +31,6 @@ from .vector import (
 )
 
 __all__ = [
-    "Constraint",
     "DimensionMismatchError",
     "EQUAL",
     "GREATER_EQUAL",

@@ -6,8 +6,8 @@ deterministic for a given program.  Problem sizes in this library are tiny
 (a handful of variables and rows), so clarity wins over sparse tricks.
 
 Every variable is nonnegative.  An optimal solution also carries
-``duals``, one multiplier per entry of ``LinearProgram.constraints``, read
-off the final reduced costs.  They are shadow prices of the maximization:
+``duals``, one per row of ``LinearProgram.constraints``, read off the
+final reduced costs.  They are shadow prices of the maximization:
 ``y >= 0`` on ``<=`` rows, ``y <= 0`` on ``>=`` rows, free on ``==`` rows.
 They always form an optimal dual solution: ``A^T y >= c``, and ``b . y``
 equals the optimal value.
@@ -30,29 +30,20 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class Constraint(Record):
-    __slots__ = ("coefficients", "relation", "rhs")
-
-    def __init__(self, coefficients: Vector, relation: str, rhs: Fraction):
-        if relation not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
-            raise ValueError(f"unknown relation {relation!r}")
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "rhs", rhs)
-
-
 class LinearProgram(Record):
-    """Maximize ``objective . x`` over ``x >= 0`` subject to linear
-    constraints."""
+    """Maximize ``objective . x`` over ``x >= 0`` subject to ``constraints``,
+    each a ``(coefficients, relation, rhs)`` row."""
 
     __slots__ = ("objective", "constraints")
 
-    def __init__(self, objective: Vector, constraints: tuple[Constraint, ...]):
+    def __init__(self, objective: Vector, constraints: tuple[tuple[Vector, str, Fraction], ...]):
         n = objective.dimension
-        for c in constraints:
-            if c.coefficients.dimension != n:
+        for coefficients, relation, _ in constraints:
+            if relation not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
+                raise ValueError(f"unknown relation {relation!r}")
+            if coefficients.dimension != n:
                 raise DimensionMismatchError(
-                    f"constraint has {c.coefficients.dimension} coefficients, expected {n}"
+                    f"constraint has {coefficients.dimension} coefficients, expected {n}"
                 )
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraints", constraints)
@@ -60,16 +51,16 @@ class LinearProgram(Record):
     @classmethod
     def build(cls, objective, constraints) -> "LinearProgram":
         obj = objective if isinstance(objective, Vector) else Vector(objective)
-        rows = []
-        for coeffs, rel, rhs in constraints:
-            vec = coeffs if isinstance(coeffs, Vector) else Vector(coeffs)
-            rows.append(Constraint(vec, rel, rat(rhs)))
-        return cls(obj, tuple(rows))
+        rows = tuple(
+            (coeffs if isinstance(coeffs, Vector) else Vector(coeffs), rel, rat(rhs))
+            for coeffs, rel, rhs in constraints
+        )
+        return cls(obj, rows)
 
 
 class LpSolution(Record, defaults={"value": None, "point": None, "duals": None}):
     """A status; when optimal, the value, an optimal point and one dual per
-    constraint."""
+    row."""
 
     __slots__ = ("status", "value", "point", "duals")
 
@@ -85,7 +76,6 @@ class _Tableau:
         self.rows = rows
         self.rhs = rhs
         self.basis = basis
-        self.ncols = len(rows[0]) if rows else 0
 
     def pivot(self, r: int, col: int) -> None:
         piv = self.rows[r][col]
@@ -103,12 +93,12 @@ class _Tableau:
             self.rhs[i] -= factor * self.rhs[r]
         self.basis[r] = col
 
-    def run(self, cost: list[Fraction], allowed: list[bool]) -> str:
-        """Maximize cost.x from the current basic feasible point.
+    def run(self, cost: list[Fraction], limit: int) -> str:
+        """Maximize cost.x from the current basic feasible point, entering
+        only columns below ``limit`` (phase 2 locks the artificials out).
 
         Returns OPTIMAL, with the final reduced costs in ``self.reduced``,
-        or UNBOUNDED.  ``allowed`` masks columns that may enter (used to
-        lock artificial columns out of phase 2).
+        or UNBOUNDED.
         """
         z = list(cost)
         for r, b in enumerate(self.basis):
@@ -116,9 +106,7 @@ class _Tableau:
             if cb != 0:
                 z = [a - cb * v for a, v in zip(z, self.rows[r])]
         while True:
-            enter = next(
-                (j for j in range(self.ncols) if allowed[j] and z[j] > 0), None
-            )
+            enter = next((j for j in range(limit) if z[j] > 0), None)
             if enter is None:
                 self.reduced = z
                 return OPTIMAL
@@ -148,21 +136,20 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     one = Fraction(1)
     # equality standard form: one slack per inequality, rhs made nonnegative;
     # a slack that enters its row with +1 is the row's initial basic column
-    nslack = sum(1 for con in lp.constraints if con.relation != EQUAL)
+    nslack = sum(1 for _, relation, _ in lp.constraints if relation != EQUAL)
     nreal = n + nslack
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     basis: list[int] = []
     flipped: list[bool] = []
     s = 0
-    for con in lp.constraints:
-        full = list(con.coefficients) + [Fraction(0)] * nslack
-        b = con.rhs
+    for coefficients, relation, b in lp.constraints:
+        full = list(coefficients) + [Fraction(0)] * nslack
         flip = b < 0
         basic = -1
-        if con.relation != EQUAL:
-            full[n + s] = one if con.relation == LESS_EQUAL else -one
-            if (con.relation == LESS_EQUAL) != flip:
+        if relation != EQUAL:
+            full[n + s] = one if relation == LESS_EQUAL else -one
+            if (relation == LESS_EQUAL) != flip:
                 basic = n + s
             s += 1
         flipped.append(flip)
@@ -186,13 +173,12 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 
     unit_cols = list(basis)
     tab = _Tableau(rows, rhs, basis)
-    tab.ncols = ncols
 
     if ncols > nreal:
         # the artificial columns are those from nreal on; phase 1 keeps every
         # rhs nonnegative, so their sum is zero only when each basic one is
         cost1 = [Fraction(0)] * nreal + [Fraction(-1)] * (ncols - nreal)
-        tab.run(cost1, [True] * ncols)
+        tab.run(cost1, ncols)
         if any(tab.rhs[r] for r, b in enumerate(tab.basis) if b >= nreal):
             return LpSolution(INFEASIBLE)
         # pivot leftover artificials out of the basis; drop redundant rows
@@ -205,8 +191,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
                     tab.pivot(r, col)
 
     cost2 = list(lp.objective) + [Fraction(0)] * (ncols - n)
-    allowed = [j < nreal for j in range(ncols)]
-    status = tab.run(cost2, allowed)
+    status = tab.run(cost2, nreal)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 

@@ -57,6 +57,13 @@ def test_upper_bound_only():
     assert sol.point == Vector([F(7, 2)])
 
 
+def test_a_program_with_no_rows():
+    assert solve([1], []).status == UNBOUNDED
+    sol = solve([-1], [])
+    assert sol.is_optimal
+    assert (sol.value, sol.point, sol.duals) == (0, Vector([0]), ())
+
+
 def test_crossed_bounds_infeasible():
     sol = solve([1], [([1], GREATER_EQUAL, 2), ([1], LESS_EQUAL, 1)])
     assert sol.status == INFEASIBLE

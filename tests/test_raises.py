@@ -26,7 +26,6 @@ from credalgames.dynamics import (
 )
 from credalgames.exactmath import (
     LESS_EQUAL,
-    Constraint,
     DimensionMismatchError,
     LinearProgram,
     Polytope,
@@ -98,7 +97,7 @@ CASES = {
         StateSpaceError, r"acting cell \('b', 'c'\) is not a stage-1 cell",
     ),
     "unknown-relation": (
-        lambda: Constraint(Vector([1]), "<", F(0)),
+        lambda: LinearProgram.build([1], [([1], "<", 0)]),
         ValueError, "unknown relation '<'",
     ),
     "constraint-width": (

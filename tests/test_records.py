@@ -47,7 +47,6 @@ def _samples() -> dict:
     root = fig1.root
     first_moves = {p: pure_behavioral(fig1, p, (0,)) for p in fig1.players}
     return {
-        "Constraint": lp.constraints[0],
         "LinearProgram": lp,
         "LpSolution": lp_solve(lp),
         "Polytope": beliefs.set,
@@ -103,7 +102,6 @@ CONSTRUCTORS = {
     "Command": (("help", "scenario", "flags", "compute", "text"), (None, None)),
     "ConditionalSlot": (("cell", "projection"), None),
     "ConsistencyReport": (("player", "exante_solution", "cells"), None),
-    "Constraint": (("coefficients", "relation", "rhs"), None),
     "CredalSet": (("space", "set"), None),
     "DecisionNode": (("player", "actions", "children"), None),
     "DecisionProblem": (("space", "payoff", "beliefs"), None),
