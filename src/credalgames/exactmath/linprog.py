@@ -2,8 +2,10 @@
 
 A two-phase tableau simplex over ``Fraction`` with Bland's pivoting rule:
 every number is exact, and the fixed rule makes the returned optimum
-deterministic for a given program.  Problem sizes in this library are tiny
-(a handful of variables and rows), so clarity wins over sparse tricks.
+deterministic for a given program.  The tableau is one dense matrix: row 0
+holds the reduced costs, every constraint row ends with its right-hand
+side, and a pivot is one elimination over all rows.  The programs here are
+small (rect-hull's value LPs reach 17 rows), so the matrix stays dense.
 
 Every variable is nonnegative.  An optimal solution also carries
 ``duals``, one per row of ``LinearProgram.constraints``, read off the
@@ -70,142 +72,123 @@ class LpSolution(Record, defaults={"value": None, "point": None, "duals": None})
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland's rule."""
+    """A dense simplex tableau over Fractions, one matrix, with Bland's rule.
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], basis: list[int]):
+    Row 0 holds the reduced costs of the objective being maximized, and
+    constraint row i (i >= 1) ends with its right-hand side, so row 0's last
+    entry is minus the objective's value; ``basis[i - 1]`` is row i's basic
+    column.
+    """
+
+    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
         self.rows = rows
-        self.rhs = rhs
         self.basis = basis
 
+    def price(self, cost: list[Fraction]) -> None:
+        """Make row 0 the reduced costs of ``cost`` on the current basis."""
+        z = cost
+        for row, b in zip(self.rows[1:], self.basis):
+            if cost[b] != 0:
+                z = [a - cost[b] * v for a, v in zip(z, row)]
+        self.rows[0] = z
+
     def pivot(self, r: int, col: int) -> None:
-        piv = self.rows[r][col]
-        inv = 1 / piv
-        self.rows[r] = [a * inv for a in self.rows[r]]
-        self.rhs[r] *= inv
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            factor = self.rows[i][col]
-            if factor == 0:
-                continue
-            prow = self.rows[r]
-            self.rows[i] = [a - factor * b for a, b in zip(self.rows[i], prow)]
-            self.rhs[i] -= factor * self.rhs[r]
-        self.basis[r] = col
+        inv = 1 / self.rows[r][col]
+        prow = self.rows[r] = [a * inv for a in self.rows[r]]
+        for i, row in enumerate(self.rows):
+            factor = row[col]
+            if i != r and factor != 0:
+                self.rows[i] = [a - factor * b for a, b in zip(row, prow)]
+        self.basis[r - 1] = col
 
-    def run(self, cost: list[Fraction], limit: int) -> str:
-        """Maximize cost.x from the current basic feasible point, entering
-        only columns below ``limit`` (phase 2 locks the artificials out).
-
-        Returns OPTIMAL, with the final reduced costs in ``self.reduced``,
-        or UNBOUNDED.
-        """
-        z = list(cost)
-        for r, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb != 0:
-                z = [a - cb * v for a, v in zip(z, self.rows[r])]
+    def run(self, limit: int) -> str:
+        """Maximize row 0's objective from the current basic feasible point,
+        entering only columns below ``limit``: OPTIMAL or UNBOUNDED."""
         while True:
+            z = self.rows[0]
             enter = next((j for j in range(limit) if z[j] > 0), None)
             if enter is None:
-                self.reduced = z
                 return OPTIMAL
-            leave, best = None, None
-            for r in range(len(self.rows)):
-                a = self.rows[r][enter]
-                if a > 0:
-                    ratio = self.rhs[r] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leave])
-                    ):
-                        best, leave = ratio, r
+            # least ratio, ties to the least basic column
+            leave = min(
+                (
+                    (row[-1] / row[enter], b, r)
+                    for r, (row, b) in enumerate(zip(self.rows[1:], self.basis), 1)
+                    if row[enter] > 0
+                ),
+                default=None,
+            )
             if leave is None:
                 return UNBOUNDED
-            self.pivot(leave, enter)
-            # refresh reduced costs for the changed basis
-            factor = z[enter]
-            if factor != 0:
-                z = [a - factor * b for a, b in zip(z, self.rows[leave])]
+            self.pivot(leave[2], enter)
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve exactly; deterministic for a fixed program (Bland's rule)."""
     n = lp.objective.dimension
-    one = Fraction(1)
-    # equality standard form: one slack per inequality, rhs made nonnegative;
-    # a slack that enters its row with +1 is the row's initial basic column
-    nslack = sum(1 for _, relation, _ in lp.constraints if relation != EQUAL)
-    nreal = n + nslack
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    zero, one = Fraction(0), Fraction(1)
+    # equality standard form, every rhs made nonnegative by a row sign: one
+    # slack per inequality, and an artificial for each row whose slack does
+    # not enter it with +1 (such a slack is the row's initial basic column)
+    slacks = [
+        (-1 if b < 0 else 1) * {LESS_EQUAL: 1, EQUAL: 0, GREATER_EQUAL: -1}[relation]
+        for _, relation, b in lp.constraints
+    ]
+    nreal = n + sum(1 for s in slacks if s)
+    ncols = nreal + sum(1 for s in slacks if s != 1)
+    rows: list[list[Fraction]] = [[]]  # row 0 is priced per phase
     basis: list[int] = []
-    flipped: list[bool] = []
-    s = 0
-    for coefficients, relation, b in lp.constraints:
-        full = list(coefficients) + [Fraction(0)] * nslack
-        flip = b < 0
-        basic = -1
-        if relation != EQUAL:
-            full[n + s] = one if relation == LESS_EQUAL else -one
-            if (relation == LESS_EQUAL) != flip:
-                basic = n + s
-            s += 1
-        flipped.append(flip)
-        if flip:
-            full = [-a for a in full]
-            b = -b
-        rows.append(full)
-        rhs.append(b)
-        basis.append(basic)
-
-    # an artificial column for every other row; either way the basic column
-    # is the row's unit column
-    ncols = nreal
-    for i in range(len(rows)):
-        if basis[i] == -1:
-            for r in rows:
-                r.append(Fraction(0))
-            rows[i][-1] = one
-            basis[i] = ncols
-            ncols += 1
+    slack, artificial = n, nreal
+    for (coefficients, _, b), s in zip(lp.constraints, slacks):
+        row = [*coefficients, *[zero] * (ncols - n), b]
+        if b < 0:
+            row = [-a for a in row]
+        if s:
+            row[slack] = Fraction(s)
+            slack += 1
+        if s == 1:
+            basis.append(slack - 1)
+        else:
+            row[artificial] = one
+            basis.append(artificial)
+            artificial += 1
+        rows.append(row)
 
     unit_cols = list(basis)
-    tab = _Tableau(rows, rhs, basis)
+    tab = _Tableau(rows, basis)
 
     if ncols > nreal:
-        # the artificial columns are those from nreal on; phase 1 keeps every
-        # rhs nonnegative, so their sum is zero only when each basic one is
-        cost1 = [Fraction(0)] * nreal + [Fraction(-1)] * (ncols - nreal)
-        tab.run(cost1, ncols)
-        if any(tab.rhs[r] for r, b in enumerate(tab.basis) if b >= nreal):
+        # phase 1 maximizes minus the artificials' sum; every rhs stays
+        # nonnegative, so the sum is zero only when each basic one is
+        tab.price([zero] * nreal + [-one] * (ncols - nreal) + [zero])
+        tab.run(ncols)
+        if rows[0][-1]:
             return LpSolution(INFEASIBLE)
         # pivot leftover artificials out of the basis; drop redundant rows
-        for r in range(len(tab.rows) - 1, -1, -1):
-            if tab.basis[r] >= nreal:
-                col = next((j for j in range(nreal) if tab.rows[r][j] != 0), None)
+        for r in range(len(basis), 0, -1):
+            if basis[r - 1] >= nreal:
+                col = next((j for j in range(nreal) if rows[r][j] != 0), None)
                 if col is None:
-                    del tab.rows[r], tab.rhs[r], tab.basis[r]
+                    del rows[r], basis[r - 1]
                 else:
                     tab.pivot(r, col)
 
-    cost2 = list(lp.objective) + [Fraction(0)] * (ncols - n)
-    status = tab.run(cost2, nreal)
-    if status == UNBOUNDED:
+    tab.price([*lp.objective, *[zero] * (ncols + 1 - n)])
+    if tab.run(nreal) == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
-    x = [Fraction(0)] * ncols
-    for r, b in enumerate(tab.basis):
-        x[b] = tab.rhs[r]
-    point = Vector(x[:n])
-    value = lp.objective.dot(point)
-    # the multipliers are pi = c_B B^-1; row i's unit column (its +1 slack or
-    # its artificial) costs 0, so its reduced cost is -pi_i, also for a row
-    # that phase 1 deleted as redundant.  A negated row gets its sign back.
-    z = tab.reduced
-    duals = tuple(z[col] if flip else -z[col] for col, flip in zip(unit_cols, flipped))
-    return LpSolution(OPTIMAL, value, point, duals)
+    x = [zero] * ncols
+    for row, b in zip(rows[1:], basis):
+        x[b] = row[-1]
+    # the multipliers are pi = c_B B^-1; row i's unit column (its +1 slack
+    # or its artificial) costs 0, so its reduced cost is -pi_i, also for a
+    # row that phase 1 deleted as redundant.  A negated row gets its sign
+    # back.
+    z = rows[0]
+    duals = tuple(
+        z[col] if b < 0 else -z[col] for col, (_, _, b) in zip(unit_cols, lp.constraints)
+    )
+    return LpSolution(OPTIMAL, -z[-1], Vector(x[:n]), duals)
 
 
 def lp_feasible(constraints, n: int) -> Vector | None:

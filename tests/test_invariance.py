@@ -6,6 +6,12 @@ known way, exactly.
 - Positive affine maps: mapping one player's payoffs u to a u + b, a > 0,
   maps values v to a v + b and gaps to a gap, and keeps faces, binding
   priors and verdicts (Gilboa & Schmeidler 1989).
+- Relabelling actions and players: listing player 2's actions N before M
+  permutes strategies and face coordinates, and renaming player 2 changes
+  only the player ids.
+- A duplicated action keeps every value, gap and verdict; the optimal face
+  grows to the segment between the action and its copy.
+- A prior inside the hull changes nothing but the scenario's hash.
 """
 
 import json
@@ -13,7 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from credalgames import cli, gametree
+from credalgames import cli, gametree, maxmin
 from credalgames.beliefs import CredalSet, StateSpace
 from credalgames.dynamics import (
     CONSISTENT,
@@ -167,3 +173,114 @@ def test_positive_affine_maps_keep_faces_and_verdicts():
 
     check()
     assert {CONSISTENT, INCONSISTENT} <= seen, seen
+
+
+def _fig1_game(edit):
+    """fig1's game, with ``edit`` applied to each of player 2's nodes."""
+    data = json.loads(json.dumps(gametree.BUILTIN_GAMES["fig1"]))
+    for action in data["root"]["actions"][:2]:
+        edit(action["child"])
+    return data
+
+
+def _faces(result):
+    """Every optimal face in a check-dc result, as vertex lists."""
+    faces = [result["exante"]["optimal_face"]["vertices"]]
+    for cell in result["cells"]:
+        faces += [cell[key]["vertices"] for key in cell if key.endswith("_face")]
+    return faces
+
+
+@pytest.mark.parametrize("eps", EPS)
+def test_fig1_with_actions_reordered_permutes_strategies_and_faces(eps):
+    analyses = ("maxmin", "check-dc")
+    base = _fig1(eps, analyses)
+    swapped = _fig1(eps, analyses, game=_fig1_game(lambda node: node["actions"].reverse()))
+    for result in (base, swapped):
+        # the conditional strategy is the face's first vertex in sorted
+        # order, which the swap need not keep
+        dc = result["check-dc"]
+        assert dc.pop("conditional_strategy") == dc["cells"][0]["conditional_face"]["vertices"][0]
+        result["maxmin"]["optimal_face"].sort()
+        for face in _faces(dc):
+            face.sort()
+    for face in [base["maxmin"]["optimal_face"], *_faces(base["check-dc"])]:
+        face[:] = sorted(vertex[::-1] for vertex in face)
+    assert swapped == base
+
+
+@pytest.mark.parametrize("eps", EPS)
+def test_fig1_with_player_two_renamed_changes_only_player_ids(eps):
+    analyses = ("validate", "maxmin", "update", "rect-hull", "check-rect", "check-dc")
+    game = _fig1_game(lambda node: node.update(player="B"))
+    game["players"] = ["1", "B"]
+    data = cli.load_scenario("fig1")
+    data.update(game=game, player="B", players={"B": data["players"]["2"]})
+    flags = cli.RunFlags(eps=F(eps), analyses=analyses)
+    base, renamed = cli.run(cli.load_scenario("fig1"), flags), cli.run(data, flags)
+
+    def named_two(value):
+        if isinstance(value, dict):
+            return {k: named_two(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [named_two(v) for v in value]
+        return "2" if value == "B" else value
+
+    assert renamed.player == "B"
+    assert named_two(renamed.to_json()["results"]) == base.to_json()["results"]
+
+
+def _duplicate_m(node):
+    m = node["actions"][0]
+    assert m["label"] == "M"
+    node["actions"].append({"label": "M2", "child": dict(m["child"])})
+
+
+@pytest.mark.parametrize("eps", EPS)
+def test_fig1_with_m_duplicated_keeps_values_gaps_and_verdicts(eps, monkeypatch):
+    # three strategies against fig1's three priors: the value LP, and a face
+    # of two vertices from _face's enumeration of square systems
+    calls = {"_value_lp": 0, "solve_square_system": 0}
+    for name in calls:
+        original = getattr(maxmin, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(maxmin, name, counted)
+    analyses = ("maxmin", "update", "rect-hull", "check-dc")
+    base = _fig1(eps, analyses)
+    duplicated = _fig1(eps, analyses, game=_fig1_game(_duplicate_m))
+    assert calls["_value_lp"] > 0 and calls["solve_square_system"] > 0
+
+    segment = [["0", "0", "1"], ["1", "0", "0"]]  # M2 and M over (M, N, M2)
+    assert duplicated["maxmin"]["optimal_face"] == segment
+    assert duplicated["check-dc"]["exante"]["optimal_face"]["vertices"] == segment
+    for key in ("update", "rect-hull"):
+        assert duplicated[key] == base[key]
+    assert duplicated["maxmin"]["value"] == base["maxmin"]["value"]
+    assert duplicated["maxmin"]["binding_vertices"] == base["maxmin"]["binding_vertices"]
+    dc, dc_duplicated = base["check-dc"], duplicated["check-dc"]
+    assert dc_duplicated["overall"] == dc["overall"]
+    assert dc_duplicated["exante"]["value"] == dc["exante"]["value"]
+    keys = ("cell", "status", "conditional_value", "restricted_value", "value_gap")
+    for cell, cell_duplicated in zip(dc["cells"], dc_duplicated["cells"], strict=True):
+        assert {k: cell_duplicated.get(k) for k in keys} == {k: cell.get(k) for k in keys}
+
+
+def test_fig4_with_a_prior_inside_the_hull_changes_only_the_hash():
+    data = cli.load_scenario("fig4")
+    for player in ("2", "3"):
+        vertices = data["players"][player]["beliefs"]["vertices"]
+        # the midpoint of a diagonal of fig4's quadrilateral
+        vertices.append([str((F(a) + F(b)) / 2) for a, b in zip(vertices[0], vertices[2])])
+    analyses = ("maxmin", "rect-hull", "check-rect", "update", "check-dc", "find-payoffs")
+    for player in ("2", "3"):
+        # only player 3 has an n_interval to induce its beliefs from
+        induce = ("induce",) if player == "3" else ()
+        flags = cli.RunFlags(player=player, analyses=analyses + induce)
+        base = cli.run(cli.load_scenario("fig4"), flags).to_json()
+        with_midpoint = cli.run(data, flags).to_json()
+        assert with_midpoint.pop("scenario_hash") != base.pop("scenario_hash")
+        assert with_midpoint == base
