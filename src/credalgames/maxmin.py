@@ -21,6 +21,7 @@ or more strategies against three or more priors take the LP.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .beliefs import CredalSet, StateSpace
@@ -38,19 +39,18 @@ from .exactmath import (
     rat,
     row_reduce,
     solve_square_system,
-    unit_vector,
 )
 
-# _solve rejects an optimal face whose equalities leave more free coordinates
-# than this (at least t minus their count, over the face's support of t
-# strategies, known before the row reduction): with f free coordinates every
-# candidate vertex solves a t x t system, the equalities' basis plus f tight
-# inequalities.  On all-tied one-prior problems (t = k, bound k - 2; rows
-# (1, 2), prior (1, 0), k candidates) maxmin_solve took 0.013 s at k = 16,
-# 0.14 s at k = 32 and 1.7-2.1 s at k = 64 (best of three, CPython 3.11.7,
-# shared 2-CPU x86-64 host), growing 10-15x per doubling of k, so the cap
-# admits those that finish within seconds.
-MAX_FREE_COORDINATES = 64
+# _face refuses an optimal face with more candidate vertices than this: each
+# is one exact square system, and their count is known before any is solved.
+# Single runs (CPython 3.11.7, shared 2-CPU x86-64 host) took 0.9 s for
+# 22,100 systems of size 3 (a one-point face over 52 strategies, rows
+# (2 + i/50, 0, 1 - i/50) and (0, 2 + i/50, 1 - i/50) against an eps = 1/4
+# contamination of the uniform prior on three states), 4.5 s for 12,870 of
+# size 8 and 35 s for 92,378 of size 9 (faces over 16 and 19 strategies whose
+# equalities have rank 8 and 9), so the budget admits faces that finish
+# within seconds.
+MAX_FACE_CANDIDATES = 20_000
 
 
 class DecisionProblem(Record):
@@ -205,9 +205,9 @@ def _solve(
     strategy s satisfies y's equalities: ``g_j . s = v`` where ``y_j > 0``,
     and ``s_i = 0`` where ``(G^T y)_i < v``.  When they pin s down, the
     point is the whole face.  Otherwise each vertex of the face is 0 off
-    the support, the t strategies with ``(G^T y)_i = v``, and solves there
-    the t x t system of those equalities' row basis plus as many tight
-    inequalities as the basis lacks rows.
+    the support, the t strategies with ``(G^T y)_i = v``, and is a basic
+    solution there: the equalities' row basis and s tight inequalities
+    solved on r + s support columns, where r is the basis's rank.
     """
     if k == 1:
         return min(g[0] for g in gains), (Vector([1]),), None
@@ -263,34 +263,39 @@ def _face(gains: list[Vector], k: int, value: Fraction, point: Vector, mix: list
         raise RuntimeError(f"maxmin solution fails its certificate at value {value}")
 
     # every optimal strategy is 0 off the support, the strategies paying the
-    # value against y, and meets the equalities there; the other gains and
-    # the support's simplex bounds are inequalities on the face
+    # value against y, and meets the equalities there; the other gains are
+    # inequalities on the face, save those paying at least the value on
+    # every support strategy, which hold on the whole simplex
     support = [i for i in range(k) if payoff[i] == value]
     t = len(support)
-    equalities = [([Fraction(1)] * t, Fraction(1))]
-    inequalities = []
-    for y, g in zip(mix, gains):
-        (equalities if y > 0 else inequalities).append(([g[i] for i in support], value))
-    inequalities += [(list(unit_vector(t, i)), Fraction(0)) for i in range(t)]
-    # each equality removes at most one free coordinate
-    if t - len(equalities) > MAX_FREE_COORDINATES:
-        raise ValueError(
-            f"the optimal face over {k} strategies has at least {t - len(equalities)} "
-            f"free coordinates; enumerating its vertices stops at {MAX_FREE_COORDINATES}"
-        )
+    rows = [([g[i] for i in support], y) for y, g in zip(mix, gains)]
+    equalities = [([Fraction(1)] * t, Fraction(1))] + [(row, value) for row, y in rows if y > 0]
+    inequalities = [row for row, y in rows if y == 0 and min(row) < value]
     basis, rhs = row_reduce(*zip(*equalities))
-    if len(basis) == t:
+    r = len(basis)
+    if r == t:
         return value, (point,)
 
-    # each vertex makes t - rank of the inequalities tight
+    # each vertex is a basic solution (Chvatal 1983, ch. 3): for some s tight
+    # inequalities it solves the (r + s) x (r + s) system of them and the
+    # basis on r + s support columns, and is 0 on the others; summed over s,
+    # comb(m, s) comb(t, r + s) is comb(m + t, t - r) for m inequalities
+    count = math.comb(len(inequalities) + t, t - r)
+    if count > MAX_FACE_CANDIDATES:
+        raise ValueError(f"the optimal face over {k} strategies has {count} candidate "
+                         f"vertices; enumerating them stops at {MAX_FACE_CANDIDATES}")
     corners = set()
-    for combo in itertools.combinations(inequalities, t - len(basis)):
-        x = solve_square_system(basis + [a for a, _ in combo], rhs + [b for _, b in combo])
-        if x is not None and all(dot(a, x) >= b for a, b in inequalities):
-            lifted = [Fraction(0)] * k
-            for i, xi in zip(support, x):
-                lifted[i] = xi
-            corners.add(tuple(lifted))
+    for s in range(min(len(inequalities), t - r) + 1):
+        for tight in itertools.combinations(inequalities, s):
+            for columns in itertools.combinations(range(t), r + s):
+                square = [[a[j] for j in columns] for a in basis + list(tight)]
+                x = solve_square_system(square, rhs + [value] * s)
+                if x is not None and min(x) >= 0:
+                    lifted = [Fraction(0)] * k
+                    for j, xj in zip(columns, x):
+                        lifted[support[j]] = xj
+                    if all(dot(g, lifted) >= value for g in gains):
+                        corners.add(tuple(lifted))
     return value, tuple(Vector(p) for p in sorted(corners))
 
 

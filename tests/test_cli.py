@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import credalgames.maxmin
 from credalgames import cli, dynamics, gametree
 from credalgames.beliefs import full_bayes_update, rectangular_hull
 from credalgames.cli import (
@@ -199,10 +200,10 @@ def test_induce_reads_the_prior_by_its_labels():
     assert len(got["vertices"]) == 4
 
 
-def test_face_too_wide_to_enumerate_is_an_analysis_error(tmp_path, capsys):
-    # one move among 80 equal payoffs ties every strategy: the optimal face
-    # keeps 79 free coordinates, more than maxmin enumerates
-    moves = [{"label": f"a{i}", "child": {"payoffs": ["0"]}} for i in range(80)]
+def _tied_moves(tmp_path, count):
+    # one move among count equal payoffs ties every strategy: the optimal
+    # face is the whole simplex, whose count vertices are its only candidates
+    moves = [{"label": f"a{i}", "child": {"payoffs": ["0"]}} for i in range(count)]
     data = {
         "game": {"players": ["1"], "root": {"player": "1", "actions": moves}},
         "player": "1",
@@ -210,8 +211,21 @@ def test_face_too_wide_to_enumerate_is_an_analysis_error(tmp_path, capsys):
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(data))
-    assert main(["maxmin", str(path)]) == 2
-    assert "analysis error: the optimal face over 80 strategies" in capsys.readouterr().err
+    return str(path)
+
+
+def test_face_too_wide_to_enumerate_is_an_analysis_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(credalgames.maxmin, "MAX_FACE_CANDIDATES", 79)
+    assert main(["maxmin", _tied_moves(tmp_path, 80)]) == 2
+    err = capsys.readouterr().err
+    assert "analysis error: the optimal face over 80 strategies has 80 candidate vertices" in err
+
+
+def test_face_at_the_candidate_budget_is_enumerated(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(credalgames.maxmin, "MAX_FACE_CANDIDATES", 80)
+    assert main(["maxmin", _tied_moves(tmp_path, 80), "--json"]) == 0
+    face = json.loads(capsys.readouterr().out)["results"][0]["optimal_face"]
+    assert len(face) == 80
 
 
 def test_too_many_pure_strategies_is_an_analysis_error_before_any_is_listed(

@@ -675,8 +675,9 @@ def test_projections_keep_every_action_that_moves_cell_payoffs():
 def test_check_fails_fast_on_a_face_too_wide_to_enumerate(monkeypatch):
     # the 50th game drawn from random.Random(505) gives its player 768 pure
     # strategies over one state, 256 of them tied at the top payoff: the
-    # value LP's equalities leave at least 254 free coordinates, so the
-    # solve refuses before reducing them
+    # face's equalities have rank 1 and leave no gain as an inequality, so
+    # it has comb(256, 255) = 256 candidates, one over the lowered budget,
+    # and the solve refuses before solving any of them
     import credalgames.exactmath.polytope
     import credalgames.maxmin
     from randtrees import random_perfect_recall_game
@@ -687,15 +688,16 @@ def test_check_fails_fast_on_a_face_too_wide_to_enumerate(monkeypatch):
         player = rng.choice(game.players)
     pp = build_player_problem(game, player, CredalSet.singleton(StateSpace.of("start"), [1]))
     assert len(pp.strategy_labels) == 768
-    reductions = []
+    monkeypatch.setattr(credalgames.maxmin, "MAX_FACE_CANDIDATES", 255)
+    work = []
     for module, name in (
-        (credalgames.maxmin, "row_reduce"),
+        (credalgames.maxmin, "solve_square_system"),
         (credalgames.exactmath.polytope, "eliminate"),
     ):
-        monkeypatch.setattr(module, name, lambda *args: reductions.append(args))
-    with pytest.raises(ValueError, match="over 768 strategies has at least 254 free coordinates"):
+        monkeypatch.setattr(module, name, lambda *args: work.append(args))
+    with pytest.raises(ValueError, match="over 768 strategies has 256 candidate vertices"):
         check_dynamic_consistency(pp)
-    assert reductions == []
+    assert work == []
 
 
 def test_report_json_shape(fig1):

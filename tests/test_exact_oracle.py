@@ -26,6 +26,7 @@ F = Fraction
 
 pytest.importorskip("sympy")
 from exact_oracle import extreme_points, maxmin_value  # noqa: E402
+from test_maxmin import oracle_face  # noqa: E402
 
 
 def _maxmin_cases(st):
@@ -52,6 +53,29 @@ def _maxmin_cases(st):
 
 def _binding(gains, face, value):
     return tuple(i for i, g in enumerate(gains) if dot(g, face[0]) == value)
+
+
+def _face_cases(gains, k, value, face):
+    """Check a face beyond a point against the brute-force face oracle and
+    name what the value LP's face enumeration meets on the way to it: a
+    gain outside nature's mix that pays at least the value on every
+    support strategy, which it drops, and a vertex whose positive
+    coordinates carry linearly dependent columns of the equalities, so it
+    is found only with a tight gain among its rows."""
+    assert face == oracle_face(gains, value, k)
+    _, _, mix = _value_lp(gains, k)
+    payoff = [dot(mix, column) for column in zip(*gains)]
+    support = [i for i in range(k) if payoff[i] == value]
+    cases = set()
+    if any(y == 0 and min(g[i] for i in support) >= value for y, g in zip(mix, gains)):
+        cases.add("a gain row dropped as non-binding")
+    for vertex in face:
+        positive = [i for i in range(k) if vertex[i]]
+        rows = [[F(1)] * len(positive)]
+        rows += [[g[i] for i in positive] for y, g in zip(mix, gains) if y]
+        if len(row_reduce(rows, [0] * len(rows))[0]) < len(positive):
+            cases.add("a face vertex with a tight gain inequality (s >= 1)")
+    return cases
 
 
 def test_every_solve_branch_matches_the_exact_oracle():
@@ -83,6 +107,8 @@ def test_every_solve_branch_matches_the_exact_oracle():
             seen.add(f"{picked}: a face, not a point")
         if len(face) > 2:
             seen.add("a face beyond a segment")
+        if k > 2 and len(face) > 1:
+            seen.update(_face_cases(gains, k, value, face))
 
     check()
     assert {
@@ -94,6 +120,8 @@ def test_every_solve_branch_matches_the_exact_oracle():
         "transposed: a face, not a point",
         "value LP: a face, not a point",
         "a face beyond a segment",
+        "a gain row dropped as non-binding",
+        "a face vertex with a tight gain inequality (s >= 1)",
     } <= seen, seen
 
 

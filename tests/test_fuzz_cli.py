@@ -6,16 +6,20 @@ player and gives it an eps = 1/4 contamination of a point mass over its
 opponent-path states.  Each draw is written as a scenario file with the game
 inline and run through ``cli.main`` under every analysis, as text and with
 ``--json``: the exit code is 0, 1 or 2 and never an uncaught exception, the
-JSON parses, and two runs give one ``scenario_hash``.
+JSON parses, and two runs give one ``scenario_hash``.  Four draws that the
+derandomized search misses, each with a wide optimal face, are pinned by
+seed.
 """
 
+import hashlib
 import json
 import math
 import random
 
 import pytest
 
-from credalgames import cli
+from credalgames import cli, maxmin
+from credalgames.exactmath import solve_square_system
 from credalgames.gametree import TerminalNode
 from randtrees import random_perfect_recall_game
 
@@ -111,3 +115,51 @@ def test_random_scenarios_answer_or_exit_cleanly(tmp_path, capsys):
 
     check()
     assert {0, 2} <= codes, codes
+
+
+# seed, the maxmin face's candidate vertices (each one square solve), the
+# maxmin value, and digests of the maxmin and check-dc results
+WIDE_FACES = [
+    (93, 78, "5", "a5ffc5d2d46fe9d9", "7dd6d1b5213a13e0"),
+    (103, 9, "2", "81713aeed082405b", "ab7814fe3b182355"),
+    (291, 12, "17/8", "0e841cba5c35819d", "a91d96a4d8cad5f2"),
+    (416, 528, "-1", "269e64732cc1ce68", "78245f46d11ddde5"),
+]
+
+
+def _digest(result):
+    text = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "seed, candidates, value, maxmin_digest, check_dc_digest",
+    WIDE_FACES,
+    ids=[f"seed-{case[0]}" for case in WIDE_FACES],
+)
+def test_wide_faces_solve_each_counted_candidate_once(
+    seed, candidates, value, maxmin_digest, check_dc_digest, tmp_path, monkeypatch, capsys
+):
+    data, _ = _scenario(seed)
+    path = str(tmp_path / "scenario.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    assert [_main([analysis, path], capsys)[0] for analysis in ("maxmin", "check-dc")] == [0, 0]
+    # with no budget the refusal names the count
+    monkeypatch.setattr(maxmin, "MAX_FACE_CANDIDATES", 0)
+    with pytest.raises(ValueError, match=f"has {candidates} candidate vertices"):
+        cli.run(data, cli.RunFlags(analyses=("maxmin",)))
+    monkeypatch.undo()
+    solves = []
+
+    def counting(rows, rhs):
+        solves.append(len(rows))
+        return solve_square_system(rows, rhs)
+
+    monkeypatch.setattr(maxmin, "solve_square_system", counting)
+    result = cli.run(data, cli.RunFlags(analyses=("maxmin",))).results[0]
+    assert len(solves) == candidates
+    assert result["value"] == value
+    assert _digest(result) == maxmin_digest
+    result = cli.run(data, cli.RunFlags(analyses=("check-dc",))).results[0]
+    assert _digest(result) == check_dc_digest

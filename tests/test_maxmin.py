@@ -379,8 +379,9 @@ def test_wide_problem_needs_no_square_solves(monkeypatch):
 def test_face_solves_systems_over_its_support_only(k, tied, monkeypatch):
     # against the one prior (1, 0) the tied rows (1, 2) pay the value 1 and
     # the rows (0, 5) pay 0, so the face is the simplex over the tied
-    # strategies; each of its vertices solves a tied x tied system, and a
-    # k x k system would take seconds
+    # strategies; its equalities have rank 1 and no gain is left as an
+    # inequality, so its comb(tied, tied - 1) = tied candidates are 1 x 1
+    # systems, one per vertex, and a k x k system would take seconds
     rows = [[1, 2]] * tied + [[0, 5]] * (k - tied)
     problem = DecisionProblem.build(rows, LR, CredalSet.singleton(LR, [1, 0]))
     calls = []
@@ -396,7 +397,27 @@ def test_face_solves_systems_over_its_support_only(k, tied, monkeypatch):
     assert sol.value == 1
     units = [Vector(int(i == j) for i in range(k)) for j in range(tied)]
     assert sol.optimal_face.vertices == tuple(sorted(units))
-    assert calls == [tied] * tied
+    assert calls == [1] * tied
+
+
+def test_face_over_the_candidate_budget_is_refused_before_any_solve(monkeypatch):
+    # 32 rows (2 + i/50, 0, 1 - i/50) and 32 rows (0, 2 + i/50, 1 - i/50)
+    # against an eps = 1/4 contamination of the uniform prior: every
+    # strategy pays the value against nature's mix, which weights all three
+    # gains, and they and the simplex row have rank 3, so the one-point face
+    # has comb(64, 3) = 41,664 candidates, more than the budget
+    half = [(2 + F(i, 50), 1 - F(i, 50)) for i in range(32)]
+    rows = [[a, 0, b] for a, b in half] + [[0, a, b] for a, b in half]
+    beliefs = eps_contamination(Vector([F(1, 3)] * 3), F(1, 4), LRO)
+    problem = DecisionProblem.build(rows, LRO, beliefs)
+    assert 41_664 > credalgames.maxmin.MAX_FACE_CANDIDATES
+
+    def refusing(rows, rhs):
+        raise AssertionError("a square system solved over the budget")
+
+    monkeypatch.setattr(credalgames.maxmin, "solve_square_system", refusing)
+    with pytest.raises(ValueError, match="over 64 strategies has 41664 candidate vertices"):
+        maxmin_solve(problem)
 
 
 def test_one_vertex_restriction_needs_no_lp(monkeypatch):
